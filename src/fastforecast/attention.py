@@ -72,21 +72,6 @@ class AttentionWeights:
             raise ConfigError("output projection shape mismatch")
 
 
-def init_attention_weights(cfg: AttentionConfig, rng: np.random.Generator) -> AttentionWeights:
-    """Glorot-uniform projections, gradient-tracked."""
-
-    def glorot(fan_in, fan_out):
-        lim = math.sqrt(6.0 / (fan_in + fan_out))
-        return Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)), requires_grad=True)
-
-    return AttentionWeights(
-        w_q=[glorot(cfg.d_model, cfg.d_k) for _ in range(cfg.h)],
-        w_k=[glorot(cfg.d_model, cfg.d_k) for _ in range(cfg.h)],
-        w_v=[glorot(cfg.d_model, cfg.d_v) for _ in range(cfg.h)],
-        w_o=glorot(cfg.h * cfg.d_v, cfg.d_model),
-    )
-
-
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError("attention expects rank-2 Q, K, V")

@@ -15,6 +15,7 @@ live inside functions.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -54,9 +55,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["variant", "window"],
             "properties": {
-                "variant": {"enum": ["bilstm_only", "transformer_mh",
-                                     "transformer_mh_no_indicators",
-                                     "performer", "performer_bilstm"]},
+                "variant": {"type": "string"},
                 "window": {"type": "integer", "minimum": 1},
                 "d_model": {"type": "integer", "minimum": 1},
                 "blocks": {"type": "integer", "minimum": 1},
@@ -97,12 +96,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-MODEL_DEFAULTS = {"d_model": 64, "blocks": 2, "heads": 4, "bilstm_hidden": 64,
-                  "fc_widths": [64, 1], "dropout": 0.1}
-TRAIN_DEFAULTS = {"epochs": 50, "batch": 32, "lr": 1e-3, "grad_clip": 1.0}
-FAVOR_DEFAULTS = {"r": 128, "causal": False, "redraw_interval": None}
-SPLIT_DEFAULT = [0.70, 0.15, 0.15]
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
@@ -121,11 +114,21 @@ def _cap_threads() -> None:
         os.environ.setdefault(var, cap)
 
 
+def _defaults(cls) -> dict:
+    """The field defaults a dataclass declares."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
 def load_config(path, seed_override=None) -> dict:
-    """Parse, schema-check and default-fill an experiment config."""
+    """Parse, schema-check and default-fill an experiment config from the
+    dataclass defaults (ModelSpec, FavorConfig, TrainHyperparams)."""
     import jsonschema
 
+    from .data import SPLIT_FRACTIONS
     from .errors import ConfigError
+    from .favor import FavorConfig
+    from .model import VARIANTS, ModelSpec, TrainHyperparams
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -137,54 +140,41 @@ def load_config(path, seed_override=None) -> dict:
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"{path}: {exc.message}") from None
 
+    variant = raw["model"]["variant"]
+    if variant not in VARIANTS:
+        raise ConfigError(f"{path}: unknown variant '{variant}' (one of {', '.join(VARIANTS)})")
+    model = {**_defaults(ModelSpec), **raw["model"]}
+    seed = model.pop("seed")  # the config sets it at the top level
     cfg = {"data": dict(raw["data"]),
            "indicators": dict(raw.get("indicators", {})),
-           "model": {**MODEL_DEFAULTS, **raw["model"]},
-           "train": {**TRAIN_DEFAULTS, **raw.get("train", {})},
-           "split": list(raw.get("split", SPLIT_DEFAULT)),
-           "seed": int(raw.get("seed", 0))}
+           "model": model,
+           "train": {**_defaults(TrainHyperparams), **raw.get("train", {})},
+           "split": list(raw.get("split", SPLIT_FRACTIONS)),
+           "seed": int(raw.get("seed", seed))}
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
-    if cfg["model"]["variant"] in ("performer", "performer_bilstm"):
-        favor = {**FAVOR_DEFAULTS, **cfg["model"].get("favor", {})}
-        favor.setdefault("seed", cfg["seed"] + 1)
-        cfg["model"]["favor"] = favor
-    elif "favor" in cfg["model"]:
-        raise ConfigError(
-            f"variant '{cfg['model']['variant']}' does not take a favor config")
+    if VARIANTS[variant].attention == "favor":
+        model["favor"] = {**_defaults(FavorConfig), "seed": cfg["seed"] + 1,
+                          **(model["favor"] or {}), "d_k": model["d_model"] // model["heads"]}
+    elif model["favor"] is not None:
+        raise ConfigError(f"variant '{variant}' does not take a favor config")
     total = sum(cfg["split"])
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"split fractions sum to {total}, expected 1")
     return cfg
 
 
-def _build_dataset(cfg):
+def _build_dataset(cfg, norm=None):
     from .data import load_csv, make_dataset
     from .indicators import IndicatorParams
+    from .model import VARIANTS
 
     params = IndicatorParams(**cfg["indicators"])
     series = load_csv(cfg["data"]["path"], cfg["data"]["interval"])
-    use_indicators = cfg["model"]["variant"] != "transformer_mh_no_indicators"
-    dataset = make_dataset(series, params, cfg["model"]["window"],
-                           tuple(cfg["split"]), use_indicators=use_indicators)
+    dataset = make_dataset(series, params, cfg["model"]["window"], tuple(cfg["split"]),
+                           use_indicators=VARIANTS[cfg["model"]["variant"]].indicators,
+                           norm=norm)
     return series, dataset
-
-
-def _model_spec(cfg, n_features):
-    from .favor import FavorConfig
-    from .model import ModelSpec
-
-    m = cfg["model"]
-    favor = None
-    if m.get("favor"):
-        favor = FavorConfig(r=m["favor"]["r"], d_k=m["d_model"] // m["heads"],
-                            seed=m["favor"]["seed"], causal=m["favor"]["causal"],
-                            redraw_interval=m["favor"]["redraw_interval"])
-    return ModelSpec(variant=m["variant"], window=m["window"], n_features=n_features,
-                     d_model=m["d_model"], blocks=m["blocks"], heads=m["heads"],
-                     favor=favor, bilstm_hidden=m["bilstm_hidden"],
-                     fc_widths=tuple(m["fc_widths"]), dropout=m["dropout"],
-                     seed=cfg["seed"])
 
 
 def _write_json(path, payload, sort: bool = True) -> None:
@@ -217,20 +207,17 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     import csv
 
-    from .model import TrainHyperparams, build, save_checkpoint, train
+    from .model import ModelSpec, TrainHyperparams, build, save_checkpoint, train
 
     cfg = load_config(args.config, args.seed)
     _, dataset = _build_dataset(cfg)
-    spec = _model_spec(cfg, dataset.n_features)
-    model = build(spec)
-    hp = TrainHyperparams(**cfg["train"])
-    report = train(model, dataset, hp)
+    model = build(ModelSpec.from_dict({**cfg["model"], "n_features": dataset.n_features,
+                                       "seed": cfg["seed"]}))
+    report = train(model, dataset, TrainHyperparams(**cfg["train"]))
 
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, dataset.norm, os.path.join(args.out, "checkpoint.ffck"))
-    with open(os.path.join(args.out, "train_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "train_report.json"), report.to_dict())
     with open(os.path.join(args.out, "losses.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -249,21 +236,13 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .data import evaluate_metrics, write_predictions
-    from .errors import DataError
     from .model import load_checkpoint, predict_series
 
     cfg = load_config(args.config, args.seed)
     model, norm = load_checkpoint(args.checkpoint)
-    _, dataset = _build_dataset(cfg)
-    if tuple(dataset.columns) != tuple(norm.columns):
-        raise DataError("checkpoint feature columns do not match the dataset")
-    # re-express the windows in the checkpoint's normalization: the weights
-    # assume the statistics fitted at training time, not a fresh fit
-    dataset.windows = norm.normalize(dataset.norm.denormalize(dataset.windows))
-    dataset.targets = norm.normalize_target(dataset.raw_targets)
-    dataset.norm = norm
-    split = SPLIT_NAMES[args.split]
-    pred = predict_series(model, dataset, split)
+    # the weights assume the statistics fitted at training time, not a fresh fit
+    _, dataset = _build_dataset(cfg, norm)
+    pred = predict_series(model, dataset, SPLIT_NAMES[args.split])
     metrics = evaluate_metrics(pred.actual, pred.predicted)
 
     os.makedirs(args.out, exist_ok=True)
@@ -278,13 +257,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .favor import complexity_probe, loglog_slope, write_probe_csv
+    from .favor import FavorConfig, complexity_probe, loglog_slope, write_probe_csv
 
     lengths = [int(x) for x in args.lengths.split(",")]
+    r = FavorConfig.r if args.r is None else args.r
     rows = []
     slopes = {}
     for mode in ("exact", "favor"):
-        mode_rows = complexity_probe(mode, lengths, args.dk, args.r, args.reps,
+        mode_rows = complexity_probe(mode, lengths, args.dk, r, args.reps,
                                      seed=args.seed or 0)
         rows.extend(mode_rows)
         slopes[mode] = loglog_slope(mode_rows)
@@ -322,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default="256,512,1024,2048",
                    help="comma-separated sequence lengths")
     p.add_argument("--dk", type=int, default=32, help="query/key width")
-    p.add_argument("--r", type=int, default=128, help="random-feature count")
+    p.add_argument("--r", type=int, help="random-feature count (default: FavorConfig.r)")
     p.add_argument("--reps", type=int, default=3, help="repetitions per length")
     return parser
 

@@ -136,8 +136,12 @@ class ColumnStats:
 
     @staticmethod
     def from_dict(d: dict) -> "ColumnStats":
-        return ColumnStats(tuple(d["columns"]), np.asarray(d["mean"], dtype=np.float64),
-                           np.asarray(d["std"], dtype=np.float64), int(d["target_index"]))
+        stats = ColumnStats(tuple(d["columns"]), np.asarray(d["mean"], dtype=np.float64),
+                            np.asarray(d["std"], dtype=np.float64), int(d["target_index"]))
+        n = len(stats.columns)
+        if stats.mean.shape != (n,) or stats.std.shape != (n,) or not 0 <= stats.target_index < n:
+            raise DataError(f"statistics do not match their {n} columns")
+        return stats
 
 
 @dataclass
@@ -175,10 +179,15 @@ class Dataset:
         return self.windows.shape[2]
 
 
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
+
+
 def make_dataset(series: OhlcvSeries, params: IndicatorParams, window: int,
-                 split_fractions=(0.70, 0.15, 0.15),
-                 use_indicators: bool = True) -> Dataset:
-    """Build normalized sliding windows with a chronological split."""
+                 split_fractions=SPLIT_FRACTIONS,
+                 use_indicators: bool = True,
+                 norm: ColumnStats | None = None) -> Dataset:
+    """Build normalized sliding windows with a chronological split; the
+    statistics are fitted on the training rows unless ``norm`` is given."""
     if window < 1:
         raise DataError("window length must be >= 1")
     if len(split_fractions) != 3 or abs(sum(split_fractions) - 1.0) > 1e-9:
@@ -200,13 +209,17 @@ def make_dataset(series: OhlcvSeries, params: IndicatorParams, window: int,
     split = SplitRanges(range(0, n_train), range(n_train, n_train + n_val),
                         range(n_train + n_val, n_windows))
 
-    # statistics from rows visible to training only: feature rows of train
-    # windows plus their targets, i.e. valid rows [0, n_train + window)
-    train_rows = valid[:n_train + window]
-    mean = train_rows.mean(axis=0)
-    std = train_rows.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)  # constant columns map to 0
-    norm = ColumnStats(fm.columns, mean, std, close_idx)
+    if norm is None:
+        # statistics from rows visible to training only: feature rows of train
+        # windows plus their targets, i.e. valid rows [0, n_train + window)
+        train_rows = valid[:n_train + window]
+        mean = train_rows.mean(axis=0)
+        std = train_rows.std(axis=0)
+        std = np.where(std < 1e-12, 1.0, std)  # constant columns map to 0
+        norm = ColumnStats(fm.columns, mean, std, close_idx)
+    elif tuple(norm.columns) != tuple(fm.columns):
+        raise DataError(f"fitted statistics cover columns {list(norm.columns)}, "
+                        f"the dataset has {list(fm.columns)}")
 
     normalized = norm.normalize(valid)
     windows = np.stack([normalized[s:s + window] for s in range(n_windows)])

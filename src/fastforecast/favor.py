@@ -40,19 +40,15 @@ class Diagnostics:
     exp_clamped: int = 0
     denom_floored: int = 0
 
-    def reset(self) -> None:
-        self.exp_clamped = 0
-        self.denom_floored = 0
-
 
 DIAGNOSTICS = Diagnostics()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FavorConfig:
     """Random-feature attention settings."""
 
-    r: int
+    r: int = 128
     d_k: int
     seed: int
     causal: bool = False
@@ -249,23 +245,6 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
             rows.append(ProbeRow(mode, int(length), d_k, r, rep, int(wall),
                                  int(log.total_bytes)))
     return rows
-
-
-def probe_shapes(mode: str, length: int, d_k: int, r: int, seed: int = 0):
-    """Shapes of every intermediate a single kernel invocation allocates."""
-    from .attention import exact_bidirectional
-
-    rng = np.random.default_rng(seed)
-    q = Tensor(rng.standard_normal((length, d_k)))
-    k = Tensor(rng.standard_normal((length, d_k)))
-    v = Tensor(rng.standard_normal((length, d_k)))
-    with T.track_allocations() as log:
-        if mode == "exact":
-            exact_bidirectional(q, k, v)
-        else:
-            fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))
-            favor_bidirectional(q, k, v, fm)
-    return list(log.shapes)
 
 
 def loglog_slope(rows: list[ProbeRow]) -> float:

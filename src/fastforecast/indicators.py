@@ -97,9 +97,6 @@ class IndicatorSeries:
     values: np.ndarray
     valid_from: int
 
-    def valid(self) -> np.ndarray:
-        return self.values[self.valid_from:]
-
 
 def _check_window(prices: np.ndarray, n: int, needed: int) -> None:
     if n < 1:
@@ -210,9 +207,6 @@ class FeatureMatrix:
     columns: tuple
     values: np.ndarray
     warmup: int
-
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.warmup:]
 
 
 def build_features(series: OhlcvSeries, params: IndicatorParams) -> FeatureMatrix:

@@ -98,13 +98,6 @@ def lstm_cell(x: Tensor, prev: LstmState, w: LstmWeights) -> LstmState:
     return LstmState(h, c)
 
 
-def lstm_forward(xs: Tensor, w: LstmWeights) -> Tensor:
-    """Left-to-right fold over a (L, input) sequence; returns all hidden states."""
-    steps = [T.slice_rows(xs, t, t + 1) for t in range(xs.shape[0])]
-    outs = lstm_forward_steps(steps, w)
-    return T.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-
-
 def lstm_forward_steps(steps: list, w: LstmWeights) -> list:
     """Fold over per-timestep (batch, input) slices; one hidden slice per step."""
     if not steps:
@@ -116,17 +109,6 @@ def lstm_forward_steps(steps: list, w: LstmWeights) -> list:
         state = lstm_cell(x, state, w)
         outs.append(state.h)
     return outs
-
-
-def bilstm_forward(xs: Tensor, w_fwd: LstmWeights, w_bwd: LstmWeights) -> Tensor:
-    """Concatenate forward and reversed-pass hidden states per timestep.
-
-    Output width is 2*hidden with the forward half first.
-    """
-    steps = [T.slice_rows(xs, t, t + 1) for t in range(xs.shape[0])]
-    fwd, bwd = bilstm_forward_steps(steps, w_fwd, w_bwd)
-    rows = [T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
 def bilstm_forward_steps(steps: list, w_fwd: LstmWeights, w_bwd: LstmWeights):

@@ -23,10 +23,12 @@ deterministic given (spec, seed, dataset, hyperparameters).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +40,23 @@ from .favor import FavorConfig, RandomFeatureMap, draw_features, favor_bidirecti
 from .lstm import LstmWeights, bilstm_forward_steps, init_lstm_weights
 from .tensor import GradTape, Tensor
 
-VARIANTS = ("bilstm_only", "transformer_mh", "transformer_mh_no_indicators",
-            "performer", "performer_bilstm")
-ATTENTION_VARIANTS = ("transformer_mh", "transformer_mh_no_indicators",
-                      "performer", "performer_bilstm")
-FAVOR_VARIANTS = ("performer", "performer_bilstm")
-BILSTM_VARIANTS = ("bilstm_only", "performer_bilstm")
+
+class Stages(NamedTuple):
+    """The stages a variant runs; every other stage is skipped."""
+
+    attention: str | None  # encoder-block kernel: "exact", "favor" or None (no blocks)
+    bilstm: bool
+    indicators: bool = True  # else the raw OHLCV columns
+
+
+VARIANTS = {
+    "bilstm_only": Stages(None, bilstm=True),
+    "transformer_mh": Stages("exact", bilstm=False),
+    "transformer_mh_no_indicators": Stages("exact", bilstm=False, indicators=False),
+    "performer": Stages("favor", bilstm=False),
+    "performer_bilstm": Stages("favor", bilstm=True),
+}
+FAVOR_VARIANTS = tuple(name for name, s in VARIANTS.items() if s.attention == "favor")
 
 LAYER_NORM_EPS = 1e-5
 
@@ -74,7 +87,7 @@ class ModelSpec:
             raise ConfigError("fc_widths must end in 1 (scalar close output)")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if self.variant in FAVOR_VARIANTS:
+        if self.uses_favor:
             if self.favor is None:
                 raise ConfigError(f"variant '{self.variant}' requires a favor config")
             if self.favor.d_k != self.d_model // self.heads:
@@ -83,48 +96,35 @@ class ModelSpec:
                     f"{self.d_model // self.heads}")
         elif self.favor is not None:
             raise ConfigError(f"variant '{self.variant}' does not take a favor config")
-        if self.variant in ATTENTION_VARIANTS:
+        if self.uses_attention:
             AttentionConfig.for_model(self.d_model, self.heads)  # validates divisibility
 
     @property
     def uses_attention(self) -> bool:
-        return self.variant in ATTENTION_VARIANTS
+        return VARIANTS[self.variant].attention is not None
 
     @property
     def uses_favor(self) -> bool:
-        return self.variant in FAVOR_VARIANTS
+        return VARIANTS[self.variant].attention == "favor"
 
     @property
     def uses_bilstm(self) -> bool:
-        return self.variant in BILSTM_VARIANTS
+        return VARIANTS[self.variant].bilstm
 
     def to_dict(self) -> dict:
-        d = {"variant": self.variant, "window": self.window,
-             "n_features": self.n_features, "d_model": self.d_model,
-             "blocks": self.blocks, "heads": self.heads,
-             "bilstm_hidden": self.bilstm_hidden,
-             "fc_widths": list(self.fc_widths), "dropout": self.dropout,
-             "seed": self.seed}
-        if self.favor is not None:
-            d["favor"] = {"r": self.favor.r, "d_k": self.favor.d_k,
-                          "seed": self.favor.seed, "causal": self.favor.causal,
-                          "redraw_interval": self.favor.redraw_interval}
+        """Every field by name; ``favor`` is left out when unset."""
+        d = dataclasses.asdict(self)
+        if d["favor"] is None:
+            del d["favor"]
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        favor = None
+        """Inverse of :meth:`to_dict`; an unknown field raises TypeError."""
+        d = dict(d)
         if d.get("favor") is not None:
-            f = d["favor"]
-            favor = FavorConfig(r=f["r"], d_k=f["d_k"], seed=f["seed"],
-                                causal=f.get("causal", False),
-                                redraw_interval=f.get("redraw_interval"))
-        return ModelSpec(variant=d["variant"], window=d["window"],
-                         n_features=d["n_features"], d_model=d["d_model"],
-                         blocks=d["blocks"], heads=d["heads"], favor=favor,
-                         bilstm_hidden=d["bilstm_hidden"],
-                         fc_widths=tuple(d["fc_widths"]), dropout=d["dropout"],
-                         seed=d["seed"])
+            d["favor"] = FavorConfig(**d["favor"])
+        return ModelSpec(**d)
 
 
 def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
@@ -185,11 +185,8 @@ class Model:
             for layer in (1, 2):
                 for direction in ("fwd", "bwd"):
                     w = init_lstm_weights(width_in, hidden, rng)
-                    base = f"bilstm{layer}.{direction}"
-                    for name, t in (("w_f", w.w_f), ("w_i", w.w_i), ("w_c", w.w_c),
-                                    ("w_o", w.w_o), ("b_f", w.b_f), ("b_i", w.b_i),
-                                    ("b_c", w.b_c), ("b_o", w.b_o)):
-                        self.params[f"{base}.{name}"] = t
+                    for f in dataclasses.fields(w):
+                        self.params[f"bilstm{layer}.{direction}.{f.name}"] = getattr(w, f.name)
                 width_in = 2 * hidden
             head_in = 2 * hidden
         else:
@@ -213,15 +210,9 @@ class Model:
         for _ in range(spec.blocks):
             row = []
             for _ in range(spec.heads):
-                cfg = FavorConfig(r=spec.favor.r, d_k=spec.favor.d_k,
-                                  seed=int(seeds[idx]), causal=spec.favor.causal)
-                row.append(draw_features(cfg))
+                row.append(draw_features(dataclasses.replace(spec.favor, seed=int(seeds[idx]))))
                 idx += 1
             self.feature_maps.append(row)
-
-    def redraw_features(self) -> None:
-        self.favor_generation += 1
-        self._draw_feature_maps()
 
     def set_favor_generation(self, generation: int) -> None:
         self.favor_generation = generation
@@ -253,10 +244,8 @@ class Model:
 
     def _lstm_weights(self, layer: int, direction: str) -> LstmWeights:
         base = f"bilstm{layer}.{direction}"
-        p = self.params
-        return LstmWeights(p[f"{base}.w_f"], p[f"{base}.w_i"], p[f"{base}.w_c"],
-                           p[f"{base}.w_o"], p[f"{base}.b_f"], p[f"{base}.b_i"],
-                           p[f"{base}.b_c"], p[f"{base}.b_o"])
+        return LstmWeights(**{f.name: self.params[f"{base}.{f.name}"]
+                              for f in dataclasses.fields(LstmWeights)})
 
     # -- forward pass ----------------------------------------------------------
 
@@ -350,13 +339,6 @@ class Model:
                 h = T.relu(h)
         return h
 
-    def predict(self, window: np.ndarray) -> float:
-        """One (L, F) window -> normalized next-close prediction."""
-        window = np.asarray(window, dtype=np.float64)
-        if window.ndim != 2:
-            raise ConfigError(f"expected an (L, F) window, got shape {window.shape}")
-        return self.forward_batch(window[None], train=False).item()
-
 
 def build(spec: ModelSpec) -> Model:
     """Deterministic construction from (spec, seed)."""
@@ -390,18 +372,8 @@ class TrainReport:
     favor_generation: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "best_epoch": self.best_epoch,
-            "metrics": self.metrics.to_dict() if self.metrics else None,
-            "seed": self.seed,
-            "parameter_count": self.parameter_count,
-            "favor_generation": self.favor_generation,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return {**dataclasses.asdict(self),
+                "metrics": self.metrics.to_dict() if self.metrics else None}
 
 
 class _Adam:
@@ -474,6 +446,7 @@ def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
     best_epoch = 0
     best_val = math.inf
     best_state = model.state_arrays()
+    best_generation = model.favor_generation
     step = 0
 
     for epoch in range(hp.epochs):
@@ -482,7 +455,7 @@ def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
         for lo in range(0, len(order), hp.batch):
             idx = order[lo:lo + hp.batch]
             if redraw_every and step > 0 and step % redraw_every == 0:
-                model.redraw_features()
+                model.set_favor_generation(model.favor_generation + 1)
             try:
                 with GradTape() as tape:
                     for p in model.params.values():
@@ -511,9 +484,13 @@ def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
             best_val = val_loss
             best_epoch = epoch
             best_state = model.state_arrays()
+            best_generation = model.favor_generation
 
     if hp.epochs > 0:
         model.load_state_arrays(best_state)
+    if model.favor_generation != best_generation:
+        # the best weights were validated with that epoch's feature draw
+        model.set_favor_generation(best_generation)
 
     metrics = None
     split = "validation" if len(val_w) else "train"
@@ -581,25 +558,36 @@ def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, ColumnStats]:
+    """Inverse of :func:`save_checkpoint`; a malformed file raises ConfigError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        blob = fh.read()
+    try:  # every check below raises a ValueError (ConfigError) without the path
+        if blob[:4] != CHECKPOINT_MAGIC:
+            raise ConfigError(f"not a checkpoint (magic {blob[:4]!r})")
+        version, header_len = struct.unpack_from("<II", blob, 4)
         if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            raise ConfigError(f"unsupported checkpoint version {version}")
+        offset = 12 + header_len
+        header = json.loads(blob[12:offset].decode("utf-8"))
         model = build(ModelSpec.from_dict(header["spec"]))
-        model.set_favor_generation(header.get("favor_generation", 0))
+        model.set_favor_generation(header["favor_generation"])
+        norm = ColumnStats.from_dict(header["norm"])
         state = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
+            buf = blob[offset:offset + count * 8]
             if len(buf) != count * 8:
-                raise ConfigError(f"{path}: truncated parameter buffer")
+                raise ConfigError("truncated parameter buffer")
             state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            offset += count * 8
+        if offset != len(blob):
+            raise ConfigError(f"{len(blob) - offset} bytes after the last parameter buffer")
         if set(state) != set(model.params):
-            raise ConfigError(f"{path}: parameter names do not match the architecture")
+            raise ConfigError("parameter names do not match the architecture")
         model.load_state_arrays(state)
-    return model, ColumnStats.from_dict(header["norm"])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: header field {exc} missing") from None
+    except (struct.error, ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return model, norm

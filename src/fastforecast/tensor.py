@@ -135,8 +135,7 @@ class GradTape:
     """Ordered record of primitive ops, replayed in reverse for gradients.
 
     Use as a context manager; ops executed inside the context are recorded
-    in execution order (a valid topological order).  The tape is append-only
-    during the forward pass and cleared only via :meth:`reset`.
+    in execution order (a valid topological order).  The tape is append-only.
     """
 
     def __init__(self):
@@ -156,10 +155,6 @@ class GradTape:
     def watch(self, t: Tensor) -> None:
         """Register a leaf so it receives a (possibly zero) gradient."""
         self._watched.append(t)
-
-    def reset(self) -> None:
-        self._nodes.clear()
-        self._watched.clear()
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -33,10 +33,9 @@ from fastforecast.favor import (
     favor_bidirectional,
     favor_unidirectional,
     loglog_slope,
-    probe_shapes,
 )
 from fastforecast.indicators import IndicatorParams, bollinger, cci, ema, rsi, sma
-from fastforecast.lstm import LstmWeights, bilstm_forward, lstm_forward
+from fastforecast.lstm import LstmWeights
 from fastforecast.model import (
     ModelSpec,
     TrainHyperparams,
@@ -49,7 +48,9 @@ from fastforecast.tensor import GradTape, Tensor
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from conftest import check_gradients, rel_err
-from test_indicators import make_series, random_walk
+from test_favor import kernel_shapes
+from test_indicators import make_series, random_walk, valid
+from test_lstm import bilstm_forward, lstm_forward
 from test_tensor import PRIMITIVE_CASES
 
 
@@ -95,7 +96,7 @@ class TestCriterion2ComplexityScaling:
         favor_slope = loglog_slope(favor_rows)
         exact_slope = loglog_slope(exact_rows)
         lxl_hits = [length for length in lengths
-                    if (length, length) in probe_shapes("favor", length, 32, 128)]
+                    if (length, length) in kernel_shapes("favor", length, 32, 128)]
         elapsed = time.monotonic() - start
         assert favor_slope <= 1.25, favor_slope
         assert exact_slope >= 1.8, exact_slope
@@ -218,7 +219,7 @@ class TestCriterion5IndicatorOracles:
         for i in range(13, 1000):
             assert abs(s.values[i] - sma_oracle(prices, 14, i)) <= 1e-9
         e = ema(prices, 14)
-        np.testing.assert_allclose(e.valid(), ema_oracle(prices, 14), atol=1e-9)
+        np.testing.assert_allclose(valid(e), ema_oracle(prices, 14), atol=1e-9)
         bb = bollinger(prices, 20, 2.0)
         for i in range(19, 1000):
             m, u, low = bollinger_oracle(prices, 20, 2.0, i)
@@ -233,9 +234,9 @@ class TestCriterion5IndicatorOracles:
             expect = cci_oracle(series.high, series.low, series.close, 20, i)
             assert abs(c.values[i] - expect) <= 1e-9
 
-        assert np.all(r.valid() >= 0.0) and np.all(r.valid() <= 100.0)
-        assert np.all(bb.lower.valid() <= bb.mid.valid())
-        assert np.all(bb.mid.valid() <= bb.upper.valid())
+        assert np.all(valid(r) >= 0.0) and np.all(valid(r) <= 100.0)
+        assert np.all(valid(bb.lower) <= valid(bb.mid))
+        assert np.all(valid(bb.mid) <= valid(bb.upper))
         report(5, "SMA/EMA/Bollinger/RSI/CCI match brute-force recomputation "
                   "<= 1e-9 on 1000 points; RSI in [0,100]; bands ordered")
 

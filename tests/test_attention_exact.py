@@ -9,14 +9,24 @@ from fastforecast.attention import (
     AttentionWeights,
     exact_bidirectional,
     exact_unidirectional,
-    init_attention_weights,
     multi_head,
     scaled_dot_attention,
 )
 from fastforecast.errors import ConfigError, ShapeError
+from fastforecast.model import _glorot
 from fastforecast.tensor import Tensor
 
 from conftest import check_gradients
+
+
+def glorot_weights(cfg, rng):
+    """Per-head projections drawn with the model's Glorot initializer."""
+    return AttentionWeights(
+        w_q=[_glorot(rng, cfg.d_model, cfg.d_k) for _ in range(cfg.h)],
+        w_k=[_glorot(rng, cfg.d_model, cfg.d_k) for _ in range(cfg.h)],
+        w_v=[_glorot(rng, cfg.d_model, cfg.d_v) for _ in range(cfg.h)],
+        w_o=_glorot(rng, cfg.h * cfg.d_v, cfg.d_model),
+    )
 
 
 def attention_oracle(q, k, v):
@@ -133,14 +143,14 @@ class TestMultiHead:
 
     def test_zero_output_matrix(self, rng):
         cfg = AttentionConfig.for_model(d_model=8, h=2)
-        w = init_attention_weights(cfg, rng)
+        w = glorot_weights(cfg, rng)
         w.w_o = Tensor(np.zeros((8, 8)))
         out = multi_head(Tensor(rng.standard_normal((5, 8))), w, cfg)
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
     def test_two_heads_match_manual_concat(self, rng):
         cfg = AttentionConfig.for_model(d_model=8, h=2)
-        w = init_attention_weights(cfg, rng)
+        w = glorot_weights(cfg, rng)
         x = rng.standard_normal((7, 8))
         xt = Tensor(x)
         heads = []
@@ -175,7 +185,7 @@ class TestAttentionGradients:
 
     def test_multi_head_gradients(self, rng):
         cfg = AttentionConfig.for_model(d_model=4, h=2)
-        w = init_attention_weights(cfg, rng)
+        w = glorot_weights(cfg, rng)
         x = rng.standard_normal((4, 4)) * 0.5
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):

@@ -1,10 +1,15 @@
 """End-to-end CLI tests on a small synthetic fixture."""
 
 import json
+import os
+import struct
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fastforecast
 from fastforecast.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -24,6 +29,13 @@ def fixture_csv(tmp_path):
     path = tmp_path / "ohlcv.csv"
     write_csv(path, candle_rows(140, seed=21))
     return path
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(fastforecast.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
 
 
 def make_config(tmp_path, csv_path, variant="bilstm_only", **model_kw):
@@ -77,6 +89,12 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """FF_THREADS only takes effect if numpy loads after main() starts."""
+    proc = run_cli("-c", "import sys, fastforecast.cli; sys.exit('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPrepare:
@@ -150,6 +168,19 @@ class TestTrainEvaluate:
         log_d = np.log1p(actual) - np.log1p(predicted)
         assert metrics["MSLE"] == pytest.approx(float(np.mean(log_d * log_d)), abs=1e-10)
 
+    @pytest.mark.parametrize("variant", ["bilstm_only", "transformer_mh_no_indicators",
+                                         "performer_bilstm"])
+    def test_evaluate_val_reproduces_train_report_metrics(self, tmp_path, fixture_csv,
+                                                          variant):
+        config = make_config(tmp_path, fixture_csv, variant=variant)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert main(["evaluate", "--config", str(config),
+                     "--checkpoint", str(out / "checkpoint.ffck"),
+                     "--split", "val", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "train_report.json").read_text())
+        assert json.loads((out / "metrics_val.json").read_text()) == report["metrics"]
+
     def test_rerun_is_byte_identical(self, tmp_path, fixture_csv):
         config = make_config(tmp_path, fixture_csv, variant="performer_bilstm",
                              dropout=0.1)
@@ -204,6 +235,51 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "train_report.json").read_text())
         assert min(report["train_losses"]) <= 1e-6
+
+
+def edit_header(blob, edit):
+    """A checkpoint whose JSON header is passed through ``edit``."""
+    length = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    new = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+
+
+MALFORMED_CHECKPOINTS = {
+    "bad_magic": lambda b: b"NOPE" + b[4:],
+    "bad_version": lambda b: b[:4] + struct.pack("<I", 99) + b[8:],
+    "cut_to_6_bytes": lambda b: b[:6],
+    "cut_in_header": lambda b: b[:20],
+    "non_utf8_header": lambda b: b[:12] + b"\xff" + b[13:],
+    "bad_json": lambda b: b[:12] + b"[" + b[13:],
+    "missing_key": lambda b: edit_header(b, lambda h: h.pop("norm")),
+    "unknown_spec_field": lambda b: edit_header(b, lambda h: h["spec"].update(colour=1)),
+    "cut_in_parameters": lambda b: b[:-8],
+    "trailing_bytes": lambda b: b + b"\x00" * 4,
+}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    csv_path = tmp / "ohlcv.csv"
+    write_csv(csv_path, candle_rows(140, seed=21))
+    config = make_config(tmp, csv_path)
+    assert main(["train", "--config", str(config), "--out", str(tmp / "run")]) == EXIT_OK
+    return config, (tmp / "run" / "checkpoint.ffck").read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_exits_four(trained_run, corrupt, tmp_path):
+    config, blob = trained_run
+    bad = tmp_path / "bad.ffck"
+    bad.write_bytes(corrupt(blob))
+    proc = run_cli("-m", "fastforecast.cli", "evaluate", "--config", str(config),
+                   "--checkpoint", str(bad), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ")
 
 
 class TestBench:

@@ -39,6 +39,11 @@ def random_walk(n, seed, start=100.0, step=1.0):
 
 # --- brute-force oracles: written independently of the library internals ---
 
+def valid(series):
+    """The values of an IndicatorSeries from its first valid index on."""
+    return series.values[series.valid_from:]
+
+
 def sma_oracle(prices, n, i):
     return float(np.sum(prices[i - n + 1:i + 1]) / n)
 
@@ -93,7 +98,7 @@ class TestSma:
     def test_constant_series(self):
         out = sma([5.0, 5.0, 5.0, 5.0], 2)
         assert out.valid_from == 1
-        np.testing.assert_array_equal(out.valid(), [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(valid(out), [5.0, 5.0, 5.0])
 
     def test_matches_resummation_oracle(self):
         prices = random_walk(100, seed=7)
@@ -115,7 +120,7 @@ class TestEma:
 
     def test_constant_fixed_point(self):
         out = ema(np.full(20, 7.25), 5)
-        np.testing.assert_allclose(out.valid(), np.full(16, 7.25), atol=1e-15)
+        np.testing.assert_allclose(valid(out), np.full(16, 7.25), atol=1e-15)
 
     def test_hand_recurrence(self):
         # seed = mean(10, 11) = 10.5; then 11.5 and 12.5 by the k=2/3 recurrence
@@ -126,14 +131,14 @@ class TestEma:
     def test_matches_independent_recurrence(self):
         prices = random_walk(200, seed=11)
         out = ema(prices, 14)
-        np.testing.assert_allclose(out.valid(), ema_oracle(prices, 14), atol=1e-10)
+        np.testing.assert_allclose(valid(out), ema_oracle(prices, 14), atol=1e-10)
 
 
 class TestBollinger:
     def test_constant_series_bands_collapse(self):
         bb = bollinger(np.full(10, 4.0), 5, 2.0)
-        np.testing.assert_array_equal(bb.mid.valid(), bb.upper.valid())
-        np.testing.assert_array_equal(bb.mid.valid(), bb.lower.valid())
+        np.testing.assert_array_equal(valid(bb.mid), valid(bb.upper))
+        np.testing.assert_array_equal(valid(bb.mid), valid(bb.lower))
 
     def test_two_point_window(self):
         bb = bollinger([1.0, 3.0], 2, 2.0)
@@ -153,20 +158,20 @@ class TestBollinger:
     def test_band_ordering(self):
         prices = random_walk(200, seed=17)
         bb = bollinger(prices, 20, 2.0)
-        assert np.all(bb.lower.valid() <= bb.mid.valid())
-        assert np.all(bb.mid.valid() <= bb.upper.valid())
+        assert np.all(valid(bb.lower) <= valid(bb.mid))
+        assert np.all(valid(bb.mid) <= valid(bb.upper))
 
 
 class TestRsi:
     def test_strictly_increasing_is_100(self):
         out = rsi(np.arange(1.0, 30.0), 14)
-        np.testing.assert_array_equal(out.valid(), np.full(len(out.valid()), 100.0))
+        np.testing.assert_array_equal(valid(out), np.full(len(valid(out)), 100.0))
 
     def test_alternating_deltas_give_50(self):
         prices = 10.0 + np.cumsum(np.tile([1.0, -1.0], 10))
         prices = np.concatenate([[10.0], prices])
         out = rsi(prices, 14)
-        np.testing.assert_allclose(out.valid(), 50.0, atol=1e-12)
+        np.testing.assert_allclose(valid(out), 50.0, atol=1e-12)
 
     def test_matches_direct_oracle(self):
         prices = random_walk(250, seed=19)
@@ -179,15 +184,15 @@ class TestRsi:
     def test_bounds_hold_for_random_walks(self, seed):
         prices = random_walk(60, seed=seed)
         out = rsi(prices, 14)
-        assert np.all(out.valid() >= 0.0)
-        assert np.all(out.valid() <= 100.0)
+        assert np.all(valid(out) >= 0.0)
+        assert np.all(valid(out) <= 100.0)
 
 
 class TestCci:
     def test_constant_candles_zero(self):
         series = make_series(np.full(30, 25.0))
         out = cci(series, 20)
-        np.testing.assert_array_equal(out.valid(), np.zeros(len(out.valid())))
+        np.testing.assert_array_equal(valid(out), np.zeros(len(valid(out))))
 
     def test_zero_when_tp_equals_window_mean(self):
         # symmetric window: last typical price equals the window mean
@@ -215,7 +220,7 @@ class TestBuildFeatures:
     def test_constant_series_columns(self):
         series = make_series(np.full(60, 20.0))
         fm = build_features(series, IndicatorParams())
-        vals = fm.valid_values()
+        vals = fm.values[fm.warmup:]
         cols = dict(zip(fm.columns, vals.T))
         np.testing.assert_array_equal(cols["close"], 20.0 * np.ones(len(vals)))
         np.testing.assert_array_equal(cols["sma"], cols["close"])

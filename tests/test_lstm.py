@@ -8,10 +8,10 @@ from fastforecast.errors import ShapeError
 from fastforecast.lstm import (
     LstmState,
     LstmWeights,
-    bilstm_forward,
+    bilstm_forward_steps,
     init_lstm_weights,
     lstm_cell,
-    lstm_forward,
+    lstm_forward_steps,
     zero_state,
 )
 from fastforecast.tensor import Tensor
@@ -41,6 +41,24 @@ def random_weights(input_size, hidden, seed, forget_bias=None):
     if forget_bias is not None:
         w.b_f = Tensor(np.full((1, hidden), forget_bias), requires_grad=True)
     return w
+
+
+def _steps(xs):
+    return [T.slice_rows(xs, t, t + 1) for t in range(xs.shape[0])]
+
+
+def lstm_forward(xs, w):
+    """An (L, input) sequence through lstm_forward_steps: (L, hidden) states."""
+    outs = lstm_forward_steps(_steps(xs), w)
+    return T.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+
+
+def bilstm_forward(xs, w_fwd, w_bwd):
+    """An (L, input) sequence through bilstm_forward_steps: (L, 2*hidden)
+    states, the forward half first."""
+    fwd, bwd = bilstm_forward_steps(_steps(xs), w_fwd, w_bwd)
+    rows = [T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
 def as_dict(w):

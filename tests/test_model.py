@@ -1,6 +1,7 @@
 """Model tests: build determinism, variant behaviour, training, checkpoints."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from fastforecast.errors import ConfigError, DataError
 from fastforecast.favor import FavorConfig
 from fastforecast.indicators import IndicatorParams
 from fastforecast.model import (
+    VARIANTS,
     ModelSpec,
     TrainHyperparams,
+    _eval_loss,
     build,
     load_checkpoint,
     predict_series,
@@ -114,12 +117,12 @@ class TestForward:
         model.params[f"{last}.w"].data[:] = 0.0
         model.params[f"{last}.b"].data[:] = 0.0
         window = rng.standard_normal((8, 8))
-        assert model.predict(window) == 0.0
+        assert model.forward_batch(window[None]).item() == 0.0
 
     def test_forward_deterministic(self, rng):
         model = build(tiny_spec())
         window = rng.standard_normal((8, 8))
-        assert model.predict(window) == model.predict(window)
+        assert model.forward_batch(window[None]).item() == model.forward_batch(window[None]).item()
 
     @pytest.mark.parametrize("variant", ["bilstm_only", "transformer_mh",
                                          "performer", "performer_bilstm"])
@@ -132,13 +135,13 @@ class TestForward:
         model = build(tiny_spec(variant="performer_bilstm"))
         windows = rng.standard_normal((4, 8, 8))
         batched = model.forward_batch(windows).data[:, 0]
-        singles = np.array([model.predict(w) for w in windows])
+        singles = np.array([model.forward_batch(w[None]).item() for w in windows])
         np.testing.assert_allclose(batched, singles, atol=1e-12)
 
     def test_wrong_feature_count_rejected(self, rng):
         model = build(tiny_spec())
         with pytest.raises(ConfigError):
-            model.predict(rng.standard_normal((8, 5)))
+            model.forward_batch(rng.standard_normal((8, 5))[None])
 
     def test_favor_large_r_approaches_exact_attention_twin(self, rng):
         """With tied weights and r=4096, the random-feature forward pass
@@ -160,8 +163,8 @@ class TestForward:
         rel = []
         for _ in range(10):
             w = rng.standard_normal((8, 8)) * 0.5
-            a = m_favor.predict(w)
-            b = m_exact.predict(w)
+            a = m_favor.forward_batch(w[None]).item()
+            b = m_exact.forward_batch(w[None]).item()
             rel.append(abs(a - b) / max(1.0, abs(b)))
         assert np.median(rel) <= 0.05
 
@@ -235,13 +238,28 @@ class TestTrain:
             report = train(model, ds, TrainHyperparams(epochs=5, batch=32, lr=1e-3))
             assert np.all(np.diff(report.train_losses) < 0), (seed, report.train_losses)
 
+    def test_redraw_restores_the_best_epochs_feature_draw(self):
+        """With FAVOR+ redraws and an early best epoch, the restored model
+        reproduces the validation loss recorded for that epoch."""
+        ds = tiny_dataset()
+        spec = tiny_spec("performer", n_features=ds.n_features, seed=4)
+        spec = dataclasses.replace(
+            spec, favor=dataclasses.replace(spec.favor, redraw_interval=2))
+        hp = TrainHyperparams(epochs=6, batch=8, lr=1e-3)
+        model = build(spec)
+        report = train(model, ds, hp)
+        assert report.best_epoch < hp.epochs - 1
+        val_w, val_y = ds.windows_for("validation")
+        assert _eval_loss(model, val_w, val_y, hp.batch) == report.val_losses[report.best_epoch]
+        assert report.favor_generation == model.favor_generation
+
     def test_training_is_deterministic(self):
         ds = tiny_dataset()
         hp = TrainHyperparams(epochs=3, batch=8, lr=1e-3)
         spec = tiny_spec(n_features=ds.n_features, dropout=0.1)
         r1 = train(build(spec), ds, hp)
         r2 = train(build(spec), ds, hp)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()
 
 
 class TestPredictSeries:
@@ -286,7 +304,30 @@ class TestPredictSeries:
             predict_series(model, ds, "test")
 
 
+def roundtrip_specs():
+    specs = {name: tiny_spec(variant=name) for name in VARIANTS}
+    performer = specs["performer"]
+    specs["performer_causal"] = dataclasses.replace(
+        performer, favor=dataclasses.replace(performer.favor, causal=True))
+    specs["performer_redraw"] = dataclasses.replace(
+        performer, favor=dataclasses.replace(performer.favor, redraw_interval=3))
+    return specs
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("spec", roundtrip_specs().values(), ids=roundtrip_specs())
+    def test_spec_and_checkpoint_roundtrip(self, spec, tmp_path):
+        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        model = build(spec)
+        model.set_favor_generation(2)
+        norm = tiny_dataset().norm
+        first, second = tmp_path / "a.ffck", tmp_path / "b.ffck"
+        save_checkpoint(model, norm, first)
+        loaded, loaded_norm = load_checkpoint(first)
+        assert loaded.spec == spec and loaded.favor_generation == 2
+        save_checkpoint(loaded, loaded_norm, second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_bit_exact_roundtrip(self, tmp_path):
         ds = tiny_dataset()
         model = build(tiny_spec(n_features=ds.n_features, dropout=0.1))
@@ -301,7 +342,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(norm.std, ds.norm.std)
         # and the reloaded model predicts identically
         w = ds.windows[0]
-        assert model.predict(w) == loaded.predict(w)
+        assert model.forward_batch(w[None]).item() == loaded.forward_batch(w[None]).item()
 
     def test_save_is_byte_stable(self, tmp_path):
         ds = tiny_dataset()
