@@ -27,31 +27,6 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Dimensions of a multi-head self-attention layer."""
-
-    d_model: int
-    h: int
-    d_k: int
-    d_v: int
-    causal: bool = False
-
-    def __post_init__(self):
-        if min(self.d_model, self.h, self.d_k, self.d_v) <= 0:
-            raise ConfigError("attention dimensions must be positive")
-        if self.h * self.d_k != self.d_model:
-            raise ConfigError(f"h*d_k = {self.h * self.d_k} != d_model = {self.d_model}")
-        if self.h * self.d_v != self.d_model:
-            raise ConfigError(f"h*d_v = {self.h * self.d_v} != d_model = {self.d_model}")
-
-    @staticmethod
-    def for_model(d_model: int, h: int, causal: bool = False) -> "AttentionConfig":
-        if d_model % h != 0:
-            raise ConfigError(f"d_model = {d_model} not divisible by h = {h}")
-        return AttentionConfig(d_model, h, d_model // h, d_model // h, causal)
-
-
 @dataclass
 class AttentionWeights:
     """Per-head projections plus the output matrix."""
@@ -61,14 +36,16 @@ class AttentionWeights:
     w_v: list  # h tensors, each (d_model, d_v)
     w_o: Tensor  # (h*d_v, d_model)
 
-    def check(self, cfg: AttentionConfig) -> None:
-        if not (len(self.w_q) == len(self.w_k) == len(self.w_v) == cfg.h):
+    def check(self, heads: int) -> None:
+        """The weights fit each other and ``heads`` heads."""
+        if not heads or not (len(self.w_q) == len(self.w_k) == len(self.w_v) == heads):
             raise ConfigError("head count does not match weights")
-        for w, d in ((self.w_q, cfg.d_k), (self.w_k, cfg.d_k), (self.w_v, cfg.d_v)):
+        d_model, d_k, d_v = self.w_o.shape[1], self.w_q[0].shape[1], self.w_v[0].shape[1]
+        for w, d in ((self.w_q, d_k), (self.w_k, d_k), (self.w_v, d_v)):
             for t in w:
-                if t.shape != (cfg.d_model, d):
-                    raise ConfigError(f"projection shape {t.shape} != {(cfg.d_model, d)}")
-        if self.w_o.shape != (cfg.h * cfg.d_v, cfg.d_model):
+                if t.shape != (d_model, d):
+                    raise ConfigError(f"projection shape {t.shape} != {(d_model, d)}")
+        if self.w_o.shape[0] != heads * d_v:
             raise ConfigError("output projection shape mismatch")
 
 
@@ -119,17 +96,11 @@ def exact_unidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.scale_rowwise(T.matmul(a, v), d_inv)
 
 
-def multi_head(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:
-    """Self-attention: h independent heads on projections of x, concatenated
-    and mixed by the output matrix."""
-    if x.data.ndim != 2 or x.shape[1] != cfg.d_model:
-        raise ShapeError(f"input width {x.shape} != d_model {cfg.d_model}")
-    w.check(cfg)
-    kernel = exact_unidirectional if cfg.causal else scaled_dot_attention
-    heads = []
-    for i in range(cfg.h):
-        q = T.matmul(x, w.w_q[i])
-        k = T.matmul(x, w.w_k[i])
-        v = T.matmul(x, w.w_v[i])
-        heads.append(kernel(q, k, v))
+def multi_head(x: Tensor, w: AttentionWeights, kernels) -> Tensor:
+    """Self-attention over one (L, d_model) window: head j applies
+    ``kernels[j]`` to its projections of x, and the output matrix mixes the
+    concatenated heads."""
+    w.check(len(kernels))  # T.matmul rejects an x of the wrong shape
+    heads = [kernel(T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv))
+             for kernel, wq, wk, wv in zip(kernels, w.w_q, w.w_k, w.w_v)]
     return T.matmul(T.concat(heads, axis=1), w.w_o)

@@ -177,6 +177,14 @@ def _build_dataset(cfg, norm=None):
     return series, dataset
 
 
+def _model_spec(cfg, dataset):
+    """The ModelSpec that ``train`` builds; an invalid one raises ConfigError."""
+    from .model import ModelSpec
+
+    return ModelSpec.from_dict({**cfg["model"], "n_features": dataset.n_features,
+                                "seed": cfg["seed"]})
+
+
 def _write_json(path, payload, sort: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort)
@@ -184,7 +192,9 @@ def _write_json(path, payload, sort: bool = True) -> None:
 
 
 def cmd_prepare(args) -> int:
-    series, dataset = _build_dataset(load_config(args.config, args.seed))
+    cfg = load_config(args.config, args.seed)
+    series, dataset = _build_dataset(cfg)
+    _model_spec(cfg, dataset)  # reject a model that train would reject
     os.makedirs(args.out, exist_ok=True)
     warmup = len(series) - (len(dataset.windows) + dataset.window_length)
     manifest = {
@@ -207,12 +217,11 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     import csv
 
-    from .model import ModelSpec, TrainHyperparams, build, save_checkpoint, train
+    from .model import TrainHyperparams, build, save_checkpoint, train
 
     cfg = load_config(args.config, args.seed)
     _, dataset = _build_dataset(cfg)
-    model = build(ModelSpec.from_dict({**cfg["model"], "n_features": dataset.n_features,
-                                       "seed": cfg["seed"]}))
+    model = build(_model_spec(cfg, dataset))
     report = train(model, dataset, TrainHyperparams(**cfg["train"]))
 
     os.makedirs(args.out, exist_ok=True)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .attention import _check_qkv, exact_bidirectional
 from .errors import ConfigError, ShapeError
 from .tensor import EXP_CLAMP, Tensor
 
@@ -131,15 +132,6 @@ def phi_positive(x: Tensor, fm: RandomFeatureMap) -> Tensor:
     return T.scale(T.exp_clamped(arg), 1.0 / math.sqrt(fm.r))
 
 
-def _check_favor_inputs(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> None:
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("favor attention expects rank-2 Q, K, V")
-    if q.shape[1] != fm.d_k or k.shape[1] != fm.d_k:
-        raise ShapeError(f"Q/K width must equal feature-map d_k = {fm.d_k}")
-    if not (q.shape[0] == k.shape[0] == v.shape[0]):
-        raise ShapeError("Q, K, V must share the sequence length")
-
-
 def _features(q: Tensor, k: Tensor, fm: RandomFeatureMap):
     scale = fm.d_k ** -0.25
     q_hat = phi_positive(T.scale(q, scale), fm)
@@ -156,7 +148,7 @@ def _floor_denominator(den: Tensor) -> Tensor:
 
 def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
     """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate."""
-    _check_favor_inputs(q, k, v, fm)
+    _check_qkv(q, k, v)
     q_hat, k_hat = _features(q, k, fm)
     kv = T.matmul(T.transpose(k_hat), v)  # (r, d_v)
     num = T.matmul(q_hat, kv)  # (L, d_v)
@@ -172,7 +164,7 @@ def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) 
     output row i is (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i).  O(L·r·d) time with an
     O(r·d) rolling state.
     """
-    _check_favor_inputs(q, k, v, fm)
+    _check_qkv(q, k, v)
     q_hat, k_hat = _features(q, k, fm)
     length = q.shape[0]
     rows = []
@@ -219,8 +211,6 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
     the exact kernel that includes the L×L attention matrix, for FAVOR+ it
     stays linear in L by construction.
     """
-    from .attention import exact_bidirectional  # local import avoids a cycle
-
     if mode not in ("exact", "favor"):
         raise ConfigError(f"unknown probe mode '{mode}'")
     rng = np.random.default_rng(seed)

@@ -24,6 +24,7 @@ deterministic given (spec, seed, dataset, hyperparameters).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, AttentionWeights, multi_head
+from .attention import AttentionWeights, multi_head, scaled_dot_attention
 from .data import ColumnStats, Dataset, MetricSet, evaluate_metrics
 from .errors import ConfigError, DataError, DivergenceError, FiniteError
 from .favor import FavorConfig, RandomFeatureMap, draw_features, favor_bidirectional, favor_unidirectional
@@ -81,12 +82,14 @@ class ModelSpec:
         object.__setattr__(self, "fc_widths", tuple(self.fc_widths))
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}'")
-        if self.window < 1 or self.n_features < 1:
-            raise ConfigError("window and n_features must be positive")
+        if min(self.window, self.n_features, self.d_model, self.heads) < 1:
+            raise ConfigError("window, n_features, d_model and heads must be positive")
         if not self.fc_widths or self.fc_widths[-1] != 1:
             raise ConfigError("fc_widths must end in 1 (scalar close output)")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.uses_attention and self.d_model % self.heads:
+            raise ConfigError(f"d_model = {self.d_model} not divisible by h = {self.heads}")
         if self.uses_favor:
             if self.favor is None:
                 raise ConfigError(f"variant '{self.variant}' requires a favor config")
@@ -96,8 +99,6 @@ class ModelSpec:
                     f"{self.d_model // self.heads}")
         elif self.favor is not None:
             raise ConfigError(f"variant '{self.variant}' does not take a favor config")
-        if self.uses_attention:
-            AttentionConfig.for_model(self.d_model, self.heads)  # validates divisibility
 
     @property
     def uses_attention(self) -> bool:
@@ -158,9 +159,7 @@ class Model:
         self.positional = sinusoidal_encoding(spec.window, d) if spec.uses_attention else None
 
         if spec.uses_attention:
-            self.attn_cfg = AttentionConfig.for_model(
-                d, spec.heads, causal=bool(spec.favor and spec.favor.causal))
-            d_k = self.attn_cfg.d_k
+            d_k = d // spec.heads
             for i in range(spec.blocks):
                 for j in range(spec.heads):
                     self.params[f"block{i}.attn.q{j}"] = _glorot(rng, d, d_k)
@@ -267,28 +266,17 @@ class Model:
     def _attention_sublayer(self, x: Tensor, batch: int, block: int) -> Tensor:
         spec = self.spec
         length = spec.window
+        # the kernels are looked up here, at call time, so a wrapper installed
+        # on this module's names (a tracer) sees every call
+        if spec.uses_favor:
+            kernel = favor_unidirectional if spec.favor.causal else favor_bidirectional
+            kernels = [functools.partial(kernel, fm=fm) for fm in self.feature_maps[block]]
+        else:
+            kernels = [scaled_dot_attention] * spec.heads
         w = self._attn_weights(block)
-        if not spec.uses_favor:
-            parts = [multi_head(T.slice_rows(x, s * length, (s + 1) * length),
-                                w, self.attn_cfg)
-                     for s in range(batch)]
-            return T.concat(parts, axis=0) if batch > 1 else parts[0]
-        kernel = favor_unidirectional if spec.favor.causal else favor_bidirectional
-        # project on the stacked rows once per head, then attend per sample
-        per_head_qkv = []
-        for j in range(spec.heads):
-            per_head_qkv.append((T.matmul(x, w.w_q[j]), T.matmul(x, w.w_k[j]),
-                                 T.matmul(x, w.w_v[j])))
-        parts = []
-        for s in range(batch):
-            lo, hi = s * length, (s + 1) * length
-            heads = []
-            for j, (q, k, v) in enumerate(per_head_qkv):
-                heads.append(kernel(T.slice_rows(q, lo, hi), T.slice_rows(k, lo, hi),
-                                    T.slice_rows(v, lo, hi), self.feature_maps[block][j]))
-            parts.append(T.concat(heads, axis=1) if len(heads) > 1 else heads[0])
-        stacked = T.concat(parts, axis=0) if batch > 1 else parts[0]
-        return T.matmul(stacked, w.w_o)
+        parts = [multi_head(T.slice_rows(x, s * length, (s + 1) * length), w, kernels)
+                 for s in range(batch)]
+        return T.concat(parts, axis=0) if batch > 1 else parts[0]
 
     def _encoder_block(self, x: Tensor, batch: int, block: int, rng) -> Tensor:
         p = self.params
@@ -579,7 +567,10 @@ def load_checkpoint(path) -> tuple[Model, ColumnStats]:
             buf = blob[offset:offset + count * 8]
             if len(buf) != count * 8:
                 raise ConfigError("truncated parameter buffer")
-            state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            arr = np.frombuffer(buf, dtype="<f8")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"parameter '{entry['name']}' is not finite")
+            state[entry["name"]] = arr.reshape(shape).copy()
             offset += count * 8
         if offset != len(blob):
             raise ConfigError(f"{len(blob) - offset} bytes after the last parameter buffer")

@@ -1,11 +1,12 @@
 """Exact attention: per-row oracle, form equivalence, causality, gradients."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import fastforecast.tensor as T
 from fastforecast.attention import (
-    AttentionConfig,
     AttentionWeights,
     exact_bidirectional,
     exact_unidirectional,
@@ -13,19 +14,21 @@ from fastforecast.attention import (
     scaled_dot_attention,
 )
 from fastforecast.errors import ConfigError, ShapeError
-from fastforecast.model import _glorot
+from fastforecast.favor import FavorConfig, draw_features, favor_bidirectional, favor_unidirectional
+from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
 from conftest import check_gradients
 
 
-def glorot_weights(cfg, rng):
+def glorot_weights(d_model, h, rng):
     """Per-head projections drawn with the model's Glorot initializer."""
+    d_k = d_model // h
     return AttentionWeights(
-        w_q=[_glorot(rng, cfg.d_model, cfg.d_k) for _ in range(cfg.h)],
-        w_k=[_glorot(rng, cfg.d_model, cfg.d_k) for _ in range(cfg.h)],
-        w_v=[_glorot(rng, cfg.d_model, cfg.d_v) for _ in range(cfg.h)],
-        w_o=_glorot(rng, cfg.h * cfg.d_v, cfg.d_model),
+        w_q=[_glorot(rng, d_model, d_k) for _ in range(h)],
+        w_k=[_glorot(rng, d_model, d_k) for _ in range(h)],
+        w_v=[_glorot(rng, d_model, d_k) for _ in range(h)],
+        w_o=_glorot(rng, h * d_k, d_model),
     )
 
 
@@ -133,24 +136,21 @@ class TestExactUnidirectional:
 
 class TestMultiHead:
     def test_single_head_identity_projection_reduces(self, rng):
-        cfg = AttentionConfig(d_model=4, h=1, d_k=4, d_v=4)
         eye = lambda: Tensor(np.eye(4))
         w = AttentionWeights([eye()], [eye()], [eye()], eye())
         x = rng.standard_normal((6, 4))
-        out = multi_head(Tensor(x), w, cfg).data
+        out = multi_head(Tensor(x), w, [scaled_dot_attention]).data
         direct = scaled_dot_attention(Tensor(x), Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(out, direct, atol=1e-12)
 
     def test_zero_output_matrix(self, rng):
-        cfg = AttentionConfig.for_model(d_model=8, h=2)
-        w = glorot_weights(cfg, rng)
+        w = glorot_weights(8, 2, rng)
         w.w_o = Tensor(np.zeros((8, 8)))
-        out = multi_head(Tensor(rng.standard_normal((5, 8))), w, cfg)
+        out = multi_head(Tensor(rng.standard_normal((5, 8))), w, [scaled_dot_attention] * 2)
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
     def test_two_heads_match_manual_concat(self, rng):
-        cfg = AttentionConfig.for_model(d_model=8, h=2)
-        w = glorot_weights(cfg, rng)
+        w = glorot_weights(8, 2, rng)
         x = rng.standard_normal((7, 8))
         xt = Tensor(x)
         heads = []
@@ -160,11 +160,17 @@ class TestMultiHead:
             v = x @ w.w_v[i].data
             heads.append(scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data)
         expect = np.concatenate(heads, axis=1) @ w.w_o.data
-        np.testing.assert_allclose(multi_head(xt, w, cfg).data, expect, atol=1e-12)
+        np.testing.assert_allclose(multi_head(xt, w, [scaled_dot_attention] * 2).data,
+                                   expect, atol=1e-12)
+
+    def test_kernel_count_must_match_heads(self, rng):
+        w = glorot_weights(8, 2, rng)
+        with pytest.raises(ConfigError):
+            multi_head(Tensor(rng.standard_normal((5, 8))), w, [scaled_dot_attention] * 3)
 
     def test_inconsistent_config_rejected(self):
-        with pytest.raises(ConfigError):
-            AttentionConfig(d_model=8, h=3, d_k=2, d_v=2)
+        with pytest.raises(ConfigError, match="d_model = 8 not divisible by h = 3"):
+            ModelSpec(variant="transformer_mh", window=8, n_features=8, d_model=8, heads=3)
 
 
 class TestAttentionGradients:
@@ -183,14 +189,20 @@ class TestAttentionGradients:
         q, k, v = rand_qkv(rng, length=5, d_k=3, d_v=3)
         check_gradients(self._loss(kernel), [q, k, v], tol=1e-6)
 
-    def test_multi_head_gradients(self, rng):
-        cfg = AttentionConfig.for_model(d_model=4, h=2)
-        w = glorot_weights(cfg, rng)
+    @pytest.mark.parametrize("kernel", [scaled_dot_attention, favor_bidirectional,
+                                        favor_unidirectional],
+                             ids=["softmax", "favor_bidirectional", "favor_unidirectional"])
+    def test_multi_head_gradients(self, kernel, rng):
+        w = glorot_weights(4, 2, rng)
         x = rng.standard_normal((4, 4)) * 0.5
+        kernels = [kernel] * 2
+        if kernel is not scaled_dot_attention:  # each FAVOR+ head has its own features
+            kernels = [functools.partial(kernel, fm=draw_features(FavorConfig(r=8, d_k=2, seed=j)))
+                       for j in range(2)]
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
             weights = AttentionWeights([wq0, wq1], [wk0, wk1], [wv0, wv1], wo)
-            out = multi_head(xt, weights, cfg)
+            out = multi_head(xt, weights, kernels)
             return T.tsum(T.mul(out, out))
 
         arrays = [x, w.w_q[0].data, w.w_q[1].data, w.w_k[0].data, w.w_k[1].data,

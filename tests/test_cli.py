@@ -120,6 +120,12 @@ class TestPrepare:
         config.write_text(json.dumps(raw))
         assert main(["prepare", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        # a model that train rejects: d_model 8 is not divisible by 3 heads
+        config = make_config(tmp_path, fixture_csv, variant="transformer_mh", heads=3)
+        assert main(["prepare", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "not divisible" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def len_windows_oracle(rows, warmup, window):
@@ -257,6 +263,7 @@ MALFORMED_CHECKPOINTS = {
     "unknown_spec_field": lambda b: edit_header(b, lambda h: h["spec"].update(colour=1)),
     "cut_in_parameters": lambda b: b[:-8],
     "trailing_bytes": lambda b: b + b"\x00" * 4,
+    "nan_parameter": lambda b: b[:-8] + struct.pack("<d", float("nan")),
 }
 
 

@@ -131,8 +131,14 @@ class TestForward:
         out = model.forward_batch(rng.standard_normal((3, 8, 8)))
         assert out.shape == (3, 1)
 
-    def test_batch_forward_matches_single(self, rng):
-        model = build(tiny_spec(variant="performer_bilstm"))
+    @pytest.mark.parametrize("variant, causal",
+                             [*((v, False) for v in VARIANTS), ("performer", True)],
+                             ids=[*VARIANTS, "performer_causal"])
+    def test_batch_forward_matches_single(self, variant, causal, rng):
+        spec = tiny_spec(variant=variant)
+        if causal:
+            spec = dataclasses.replace(spec, favor=dataclasses.replace(spec.favor, causal=True))
+        model = build(spec)
         windows = rng.standard_normal((4, 8, 8))
         batched = model.forward_batch(windows).data[:, 0]
         singles = np.array([model.forward_batch(w[None]).item() for w in windows])
