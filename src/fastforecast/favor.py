@@ -14,6 +14,13 @@ exp(q_i k_jᵀ/√d_k) — the same kernel the exact path computes.
 Both attention variants stay linear in sequence length: the bidirectional
 form contracts K̂ᵀV and K̂ᵀ1 first; the causal form carries running prefix
 sums.  No L×L buffer is ever materialised.
+
+``phi_positive`` and ``favor_bidirectional`` are fused kernels: each is one
+tape node whose forward runs in numpy, with the same arithmetic as the
+equivalent composition of tensor primitives (so the outputs agree bit for
+bit), and whose backward is derived by hand.  φ is written once, in
+``_phi`` and ``_phi_grad``, and both kernels use it.  The causal form is
+composed from primitives around ``phi_positive``.
 """
 
 from __future__ import annotations
@@ -114,6 +121,28 @@ def draw_features(cfg: FavorConfig) -> RandomFeatureMap:
     return RandomFeatureMap(directions * norms[:, None])
 
 
+def _phi(x: np.ndarray, omega: np.ndarray):
+    """φ of the rows of x: returns φ(x) and the mask of unclamped exponents
+    (None when nothing was clamped)."""
+    arg = x @ np.ascontiguousarray(omega.T) - 0.5 * (x * x).sum(axis=1, keepdims=True)
+    T.check_finite(arg)
+    T.note_buffers(arg)
+    mask = None
+    clamped = int(np.count_nonzero(arg >= EXP_CLAMP))
+    if clamped:
+        DIAGNOSTICS.exp_clamped += clamped
+        mask = arg < EXP_CLAMP
+    return np.exp(np.minimum(arg, EXP_CLAMP)) * (1.0 / math.sqrt(omega.shape[0])), mask
+
+
+def _phi_grad(x: np.ndarray, omega: np.ndarray, phi: np.ndarray, mask, g: np.ndarray):
+    """Gradient with respect to x of ⟨g, φ(x)⟩, given φ(x) and its clamp mask."""
+    g_arg = g * phi  # φ = r^{-1/2} exp(arg); a clamped exponent passes nothing
+    if mask is not None:
+        g_arg *= mask
+    return g_arg @ omega - x * g_arg.sum(axis=1, keepdims=True)
+
+
 def phi_positive(x: Tensor, fm: RandomFeatureMap) -> Tensor:
     """Apply φ row-wise: (L, d_k) -> (L, r), strictly positive output.
 
@@ -123,13 +152,10 @@ def phi_positive(x: Tensor, fm: RandomFeatureMap) -> Tensor:
     """
     if x.data.ndim != 2 or x.shape[1] != fm.d_k:
         raise ShapeError(f"phi expects (L, {fm.d_k}), got {x.shape}")
-    proj = T.matmul(x, Tensor(fm.omega.T))  # (L, r)
-    sq_half = T.scale(T.rowsum(T.mul(x, x)), 0.5)  # (L, 1)
-    arg = T.add_rowwise(proj, -sq_half)
-    clamped = int(np.count_nonzero(arg.data >= EXP_CLAMP))
-    if clamped:
-        DIAGNOSTICS.exp_clamped += clamped
-    return T.scale(T.exp_clamped(arg), 1.0 / math.sqrt(fm.r))
+    xd = x.data
+    phi, mask = _phi(xd, fm.omega)
+    return T._make((x,), phi, lambda g: (_phi_grad(xd, fm.omega, phi, mask, g),),
+                   check=False)
 
 
 def _features(q: Tensor, k: Tensor, fm: RandomFeatureMap):
@@ -139,22 +165,46 @@ def _features(q: Tensor, k: Tensor, fm: RandomFeatureMap):
     return q_hat, k_hat
 
 
+def _count_floored(den: np.ndarray) -> int:
+    floored = int(np.count_nonzero(den <= DENOM_FLOOR))
+    DIAGNOSTICS.denom_floored += floored
+    return floored
+
+
 def _floor_denominator(den: Tensor) -> Tensor:
-    floored = int(np.count_nonzero(den.data <= DENOM_FLOOR))
-    if floored:
-        DIAGNOSTICS.denom_floored += floored
+    _count_floored(den.data)
     return T.clip_min(den, DENOM_FLOOR)
 
 
 def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
-    """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate."""
+    """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate.  One tape node."""
     _check_qkv(q, k, v)
-    q_hat, k_hat = _features(q, k, fm)
-    kv = T.matmul(T.transpose(k_hat), v)  # (r, d_v)
-    num = T.matmul(q_hat, kv)  # (L, d_v)
-    z = T.transpose(T.colsum(k_hat))  # (r, 1) = K̂ᵀ·1
-    den = _floor_denominator(T.matmul(q_hat, z))  # (L, 1)
-    return T.scale_rowwise(num, T.recip(den))
+    scale = fm.d_k ** -0.25
+    qs, ks, vd = q.data * scale, k.data * scale, v.data
+    q_hat, q_mask = _phi(qs, fm.omega)
+    k_hat, k_mask = _phi(ks, fm.omega)
+    kv = k_hat.T @ vd  # (r, d_v)
+    num = q_hat @ kv  # (L, d_v)
+    z = k_hat.sum(axis=0, keepdims=True)  # (1, r) = (K̂ᵀ·1)ᵀ
+    den = q_hat @ z.T  # (L, 1)
+    T.check_finite(kv, num, z, den)
+    T.note_buffers(q_hat, k_hat, kv, num, z, den)
+    floored = _count_floored(den)
+    inv = 1.0 / np.maximum(den, DENOM_FLOOR)
+
+    def backward(g):
+        g_num = g * inv
+        g_den = -(g * num).sum(axis=1, keepdims=True) * inv * inv
+        if floored:
+            g_den *= den > DENOM_FLOOR  # the floor passes no gradient
+        g_kv = q_hat.T @ g_num
+        g_q_hat = g_num @ kv.T + g_den * z
+        g_k_hat = vd @ g_kv.T + g_den.T @ q_hat
+        return (_phi_grad(qs, fm.omega, q_hat, q_mask, g_q_hat) * scale,
+                _phi_grad(ks, fm.omega, k_hat, k_mask, g_k_hat) * scale,
+                k_hat @ g_kv)
+
+    return T._make((q, k, v), num * inv, backward)
 
 
 def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:

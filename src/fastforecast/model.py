@@ -23,10 +23,12 @@ deterministic given (spec, seed, dataset, hyperparameters).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -309,13 +311,14 @@ class Model:
                 x = self._encoder_block(x, batch, i, drop_rng)
 
         if spec.uses_bilstm:
-            steps = [T.take_rows(x, np.arange(batch) * length + t) for t in range(length)]
+            # time-major rows: row t·B + b is window b at step t
+            seq = T.take_rows(x, (np.arange(length)[:, None]
+                                  + np.arange(batch) * length).reshape(-1))
             for layer in (1, 2):
-                fwd, bwd = bilstm_forward_steps(steps, self._lstm_weights(layer, "fwd"),
-                                                self._lstm_weights(layer, "bwd"))
-                steps = [self._dropout(T.concat([f, b], axis=1), drop_rng)
-                         for f, b in zip(fwd, bwd)]
-            rep = steps[-1]
+                seq = bilstm_forward_steps(seq, batch, self._lstm_weights(layer, "fwd"),
+                                           self._lstm_weights(layer, "bwd"))
+                seq = self._dropout(seq, drop_rng)
+            rep = T.slice_rows(seq, (length - 1) * batch, length * batch)
         else:
             rep = T.take_rows(x, np.arange(batch) * length + (length - 1))
 
@@ -526,7 +529,11 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
     """Binary layout: magic, version, header length, JSON header, flat
-    little-endian float64 parameter buffers in header order."""
+    little-endian float64 parameter buffers in header order.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one step; a save that fails leaves any earlier
+    file at ``path`` as it was and removes the temporary file."""
     header = {
         "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
@@ -537,12 +544,22 @@ def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
                    for name, t in model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for t in model.params.values():
-            fh.write(t.data.astype("<f8", copy=False).tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            for t in model.params.values():
+                fh.write(t.data.astype("<f8", copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Model, ColumnStats]:

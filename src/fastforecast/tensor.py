@@ -1,14 +1,22 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
-Every differentiable operation in the package is built from the primitives
-in this module.  A primitive computes its forward value with numpy and, when
-a :class:`GradTape` is active and an input requires gradients, records a
-closure that maps the output gradient to per-input gradients.  Replaying the
-tape in reverse (``tape.backward``) fills ``Tensor.grad`` for every leaf.
+Every differentiable operation in the package is a primitive registered
+through :func:`_make`: the elementwise, matrix and shape primitives in this
+module, plus two fused kernels elsewhere, the whole-sequence LSTM
+(``lstm.lstm_sequence``) and FAVOR+ attention (``favor.phi_positive`` and
+``favor.favor_bidirectional``).  A primitive computes its forward value with
+numpy and, when a :class:`GradTape` is active and an input requires gradients,
+records one node whose closure maps the output gradient to per-input
+gradients; a fused kernel's closure is its hand-derived backward pass.
+Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
+every leaf.
 
 Design constraints honoured here:
   * float64 everywhere,
-  * non-finite values raise :class:`FiniteError` immediately,
+  * non-finite values raise :class:`FiniteError` immediately; a fused kernel
+    checks (``check_finite``) every intermediate its composed form would
+    have checked, and notes its buffers in the allocation log
+    (``note_buffers``),
   * broadcasting in ``add``/``sub``/``mul`` is limited to scalar-with-tensor
     and identical shapes; row/column-vector broadcasts are separate named
     primitives (``add_rowwise`` etc.) with their own gradient rules.
@@ -194,11 +202,26 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def check_finite(*arrays: np.ndarray) -> None:
+    """Raise FiniteError if any array holds NaN/Inf."""
+    for arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise FiniteError("operation produced NaN/Inf")
+
+
+def note_buffers(*arrays: np.ndarray) -> None:
+    """Record a fused kernel's intermediate buffers in the active allocation log."""
+    log = _observer()
+    if log is not None:
+        for arr in arrays:
+            log._note(arr)
+
+
 def _make(inputs: Sequence[Tensor], out_data: np.ndarray,
           backward: Callable[[np.ndarray], tuple], check: bool = True) -> Tensor:
     """Wrap an op result, record it on the active tape, log allocations."""
-    if check and not np.all(np.isfinite(out_data)):
-        raise FiniteError("operation produced NaN/Inf")
+    if check:
+        check_finite(out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -272,12 +295,10 @@ def scale(x: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:

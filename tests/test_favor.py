@@ -5,8 +5,9 @@ import pytest
 
 import fastforecast.tensor as T
 from fastforecast.attention import exact_bidirectional
-from fastforecast.errors import ShapeError
+from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.favor import (
+    DENOM_FLOOR,
     DIAGNOSTICS,
     FavorConfig,
     RandomFeatureMap,
@@ -18,9 +19,9 @@ from fastforecast.favor import (
     phi_positive,
     write_probe_csv,
 )
-from fastforecast.tensor import Tensor
+from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
-from conftest import check_gradients
+from conftest import check_gradients, rel_err
 
 
 def unit_rows(a):
@@ -40,6 +41,24 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
         else:
             favor_bidirectional(q, k, v, fm)
     return log.shapes
+
+
+def composed_phi(x, fm):
+    """Reference for phi_positive, composed from tensor primitives."""
+    proj = T.matmul(x, Tensor(fm.omega.T))
+    sq_half = T.scale(T.rowsum(T.mul(x, x)), 0.5)
+    arg = T.add_rowwise(proj, -sq_half)
+    return T.scale(T.exp_clamped(arg, EXP_CLAMP), 1.0 / np.sqrt(fm.r))
+
+
+def composed_favor(q, k, v, fm):
+    """Reference for favor_bidirectional, composed from tensor primitives."""
+    scale = fm.d_k ** -0.25
+    q_hat = composed_phi(T.scale(q, scale), fm)
+    k_hat = composed_phi(T.scale(k, scale), fm)
+    num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
+    den = T.matmul(q_hat, T.transpose(T.colsum(k_hat)))
+    return T.scale_rowwise(num, T.recip(T.clip_min(den, DENOM_FLOOR)))
 
 
 def rand_inputs(rng, length, d_k, d_v=None, normalize=True):
@@ -213,6 +232,33 @@ class TestFavorBidirectional:
         b = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm2).data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("length,d_k,d_v,r", [(1, 3, 3, 8), (9, 4, 2, 16), (64, 16, 16, 128)])
+    def test_equals_composed_reference(self, length, d_k, d_v, r, rng):
+        """The fused kernel against the primitive composition: bitwise
+        forward, gradients of q, k and v within 1e-12."""
+        q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
+        fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=16))
+        outs, grads = [], []
+        for kernel in (favor_bidirectional, composed_favor):
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            with GradTape() as tape:
+                out = kernel(*leaves, fm)
+                loss = T.tsum(T.mul(out, out))
+            tape.backward(loss)
+            outs.append(out.data)
+            grads.append([t.grad for t in leaves])
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for fused, composed in zip(*grads):
+            assert rel_err(fused, composed) <= 1e-12
+
+    def test_overflowing_query_raises(self, rng):
+        """q·1e200 overflows ‖q‖² inside φ; the kernel must not return zeros."""
+        q, k, v = rand_inputs(rng, 6, 4)
+        fm = draw_features(FavorConfig(r=16, d_k=4, seed=17))
+        for kernel in (favor_bidirectional, composed_favor):
+            with pytest.raises(FiniteError):
+                kernel(Tensor(q * 1e200), Tensor(k), Tensor(v), fm)
+
 
 class TestFavorUnidirectional:
     def test_first_row_equals_first_value(self, rng):
@@ -296,6 +342,12 @@ class TestComplexityProbe:
         for length in (64, 128):
             shapes = kernel_shapes("favor", length, 8, 16)
             assert (length, length) not in shapes
+
+    def test_favor_notes_its_linear_buffers(self):
+        """The fused kernel logs its (L, r) features and (r, d_v) summary."""
+        shapes = kernel_shapes("favor", 64, 8, 16)
+        assert (64, 16) in shapes
+        assert (16, 8) in shapes
 
     def test_exact_does_allocate_lxl(self):
         shapes = kernel_shapes("exact", 64, 8, 16)

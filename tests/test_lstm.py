@@ -1,22 +1,23 @@
-"""LSTM tests: gate-by-gate oracle, saturation limits, BiLSTM composition."""
+"""LSTM tests: gate-by-gate oracle, saturation limits, BiLSTM composition,
+and the fused sequence kernel against a fold over the cell."""
 
 import numpy as np
 import pytest
 
 import fastforecast.tensor as T
-from fastforecast.errors import ShapeError
+from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.lstm import (
     LstmState,
     LstmWeights,
     bilstm_forward_steps,
     init_lstm_weights,
     lstm_cell,
-    lstm_forward_steps,
+    lstm_sequence,
     zero_state,
 )
-from fastforecast.tensor import Tensor
+from fastforecast.tensor import GradTape, Tensor
 
-from conftest import check_gradients
+from conftest import check_gradients, rel_err
 
 
 def sigmoid(x):
@@ -43,22 +44,28 @@ def random_weights(input_size, hidden, seed, forget_bias=None):
     return w
 
 
-def _steps(xs):
-    return [T.slice_rows(xs, t, t + 1) for t in range(xs.shape[0])]
-
-
 def lstm_forward(xs, w):
-    """An (L, input) sequence through lstm_forward_steps: (L, hidden) states."""
-    outs = lstm_forward_steps(_steps(xs), w)
-    return T.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    """An (L, input) sequence through lstm_sequence: (L, hidden) states."""
+    return lstm_sequence(xs, 1, w)
 
 
 def bilstm_forward(xs, w_fwd, w_bwd):
     """An (L, input) sequence through bilstm_forward_steps: (L, 2*hidden)
     states, the forward half first."""
-    fwd, bwd = bilstm_forward_steps(_steps(xs), w_fwd, w_bwd)
-    rows = [T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    return bilstm_forward_steps(xs, 1, w_fwd, w_bwd)
+
+
+def lstm_fold(xs, batch, w, reverse=False):
+    """Reference for lstm_sequence: a fold over lstm_cell, one step of
+    ``batch`` time-major rows at a time."""
+    length = xs.shape[0] // batch
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    state = zero_state(batch, w.hidden_size)
+    outs = [None] * length
+    for t in order:
+        state = lstm_cell(T.slice_rows(xs, t * batch, (t + 1) * batch), state, w)
+        outs[t] = state.h
+    return T.concat(outs, axis=0) if length > 1 else outs[0]
 
 
 def as_dict(w):
@@ -230,3 +237,44 @@ class TestLstmGradients:
             arrays += [w.w_f.data, w.w_i.data, w.w_c.data, w.w_o.data,
                        w.b_f.data, w.b_i.data, w.b_c.data, w.b_o.data]
         check_gradients(build, arrays, tol=1e-5)
+
+
+GATE_NAMES = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
+
+
+class TestLstmSequence:
+    """The fused kernel against the fold over lstm_cell."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equals_cell_fold(self, reverse, rng):
+        """Batch 3, L=7: outputs bitwise, gradients within 1e-12."""
+        batch, length = 3, 7
+        w = random_weights(2, 4, seed=19)
+        xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
+        grads, outs = [], []
+        for run in (lstm_sequence, lstm_fold):
+            with GradTape() as tape:
+                out = run(xs, batch, w, reverse)
+                loss = T.tsum(T.mul(out, out))
+            tape.backward(loss)
+            outs.append(out.data)
+            grads.append([xs.grad] + [getattr(w, n).grad for n in GATE_NAMES])
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for fused, folded in zip(*grads):
+            assert rel_err(fused, folded) <= 1e-12
+
+    def test_overflow_raises(self):
+        """Inputs of 1e308 with gate weights of 10 overflow the gate matmul."""
+        w = random_weights(2, 3, seed=20)
+        for name in GATE_NAMES[:4]:
+            setattr(w, name, Tensor(np.full((3, 5), 10.0)))
+        xs = Tensor(np.full((4, 2), 1e308))
+        with pytest.raises(FiniteError):
+            lstm_sequence(xs, 2, w)
+        with pytest.raises(FiniteError):
+            lstm_fold(xs, 2, w)
+
+    def test_partial_step_rejected(self, rng):
+        w = random_weights(2, 3, seed=21)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(rng.standard_normal((5, 2))), 2, w)

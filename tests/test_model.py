@@ -14,6 +14,7 @@ from fastforecast.model import (
     VARIANTS,
     ModelSpec,
     TrainHyperparams,
+    _batch_loss,
     _eval_loss,
     build,
     load_checkpoint,
@@ -22,6 +23,7 @@ from fastforecast.model import (
     sinusoidal_encoding,
     train,
 )
+from fastforecast.tensor import GradTape
 
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
@@ -259,6 +261,21 @@ class TestTrain:
         assert _eval_loss(model, val_w, val_y, hp.batch) == report.val_losses[report.best_epoch]
         assert report.favor_generation == model.favor_generation
 
+    def test_bilstm_tape_size_does_not_grow_with_window(self):
+        """The BiLSTM records whole-sequence nodes, not one per step: a
+        bilstm_only training step tapes as many nodes at window 8 as at 32."""
+        sizes = []
+        for window in (8, 32):
+            spec = tiny_spec(variant="bilstm_only", window=window, dropout=0.1)
+            model = build(spec)
+            rng = np.random.default_rng(0)
+            windows = rng.standard_normal((4, window, spec.n_features))
+            with GradTape() as tape:
+                loss = _batch_loss(model, windows, rng.standard_normal(4), True, rng)
+            tape.backward(loss)
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1], sizes
+
     def test_training_is_deterministic(self):
         ds = tiny_dataset()
         hp = TrainHyperparams(epochs=3, batch=8, lr=1e-3)
@@ -357,6 +374,31 @@ class TestCheckpoint:
         save_checkpoint(model, ds.norm, p1)
         save_checkpoint(model, ds.norm, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path):
+        """A write that fails midway keeps the earlier file byte-identical
+        and leaves no temporary file; a later good save writes the same bytes."""
+        ds = tiny_dataset()
+        model = build(tiny_spec(n_features=ds.n_features))
+        path = tmp_path / "model.ffck"
+        save_checkpoint(model, ds.norm, path)
+        before = path.read_bytes()
+
+        class FailingWrite(np.ndarray):
+            def astype(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        last = model.params[list(model.params)[-1]]
+        good = last.data
+        last.data = good.view(FailingWrite)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(model, ds.norm, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ffck"]
+        last.data = good
+        save_checkpoint(model, ds.norm, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ffck"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ffck"

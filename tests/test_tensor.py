@@ -98,6 +98,19 @@ class TestElementwiseValues:
         out = T.sigmoid(Tensor([[-800.0, 800.0]]))
         np.testing.assert_allclose(out.data, [[0.0, 1.0]], atol=1e-12)
 
+    def test_sigmoid_matches_two_branch_form_bitwise(self, rng):
+        """The branch-free sigmoid equals 1/(1+e^-x) on x >= 0 and e^x/(1+e^x)
+        below, bit for bit, on random inputs and at the extremes."""
+        x = np.concatenate([rng.standard_normal(1000) * 30,
+                            [0.0, -0.0, 700.0, -700.0, 1e3, -1e3]])
+        expect = np.empty_like(x)
+        pos = x >= 0
+        expect[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expect[~pos] = ex / (1.0 + ex)
+        got = T._stable_sigmoid(x)
+        assert got.tobytes() == expect.tobytes()
+
     def test_scalar_broadcasting(self):
         x = Tensor([[1.0, 2.0]])
         np.testing.assert_array_equal((x + 1.0).data, [[2.0, 3.0]])
