@@ -186,9 +186,24 @@ def _model_spec(cfg, dataset):
 
 
 def _write_json(path, payload, sort: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    from .data import atomic_write
+
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort)
         fh.write("\n")
+
+
+def _write_losses(path, report) -> None:
+    """One row per epoch: the training and validation loss, as ``repr`` floats."""
+    import csv
+
+    from .data import atomic_write
+
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "train_loss", "val_loss"])
+        for epoch, (tl, vl) in enumerate(zip(report.train_losses, report.val_losses)):
+            writer.writerow([epoch, repr(tl), repr(vl)])
 
 
 def cmd_prepare(args) -> int:
@@ -215,8 +230,6 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    import csv
-
     from .model import TrainHyperparams, build, save_checkpoint, train
 
     cfg = load_config(args.config, args.seed)
@@ -227,12 +240,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, dataset.norm, os.path.join(args.out, "checkpoint.ffck"))
     _write_json(os.path.join(args.out, "train_report.json"), report.to_dict())
-    with open(os.path.join(args.out, "losses.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, (tl, vl) in enumerate(zip(report.train_losses, report.val_losses)):
-            writer.writerow([epoch, repr(tl), repr(vl)])
+    _write_losses(os.path.join(args.out, "losses.csv"), report)
 
     print(f"parameters: {report.parameter_count}")
     print(f"best epoch: {report.best_epoch}")

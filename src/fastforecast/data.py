@@ -15,8 +15,10 @@ information from validation or test rows leaks into the transform.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,6 +297,32 @@ def evaluate_metrics(y, y_hat) -> MetricSet:
 
 
 # ---------------------------------------------------------------------------
+# atomic artifact writes
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Open a temporary file next to ``path`` for writing.
+
+    When the block finishes, the file is flushed, fsynced and renamed over
+    ``path`` in one step (``os.replace``).  When the block raises, the
+    temporary file is removed and any earlier file at ``path`` is left as it
+    was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # prediction CSV round-trip
 # ---------------------------------------------------------------------------
 
@@ -302,7 +330,7 @@ PREDICTION_HEADER = ["timestamp", "actual", "predicted"]
 
 
 def write_predictions(path, timestamps, actual, predicted) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_HEADER)
         for ts, a, p in zip(timestamps, actual, predicted):

@@ -12,15 +12,16 @@ scaled by d_k^{-1/4} before the map, so the estimated attention matrix is
 exp(q_i k_jᵀ/√d_k) — the same kernel the exact path computes.
 
 Both attention variants stay linear in sequence length: the bidirectional
-form contracts K̂ᵀV and K̂ᵀ1 first; the causal form carries running prefix
-sums.  No L×L buffer is ever materialised.
+form contracts K̂ᵀV and K̂ᵀ1 first; the causal form takes prefix sums of
+φ(k_j)v_jᵀ and φ(k_j).  No L×L buffer is ever materialised.
 
-``phi_positive`` and ``favor_bidirectional`` are fused kernels: each is one
-tape node whose forward runs in numpy, with the same arithmetic as the
-equivalent composition of tensor primitives (so the outputs agree bit for
-bit), and whose backward is derived by hand.  φ is written once, in
-``_phi`` and ``_phi_grad``, and both kernels use it.  The causal form is
-composed from primitives around ``phi_positive``.
+``favor_bidirectional`` and ``favor_unidirectional`` run one fused kernel,
+``_favor``: one tape node whose forward runs in numpy, with the same
+arithmetic as the equivalent composition of tensor primitives (so the
+outputs agree bit for bit), and whose backward is derived by hand.  The two
+forms share φ (``_phi`` and ``_phi_grad``), the finiteness checks, the
+denominator floor and the division; only the three contractions and their
+adjoints differ.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import _check_qkv, exact_bidirectional
+from .data import atomic_write
 from .errors import ConfigError, ShapeError
 from .tensor import EXP_CLAMP, Tensor
 
@@ -143,53 +145,40 @@ def _phi_grad(x: np.ndarray, omega: np.ndarray, phi: np.ndarray, mask, g: np.nda
     return g_arg @ omega - x * g_arg.sum(axis=1, keepdims=True)
 
 
-def phi_positive(x: Tensor, fm: RandomFeatureMap) -> Tensor:
-    """Apply φ row-wise: (L, d_k) -> (L, r), strictly positive output.
+def _reverse_cumsum(x: np.ndarray) -> np.ndarray:
+    """Row i holds the sum of rows i.. of x (the adjoint of a prefix sum)."""
+    return np.cumsum(x[::-1], axis=0)[::-1]
 
-    Exponents are clamped at EXP_CLAMP; a clamp event is counted in
-    DIAGNOSTICS.exp_clamped (it indicates inputs far outside the intended
-    scale).
+
+def _favor(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap, causal: bool) -> Tensor:
+    """Both FAVOR+ forms as one tape node; only the three contractions differ.
+
+    Bidirectional: K̂ᵀV (r, d_v), Q̂(K̂ᵀV) and K̂ᵀ1.  Causal: the prefix sums
+    S_i = Σ_{j<=i} φ(k_j) v_jᵀ (stacked (L, r, d_v)) and z_i = Σ_{j<=i} φ(k_j),
+    read by row i as φ(q_i)ᵀS_i and φ(q_i)ᵀz_i; their adjoints are reverse
+    cumulative sums over i >= j.
     """
-    if x.data.ndim != 2 or x.shape[1] != fm.d_k:
-        raise ShapeError(f"phi expects (L, {fm.d_k}), got {x.shape}")
-    xd = x.data
-    phi, mask = _phi(xd, fm.omega)
-    return T._make((x,), phi, lambda g: (_phi_grad(xd, fm.omega, phi, mask, g),),
-                   check=False)
-
-
-def _features(q: Tensor, k: Tensor, fm: RandomFeatureMap):
-    scale = fm.d_k ** -0.25
-    q_hat = phi_positive(T.scale(q, scale), fm)
-    k_hat = phi_positive(T.scale(k, scale), fm)
-    return q_hat, k_hat
-
-
-def _count_floored(den: np.ndarray) -> int:
-    floored = int(np.count_nonzero(den <= DENOM_FLOOR))
-    DIAGNOSTICS.denom_floored += floored
-    return floored
-
-
-def _floor_denominator(den: Tensor) -> Tensor:
-    _count_floored(den.data)
-    return T.clip_min(den, DENOM_FLOOR)
-
-
-def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
-    """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate.  One tape node."""
     _check_qkv(q, k, v)
+    if q.shape[1] != fm.d_k:
+        raise ShapeError(f"FAVOR+ expects queries and keys of width {fm.d_k}, got {q.shape}")
     scale = fm.d_k ** -0.25
     qs, ks, vd = q.data * scale, k.data * scale, v.data
     q_hat, q_mask = _phi(qs, fm.omega)
     k_hat, k_mask = _phi(ks, fm.omega)
-    kv = k_hat.T @ vd  # (r, d_v)
-    num = q_hat @ kv  # (L, d_v)
-    z = k_hat.sum(axis=0, keepdims=True)  # (1, r) = (K̂ᵀ·1)ᵀ
-    den = q_hat @ z.T  # (L, 1)
+    if causal:
+        kv = np.cumsum(k_hat[:, :, None] * vd[:, None, :], axis=0)  # (L, r, d_v)
+        num = (q_hat[:, None, :] @ kv)[:, 0]  # (L, d_v)
+        z = np.cumsum(k_hat, axis=0)  # (L, r)
+        den = (q_hat[:, None, :] @ z[:, :, None])[:, 0]  # (L, 1)
+    else:
+        kv = k_hat.T @ vd  # (r, d_v)
+        num = q_hat @ kv  # (L, d_v)
+        z = k_hat.sum(axis=0, keepdims=True)  # (1, r) = (K̂ᵀ·1)ᵀ
+        den = q_hat @ z.T  # (L, 1)
     T.check_finite(kv, num, z, den)
     T.note_buffers(q_hat, k_hat, kv, num, z, den)
-    floored = _count_floored(den)
+    floored = int(np.count_nonzero(den <= DENOM_FLOOR))
+    DIAGNOSTICS.denom_floored += floored
     inv = 1.0 / np.maximum(den, DENOM_FLOOR)
 
     def backward(g):
@@ -197,41 +186,32 @@ def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -
         g_den = -(g * num).sum(axis=1, keepdims=True) * inv * inv
         if floored:
             g_den *= den > DENOM_FLOOR  # the floor passes no gradient
-        g_kv = q_hat.T @ g_num
-        g_q_hat = g_num @ kv.T + g_den * z
-        g_k_hat = vd @ g_kv.T + g_den.T @ q_hat
+        if causal:
+            g_kv = _reverse_cumsum(q_hat[:, :, None] * g_num[:, None, :])  # (L, r, d_v)
+            g_q_hat = (kv @ g_num[:, :, None])[:, :, 0] + g_den * z
+            g_k_hat = (g_kv @ vd[:, :, None])[:, :, 0] + _reverse_cumsum(g_den * q_hat)
+            g_v = (k_hat[:, None, :] @ g_kv)[:, 0]
+        else:
+            g_kv = q_hat.T @ g_num
+            g_q_hat = g_num @ kv.T + g_den * z
+            g_k_hat = vd @ g_kv.T + g_den.T @ q_hat
+            g_v = k_hat @ g_kv
         return (_phi_grad(qs, fm.omega, q_hat, q_mask, g_q_hat) * scale,
                 _phi_grad(ks, fm.omega, k_hat, k_mask, g_k_hat) * scale,
-                k_hat @ g_kv)
+                g_v)
 
     return T._make((q, k, v), num * inv, backward)
 
 
-def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
-    """Causal linear attention via running prefix sums.
+def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
+    """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate.  One tape node."""
+    return _favor(q, k, v, fm, causal=False)
 
-    Carries S_i = Σ_{j<=i} φ(k_j) v_jᵀ (r × d_v) and z_i = Σ_{j<=i} φ(k_j);
-    output row i is (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i).  O(L·r·d) time with an
-    O(r·d) rolling state.
-    """
-    _check_qkv(q, k, v)
-    q_hat, k_hat = _features(q, k, fm)
-    length = q.shape[0]
-    rows = []
-    s_state = None  # (r, d_v)
-    z_state = None  # (r, 1)
-    for i in range(length):
-        k_row = T.slice_rows(k_hat, i, i + 1)  # (1, r)
-        v_row = T.slice_rows(v, i, i + 1)  # (1, d_v)
-        q_row = T.slice_rows(q_hat, i, i + 1)  # (1, r)
-        outer = T.matmul(T.transpose(k_row), v_row)  # (r, d_v)
-        k_col = T.transpose(k_row)  # (r, 1)
-        s_state = outer if s_state is None else T.add(s_state, outer)
-        z_state = k_col if z_state is None else T.add(z_state, k_col)
-        num = T.matmul(q_row, s_state)  # (1, d_v)
-        den = _floor_denominator(T.matmul(q_row, z_state))  # (1, 1)
-        rows.append(T.scale_rowwise(num, T.recip(den)))
-    return T.concat(rows, axis=0) if length > 1 else rows[0]
+
+def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
+    """Causal linear attention: row i is (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i) over the
+    prefix sums S_i and z_i; O(L·r·d) time, no L×L intermediate.  One tape node."""
+    return _favor(q, k, v, fm, causal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +283,7 @@ def loglog_slope(rows: list[ProbeRow]) -> float:
 def write_probe_csv(rows: list[ProbeRow], path) -> None:
     import csv
 
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROBE_COLUMNS)
         for row in rows:

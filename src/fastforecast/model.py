@@ -23,12 +23,10 @@ deterministic given (spec, seed, dataset, hyperparameters).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,7 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionWeights, multi_head, scaled_dot_attention
-from .data import ColumnStats, Dataset, MetricSet, evaluate_metrics
+from .data import ColumnStats, Dataset, MetricSet, atomic_write, evaluate_metrics
 from .errors import ConfigError, DataError, DivergenceError, FiniteError
 from .favor import FavorConfig, RandomFeatureMap, draw_features, favor_bidirectional, favor_unidirectional
 from .lstm import LstmWeights, bilstm_forward_steps, init_lstm_weights
@@ -531,9 +529,8 @@ def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
     """Binary layout: magic, version, header length, JSON header, flat
     little-endian float64 parameter buffers in header order.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path`` in one step; a save that fails leaves any earlier
-    file at ``path`` as it was and removes the temporary file."""
+    Written through :func:`data.atomic_write`: a save that fails leaves any
+    earlier file at ``path`` as it was."""
     header = {
         "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
@@ -544,22 +541,12 @@ def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
                    for name, t in model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            for t in model.params.values():
-                fh.write(t.data.astype("<f8", copy=False).tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        for t in model.params.values():
+            fh.write(t.data.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[Model, ColumnStats]:

@@ -3,11 +3,12 @@
 Every differentiable operation in the package is a primitive registered
 through :func:`_make`: the elementwise, matrix and shape primitives in this
 module, plus two fused kernels elsewhere, the whole-sequence LSTM
-(``lstm.lstm_sequence``) and FAVOR+ attention (``favor.phi_positive`` and
-``favor.favor_bidirectional``).  A primitive computes its forward value with
-numpy and, when a :class:`GradTape` is active and an input requires gradients,
-records one node whose closure maps the output gradient to per-input
-gradients; a fused kernel's closure is its hand-derived backward pass.
+(``lstm.lstm_sequence``) and FAVOR+ attention in both its forms
+(``favor.favor_bidirectional`` and ``favor.favor_unidirectional``).  A
+primitive computes its forward value with numpy and, when a
+:class:`GradTape` is active and an input requires gradients, records one
+node whose closure maps the output gradient to per-input gradients; a fused
+kernel's closure is its hand-derived backward pass.
 Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
 every leaf.
 
@@ -324,12 +325,6 @@ def exp_clamped(x: Tensor, limit: float = EXP_CLAMP) -> Tensor:
     return _make((x,), e, lambda g: (g * e * mask,))
 
 
-def log1p(x: Tensor) -> Tensor:
-    v = np.log1p(x.data)
-    xd = x.data
-    return _make((x,), v, lambda g: (g / (1.0 + xd),))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _make((x,), np.maximum(x.data, 0.0), lambda g: (g * mask,))
@@ -483,18 +478,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         return (z,)
 
     return _make((x,), x.data[start:stop], backward, check=False)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d("slice_cols", x)
-    shape = x.data.shape
-
-    def backward(g):
-        z = np.zeros(shape)
-        z[:, start:stop] = g
-        return (z,)
-
-    return _make((x,), x.data[:, start:stop], backward, check=False)
 
 
 def take_rows(x: Tensor, idx) -> Tensor:

@@ -175,10 +175,13 @@ class TestTrainEvaluate:
         assert metrics["MSLE"] == pytest.approx(float(np.mean(log_d * log_d)), abs=1e-10)
 
     @pytest.mark.parametrize("variant", ["bilstm_only", "transformer_mh_no_indicators",
-                                         "performer_bilstm"])
+                                         "performer_bilstm", "performer_causal"])
     def test_evaluate_val_reproduces_train_report_metrics(self, tmp_path, fixture_csv,
                                                           variant):
-        config = make_config(tmp_path, fixture_csv, variant=variant)
+        kw = {}
+        if variant == "performer_causal":
+            variant, kw = "performer", {"favor": {"r": 16, "seed": 9, "causal": True}}
+        config = make_config(tmp_path, fixture_csv, variant=variant, **kw)
         out = tmp_path / "run"
         assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
         assert main(["evaluate", "--config", str(config),

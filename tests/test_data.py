@@ -264,3 +264,72 @@ class TestPredictionCsvRoundTrip:
     def test_metric_emission_order(self):
         ms = evaluate_metrics(np.array([1.0, 2.0, 4.0]), np.array([1.1, 2.2, 3.6]))
         assert list(ms.to_dict().keys()) == ["MSE", "RMSE", "R-Square", "MSLE"]
+
+
+def _artifact_writers():
+    """Every artifact writer, each as a function of the target path."""
+    from types import SimpleNamespace
+
+    from fastforecast.cli import _write_json, _write_losses
+    from fastforecast.data import ColumnStats
+    from fastforecast.favor import ProbeRow, write_probe_csv
+    from fastforecast.model import ModelSpec, build, save_checkpoint
+
+    model = build(ModelSpec(variant="bilstm_only", window=4, n_features=2,
+                            bilstm_hidden=2, fc_widths=(2, 1), seed=0))
+    norm = ColumnStats(("open", "close"), np.zeros(2), np.ones(2), 1)
+    report = SimpleNamespace(train_losses=[0.5, 0.25], val_losses=[0.75, 0.5])
+    rows = [ProbeRow("favor", 8 * i, 4, 16, 0, 1000 * i, 64 * i) for i in (1, 2)]
+    return {
+        "json": lambda path: _write_json(path, {"rows": 3, "columns": ["a", "b"]}),
+        "losses": lambda path: _write_losses(path, report),
+        "predictions": lambda path: write_predictions(path, [0, 3600], [1.0, 2.0], [1.5, 2.5]),
+        "probe": lambda path: write_probe_csv(rows, path),
+        "checkpoint": lambda path: save_checkpoint(model, norm, path),
+    }
+
+
+class _FailsOnSecondWrite:
+    """A writable file whose second ``write`` raises, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("injected: no space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("writer", ["json", "losses", "predictions", "probe", "checkpoint"])
+def test_interrupted_write_leaves_the_old_file(writer, tmp_path, monkeypatch):
+    """A write that fails midway keeps the earlier artifact byte-identical
+    and leaves no temporary file behind."""
+    import builtins
+
+    write = _artifact_writers()[writer]
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier artifact\n")
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailsOnSecondWrite(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="injected"):
+        write(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"earlier artifact\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

@@ -16,8 +16,8 @@ from fastforecast.favor import (
     favor_bidirectional,
     favor_unidirectional,
     loglog_slope,
-    phi_positive,
     write_probe_csv,
+    _phi,
 )
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
@@ -29,7 +29,8 @@ def unit_rows(a):
 
 
 def kernel_shapes(mode, length, d_k, r, seed=0):
-    """Shapes of every intermediate one exact or FAVOR+ kernel call allocates."""
+    """Shapes of every intermediate one exact, FAVOR+ or causal FAVOR+ kernel
+    call allocates."""
     rng = np.random.default_rng(seed)
     q = Tensor(rng.standard_normal((length, d_k)))
     k = Tensor(rng.standard_normal((length, d_k)))
@@ -38,13 +39,15 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
     with T.track_allocations() as log:
         if mode == "exact":
             exact_bidirectional(q, k, v)
+        elif mode == "causal":
+            favor_unidirectional(q, k, v, fm)
         else:
             favor_bidirectional(q, k, v, fm)
     return log.shapes
 
 
 def composed_phi(x, fm):
-    """Reference for phi_positive, composed from tensor primitives."""
+    """Reference for φ, composed from tensor primitives."""
     proj = T.matmul(x, Tensor(fm.omega.T))
     sq_half = T.scale(T.rowsum(T.mul(x, x)), 0.5)
     arg = T.add_rowwise(proj, -sq_half)
@@ -59,6 +62,43 @@ def composed_favor(q, k, v, fm):
     num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
     den = T.matmul(q_hat, T.transpose(T.colsum(k_hat)))
     return T.scale_rowwise(num, T.recip(T.clip_min(den, DENOM_FLOOR)))
+
+
+def composed_causal_favor(q, k, v, fm):
+    """Reference for favor_unidirectional, composed from tensor primitives:
+    one row at a time over running sums S_i = Σ_{j<=i} φ(k_j) v_jᵀ and
+    z_i = Σ_{j<=i} φ(k_j)."""
+    scale = fm.d_k ** -0.25
+    q_hat = composed_phi(T.scale(q, scale), fm)
+    k_hat = composed_phi(T.scale(k, scale), fm)
+    rows = []
+    s_state = z_state = None  # (r, d_v), (r, 1)
+    for i in range(q.shape[0]):
+        k_row = T.slice_rows(k_hat, i, i + 1)  # (1, r)
+        q_row = T.slice_rows(q_hat, i, i + 1)  # (1, r)
+        outer = T.matmul(T.transpose(k_row), T.slice_rows(v, i, i + 1))  # (r, d_v)
+        k_col = T.transpose(k_row)  # (r, 1)
+        s_state = outer if s_state is None else T.add(s_state, outer)
+        z_state = k_col if z_state is None else T.add(z_state, k_col)
+        den = T.clip_min(T.matmul(q_row, z_state), DENOM_FLOOR)  # (1, 1)
+        rows.append(T.scale_rowwise(T.matmul(q_row, s_state), T.recip(den)))
+    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+
+
+def assert_matches_composed(kernel, composed, q, k, v, fm):
+    """Bitwise forward; gradients of q, k and v within 1e-12."""
+    outs, grads = [], []
+    for fn in (kernel, composed):
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with GradTape() as tape:
+            out = fn(*leaves, fm)
+            loss = T.tsum(T.mul(out, out))
+        tape.backward(loss)
+        outs.append(out.data)
+        grads.append([t.grad for t in leaves])
+    np.testing.assert_array_equal(outs[0], outs[1])
+    for fused, reference in zip(*grads):
+        assert rel_err(fused, reference) <= 1e-12
 
 
 def rand_inputs(rng, length, d_k, d_v=None, normalize=True):
@@ -115,8 +155,8 @@ class TestDrawFeatures:
             estimates = []
             for seed in range(200):
                 fm = draw_features(FavorConfig(r=r, d_k=4, seed=seed))
-                px = phi_positive(Tensor(x[None, :]), fm).data[0]
-                py = phi_positive(Tensor(y[None, :]), fm).data[0]
+                px = _phi(x[None, :], fm.omega)[0][0]
+                py = _phi(y[None, :], fm.omega)[0][0]
                 estimates.append(px @ py)
             errors[r] = abs(np.mean(estimates) - true) / true
         assert errors[64] < 0.02  # 200 x 64 samples pin the kernel tightly
@@ -126,15 +166,15 @@ class TestDrawFeatures:
 class TestPhiPositive:
     def test_zero_vector(self):
         fm = draw_features(FavorConfig(r=16, d_k=4, seed=0))
-        out = phi_positive(Tensor(np.zeros((1, 4))), fm)
-        np.testing.assert_allclose(out.data, np.full((1, 16), 1 / 4.0), atol=1e-15)
+        out, _ = _phi(np.zeros((1, 4)), fm.omega)
+        np.testing.assert_allclose(out, np.full((1, 16), 1 / 4.0), atol=1e-15)
         # phi(0)ᵀphi(0) = 1 = exp(0)
-        assert out.data[0] @ out.data[0] == pytest.approx(1.0, abs=1e-12)
+        assert out[0] @ out[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_positive(self, rng):
         fm = draw_features(FavorConfig(r=32, d_k=6, seed=4))
-        out = phi_positive(Tensor(rng.standard_normal((10, 6))), fm)
-        assert np.all(out.data > 0)
+        out, _ = _phi(rng.standard_normal((10, 6)), fm.omega)
+        assert np.all(out > 0)
 
     def test_kernel_estimate_accuracy_at_r1024(self):
         """E[phi(x)ᵀphi(y)] ~ exp(xᵀy): d_k=4, norms <= 1, r=1024, mean
@@ -148,21 +188,24 @@ class TestPhiPositive:
         rel = []
         for seed in range(20):
             fm = draw_features(FavorConfig(r=1024, d_k=4, seed=seed))
-            px = phi_positive(Tensor(x[None, :]), fm).data[0]
-            py = phi_positive(Tensor(y[None, :]), fm).data[0]
+            px = _phi(x[None, :], fm.omega)[0][0]
+            py = _phi(y[None, :], fm.omega)[0][0]
             rel.append(abs(px @ py - true) / true)
         assert np.mean(rel) <= 0.05
 
     def test_clamp_diagnostics_trigger(self):
         before = DIAGNOSTICS.exp_clamped
         fm = RandomFeatureMap(np.full((4, 2), 800.0))
-        phi_positive(Tensor(np.ones((1, 2))), fm)
+        _phi(np.ones((1, 2)), fm.omega)
         assert DIAGNOSTICS.exp_clamped > before
 
     def test_width_mismatch(self):
+        """φ takes rows of width d_k; both kernels reject wider q and k."""
         fm = draw_features(FavorConfig(r=8, d_k=4, seed=0))
-        with pytest.raises(ShapeError):
-            phi_positive(Tensor(np.ones((3, 5))), fm)
+        x = Tensor(np.ones((3, 5)))
+        for kernel in (favor_bidirectional, favor_unidirectional):
+            with pytest.raises(ShapeError, match="width 4"):
+                kernel(x, x, x, fm)
 
 
 class TestFavorBidirectional:
@@ -238,24 +281,14 @@ class TestFavorBidirectional:
         forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
         fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=16))
-        outs, grads = [], []
-        for kernel in (favor_bidirectional, composed_favor):
-            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            with GradTape() as tape:
-                out = kernel(*leaves, fm)
-                loss = T.tsum(T.mul(out, out))
-            tape.backward(loss)
-            outs.append(out.data)
-            grads.append([t.grad for t in leaves])
-        np.testing.assert_array_equal(outs[0], outs[1])
-        for fused, composed in zip(*grads):
-            assert rel_err(fused, composed) <= 1e-12
+        assert_matches_composed(favor_bidirectional, composed_favor, q, k, v, fm)
 
     def test_overflowing_query_raises(self, rng):
-        """q·1e200 overflows ‖q‖² inside φ; the kernel must not return zeros."""
+        """q·1e200 overflows ‖q‖² inside φ; neither kernel may return zeros."""
         q, k, v = rand_inputs(rng, 6, 4)
         fm = draw_features(FavorConfig(r=16, d_k=4, seed=17))
-        for kernel in (favor_bidirectional, composed_favor):
+        for kernel in (favor_bidirectional, composed_favor,
+                       favor_unidirectional, composed_causal_favor):
             with pytest.raises(FiniteError):
                 kernel(Tensor(q * 1e200), Tensor(k), Tensor(v), fm)
 
@@ -294,18 +327,17 @@ class TestFavorUnidirectional:
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.15
 
+    @pytest.mark.parametrize("length,d_k,d_v,r", [(1, 3, 3, 8), (9, 4, 2, 16), (64, 16, 16, 128)])
+    def test_equals_composed_reference(self, length, d_k, d_v, r, rng):
+        """The fused prefix-sum kernel against the per-row composition:
+        bitwise forward, gradients of q, k and v within 1e-12."""
+        q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
+        fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=18))
+        assert_matches_composed(favor_unidirectional, composed_causal_favor, q, k, v, fm)
+
 
 class TestFavorGradients:
-    """phi and both attention variants pass finite-difference checks (<= 1e-5)."""
-
-    def test_phi_gradient(self, rng):
-        fm = draw_features(FavorConfig(r=8, d_k=3, seed=13))
-
-        def build(x):
-            out = phi_positive(x, fm)
-            return T.tsum(T.mul(out, out))
-
-        check_gradients(build, [rng.standard_normal((4, 3)) * 0.5], tol=1e-5)
+    """Both attention variants, φ included, pass finite-difference checks (<= 1e-5)."""
 
     def test_bidirectional_gradient(self, rng):
         fm = draw_features(FavorConfig(r=8, d_k=3, seed=14))
@@ -339,9 +371,10 @@ class TestComplexityProbe:
         assert len(lines) == 5
 
     def test_favor_never_allocates_lxl(self):
-        for length in (64, 128):
-            shapes = kernel_shapes("favor", length, 8, 16)
-            assert (length, length) not in shapes
+        for mode in ("favor", "causal"):
+            for length in (64, 128):
+                shapes = kernel_shapes(mode, length, 8, 16)
+                assert (length, length) not in shapes
 
     def test_favor_notes_its_linear_buffers(self):
         """The fused kernel logs its (L, r) features and (r, d_v) summary."""

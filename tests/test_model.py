@@ -262,19 +262,24 @@ class TestTrain:
         assert report.favor_generation == model.favor_generation
 
     def test_bilstm_tape_size_does_not_grow_with_window(self):
-        """The BiLSTM records whole-sequence nodes, not one per step: a
-        bilstm_only training step tapes as many nodes at window 8 as at 32."""
-        sizes = []
-        for window in (8, 32):
-            spec = tiny_spec(variant="bilstm_only", window=window, dropout=0.1)
-            model = build(spec)
-            rng = np.random.default_rng(0)
-            windows = rng.standard_normal((4, window, spec.n_features))
-            with GradTape() as tape:
-                loss = _batch_loss(model, windows, rng.standard_normal(4), True, rng)
-            tape.backward(loss)
-            sizes.append(len(tape))
-        assert sizes[0] == sizes[1], sizes
+        """The BiLSTM and causal FAVOR+ record whole-sequence nodes, not one
+        per step or row: a bilstm_only or causal performer training step tapes
+        as many nodes at window 8 as at 32."""
+        for variant, causal in (("bilstm_only", False), ("performer", True)):
+            sizes = []
+            for window in (8, 32):
+                spec = tiny_spec(variant=variant, window=window, dropout=0.1)
+                if causal:
+                    spec = dataclasses.replace(
+                        spec, favor=dataclasses.replace(spec.favor, causal=True))
+                model = build(spec)
+                rng = np.random.default_rng(0)
+                windows = rng.standard_normal((4, window, spec.n_features))
+                with GradTape() as tape:
+                    loss = _batch_loss(model, windows, rng.standard_normal(4), True, rng)
+                tape.backward(loss)
+                sizes.append(len(tape))
+            assert sizes[0] == sizes[1], (variant, sizes)
 
     def test_training_is_deterministic(self):
         ds = tiny_dataset()

@@ -208,7 +208,6 @@ PRIMITIVE_CASES = [
     ("tanh", lambda x: T.tsum(T.tanh(x)), [_r((3, 4), 8)]),
     ("exp", lambda x: T.tsum(T.exp(x)), [_r((3, 4), 9)]),
     ("exp_clamped", lambda x: T.tsum(T.exp_clamped(x)), [_r((3, 4), 10)]),
-    ("log1p", lambda x: T.tsum(T.log1p(x)), [np.abs(_r((3, 4), 11)) + 0.1]),
     ("relu", lambda x: T.tsum(T.relu(x)), [_r((3, 4), 12) + 0.05]),
     ("sqrt", lambda x: T.tsum(T.sqrt(x)), [np.abs(_r((3, 4), 13)) + 0.5]),
     ("recip", lambda x: T.tsum(T.recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
@@ -226,7 +225,6 @@ PRIMITIVE_CASES = [
     ("concat0", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
     ("concat1", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
     ("slice_rows", lambda x: T.tsum(T.mul(T.slice_rows(x, 1, 3), T.slice_rows(x, 1, 3))), [_r((4, 3), 35)]),
-    ("slice_cols", lambda x: T.tsum(T.mul(T.slice_cols(x, 0, 2), T.slice_cols(x, 0, 2))), [_r((3, 4), 36)]),
     ("take_rows", lambda x: T.tsum(T.tanh(T.take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
 ]
 
