@@ -11,6 +11,8 @@ Dataset construction slides a length-L window over the valid (post warm-up)
 feature rows; the target is the next close.  The split is chronological and
 the per-column z-score statistics are fitted on training rows only, so no
 information from validation or test rows leaks into the transform.
+``Dataset.windows`` is a read-only (N, L, F) view over the normalized rows;
+callers copy it before writing.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .indicators import (
@@ -160,7 +163,7 @@ class SplitRanges:
 class Dataset:
     """Sliding windows (normalized) with chronological train/val/test ranges."""
 
-    windows: np.ndarray  # (N, L, F) normalized
+    windows: np.ndarray  # (N, L, F) normalized, a read-only view: copy before writing
     targets: np.ndarray  # (N,) normalized next close
     raw_targets: np.ndarray  # (N,) price-scale next close
     target_times: np.ndarray  # (N,) epoch seconds of the predicted candle
@@ -192,8 +195,9 @@ def make_dataset(series: OhlcvSeries, params: IndicatorParams, window: int,
     statistics are fitted on the training rows unless ``norm`` is given."""
     if window < 1:
         raise DataError("window length must be >= 1")
-    if len(split_fractions) != 3 or abs(sum(split_fractions) - 1.0) > 1e-9:
-        raise DataError("split fractions must be three values summing to 1")
+    if len(split_fractions) != 3 or abs(sum(split_fractions) - 1.0) > 1e-9 \
+            or not all(0.0 <= f <= 1.0 for f in split_fractions):
+        raise DataError("split fractions must be three values in [0, 1] summing to 1")
     fm: FeatureMatrix = build_features(series, params) if use_indicators else raw_features(series)
     valid = fm.values[fm.warmup:]
     times = series.timestamps[fm.warmup:]
@@ -224,7 +228,7 @@ def make_dataset(series: OhlcvSeries, params: IndicatorParams, window: int,
                         f"the dataset has {list(fm.columns)}")
 
     normalized = norm.normalize(valid)
-    windows = np.stack([normalized[s:s + window] for s in range(n_windows)])
+    windows = np.moveaxis(sliding_window_view(normalized, window, axis=0)[:n_windows], -1, 1)
     raw_targets = valid[window:window + n_windows, close_idx].copy()
     targets = norm.normalize_target(raw_targets)
     target_times = times[window:window + n_windows].copy()

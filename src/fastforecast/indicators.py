@@ -13,6 +13,9 @@ Conventions (documented so the test oracles agree):
   * RSI uses plain n-period means of gains and losses; zero average loss
     maps to 100, zero average gain to 0.
   * CCI outputs 0 where the mean absolute deviation is 0 (flat window).
+
+Bollinger, RSI and CCI are reductions over a sliding-window view of the
+series and are bitwise equal to the per-row definitions above.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -140,16 +144,13 @@ def bollinger(prices: np.ndarray, n: int, k: float = 2.0) -> BollingerBands:
         raise DataError("bollinger needs n >= 2")
     _check_window(prices, n, n)
     mid = sma(prices, n)
-    upper = np.zeros_like(prices)
-    lower = np.zeros_like(prices)
-    for i in range(n - 1, len(prices)):
-        window = prices[i - n + 1:i + 1]
-        # two-pass population std: immune to cancellation at large price scales
-        dev = window - window.mean()
-        std = np.sqrt((dev * dev).mean())
-        upper[i] = mid.values[i] + k * std
-        lower[i] = mid.values[i] - k * std
-    return BollingerBands(mid, IndicatorSeries(upper, n - 1), IndicatorSeries(lower, n - 1))
+    windows = sliding_window_view(prices, n)
+    # two-pass population std: immune to cancellation at large price scales
+    dev = windows - windows.mean(axis=1, keepdims=True)
+    width = np.zeros_like(prices)
+    width[n - 1:] = k * np.sqrt((dev * dev).mean(axis=1))
+    return BollingerBands(mid, IndicatorSeries(mid.values + width, n - 1),
+                          IndicatorSeries(mid.values - width, n - 1))
 
 
 def rsi(prices: np.ndarray, n: int) -> IndicatorSeries:
@@ -159,17 +160,13 @@ def rsi(prices: np.ndarray, n: int) -> IndicatorSeries:
     deltas = np.diff(prices)
     gains = np.maximum(deltas, 0.0)
     losses = np.maximum(-deltas, 0.0)
+    avg_gain = sliding_window_view(gains, n).mean(axis=1)
+    avg_loss = sliding_window_view(losses, n).mean(axis=1)
     out = np.zeros_like(prices)
-    for i in range(n, len(prices)):
-        avg_gain = gains[i - n:i].mean()
-        avg_loss = losses[i - n:i].mean()
-        if avg_loss == 0.0:
-            out[i] = 100.0
-        elif avg_gain == 0.0:
-            out[i] = 0.0
-        else:
-            rs = avg_gain / avg_loss
-            out[i] = 100.0 - 100.0 / (1.0 + rs)
+    # the quotient's inf/nan where avg_loss == 0 is discarded by np.where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[n:] = np.where(avg_loss == 0.0, 100.0, np.where(
+            avg_gain == 0.0, 0.0, 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)))
     return IndicatorSeries(out, n)
 
 
@@ -184,15 +181,13 @@ def cci(series: OhlcvSeries, n: int) -> IndicatorSeries:
         raise DataError("cci needs n >= 2")
     tp = typical_price(series.high, series.low, series.close)
     _check_window(tp, n, n)
+    windows = sliding_window_view(tp, n)
+    ma = windows.mean(axis=1)
+    dev = np.abs(windows - ma[:, None]).mean(axis=1)
     out = np.zeros_like(tp)
-    for i in range(n - 1, len(tp)):
-        window = tp[i - n + 1:i + 1]
-        ma = window.mean()
-        dev = np.abs(window - ma).mean()
-        if dev == 0.0:
-            out[i] = 0.0
-        else:
-            out[i] = (tp[i] - ma) / (0.015 * dev)
+    # the quotient's inf/nan on flat windows (dev == 0) is discarded by np.where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[n - 1:] = np.where(dev == 0.0, 0.0, (tp[n - 1:] - ma) / (0.015 * dev))
     return IndicatorSeries(out, n - 1)
 
 

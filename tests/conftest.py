@@ -1,9 +1,16 @@
 """Shared fixtures and oracles for the test suite."""
 
-import numpy as np
-import pytest
+import os
 
-from fastforecast.tensor import GradTape, Tensor
+# One BLAS thread, set before numpy loads: acceptance criterion 2 fits
+# complexity slopes to wall-clock times, which BLAS thread pools disturb.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from fastforecast.tensor import GradTape, Tensor  # noqa: E402
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from fastforecast.data import (
     write_predictions,
 )
 from fastforecast.errors import DataError
-from fastforecast.indicators import IndicatorParams
+from fastforecast.indicators import IndicatorParams, build_features
 
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
@@ -142,6 +142,24 @@ class TestMakeDataset:
         assert s.test.stop == len(ds.windows)
         n = len(ds.windows)
         assert s.train.start == 0 and len(s.train) == int(np.floor(0.7 * n))
+
+    @pytest.mark.parametrize("fractions", [(1.2, -0.1, -0.1), (0.5, 0.6, -0.1)])
+    def test_fractions_outside_unit_interval_rejected(self, fractions):
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            make_dataset(self._series(200), IndicatorParams(), 10, split_fractions=fractions)
+
+    def test_windows_are_a_read_only_view_of_the_normalized_rows(self):
+        params = IndicatorParams()
+        series = self._series(140)
+        window = 10
+        ds = make_dataset(series, params, window)
+        rows = ds.norm.normalize(build_features(series, params).values[params.warmup:])
+        for s in (0, 7, len(ds.windows) - 1):
+            np.testing.assert_array_equal(ds.windows[s], rows[s:s + window])
+        assert not ds.windows.flags.writeable
+        with pytest.raises(ValueError):
+            ds.windows[0, 0, 0] = 1.0
+        assert np.shares_memory(ds.windows[0], ds.windows[1])
 
     def test_norm_fitted_on_train_rows_only(self):
         """Shifting only the test-era rows must not change the statistics."""

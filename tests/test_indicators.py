@@ -1,5 +1,7 @@
 """Indicator tests: hand-computed cases, brute-force oracles, invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,10 @@ class TestRsi:
         out = rsi(np.arange(1.0, 30.0), 14)
         np.testing.assert_array_equal(valid(out), np.full(len(valid(out)), 100.0))
 
+    def test_strictly_decreasing_is_0(self):
+        out = rsi(np.arange(30.0, 1.0, -1.0), 14)
+        np.testing.assert_array_equal(valid(out), np.zeros(len(valid(out))))
+
     def test_alternating_deltas_give_50(self):
         prices = 10.0 + np.cumsum(np.tile([1.0, -1.0], 10))
         prices = np.concatenate([[10.0], prices])
@@ -214,6 +220,18 @@ class TestCci:
         for i in range(19, 200, 4):
             expect = cci_oracle(series.high, series.low, series.close, 20, i)
             assert out.values[i] == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("close", [np.full(40, 25.0), np.arange(1.0, 41.0),
+                                   np.arange(40.0, 0.0, -1.0)],
+                         ids=["constant", "rising", "falling"])
+def test_masked_quotients_raise_no_warnings(close):
+    """Zero average loss or gain and flat windows produce no numpy warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rsi(close, 14)
+        cci(make_series(close), 20)
+        bollinger(close, 20, 2.0)
 
 
 class TestBuildFeatures:
