@@ -64,7 +64,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q Kᵀ / √d_k) V."""
     _check_qkv(q, k, v)
     d_k = q.shape[1]
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
     return T.matmul(T.softmax_rows(scores), v)
 
 
@@ -72,28 +72,26 @@ def exact_bidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """D⁻¹ A V with A = exp(Q Kᵀ / √d_k), D = diag(A·1)."""
     _check_qkv(q, k, v)
     d_k = q.shape[1]
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
     row_max = Tensor(scores.data.max(axis=1, keepdims=True))  # constant shift
-    a = T.exp(T.add_rowwise(scores, -row_max))
-    d_inv = T.recip(T.rowsum(a))
-    return T.scale_rowwise(T.matmul(a, v), d_inv)
+    a = T.exp(T.add(scores, -row_max))
+    return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 
 
 def exact_unidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Causal form: A is masked below the diagonal (inclusive) before normalising."""
     _check_qkv(q, k, v)
     length, d_k = q.shape
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
     mask = np.tril(np.ones((length, length)))
     # stabilise with the max over the *visible* entries of each row; masked
     # entries are pushed to exp(-800) = 0 exactly, so they never overflow
     # and contribute nothing to the row sums
     visible = np.where(mask > 0, scores.data, -np.inf)
     row_max = Tensor(visible.max(axis=1, keepdims=True))
-    shifted = T.add_rowwise(scores, -row_max)
+    shifted = T.add(scores, -row_max)
     a = T.exp(T.sub(T.mul(shifted, Tensor(mask)), Tensor((1.0 - mask) * 800.0)))
-    d_inv = T.recip(T.rowsum(a))
-    return T.scale_rowwise(T.matmul(a, v), d_inv)
+    return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 
 
 def multi_head(x: Tensor, w: AttentionWeights, kernels) -> Tensor:

@@ -135,8 +135,12 @@ def load_config(path, seed_override=None) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    # JSON Schema's "integer" admits 16.0, which would reach range() and crash
+    base = jsonschema.Draft202012Validator
+    strict = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
     try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
+        jsonschema.validate(raw, CONFIG_SCHEMA, cls=strict)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"{path}: {exc.message}") from None
 

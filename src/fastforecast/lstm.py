@@ -95,7 +95,7 @@ def lstm_cell(x: Tensor, prev: LstmState, w: LstmWeights) -> LstmState:
     z = T.concat([prev.h, x], axis=1)  # (batch, hidden+input)
 
     def gate(wm, bias, squash):
-        return squash(T.add_colwise(T.matmul(z, T.transpose(wm)), bias))
+        return squash(T.add(T.matmul(z, T.transpose(wm)), bias))
 
     f = gate(w.w_f, w.b_f, T.sigmoid)
     i = gate(w.w_i, w.b_i, T.sigmoid)

@@ -82,8 +82,10 @@ class ModelSpec:
         object.__setattr__(self, "fc_widths", tuple(self.fc_widths))
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}'")
-        if min(self.window, self.n_features, self.d_model, self.heads) < 1:
-            raise ConfigError("window, n_features, d_model and heads must be positive")
+        if min(self.window, self.n_features, self.d_model, self.heads, self.blocks,
+               self.bilstm_hidden, *self.fc_widths) < 1:
+            raise ConfigError("window, n_features, d_model, heads, blocks, bilstm_hidden "
+                              "and fc_widths must be positive")
         if not self.fc_widths or self.fc_widths[-1] != 1:
             raise ConfigError("fc_widths must end in 1 (scalar close output)")
         if not 0.0 <= self.dropout < 1.0:
@@ -257,11 +259,11 @@ class Model:
 
     def _layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         n = x.shape[1]
-        mean = T.scale(T.rowsum(x), 1.0 / n)
-        centered = T.add_rowwise(x, -mean)
-        var = T.scale(T.rowsum(T.mul(centered, centered)), 1.0 / n)
+        mean = T.mul(T.tsum(x, axis=1), 1.0 / n)
+        centered = T.add(x, -mean)
+        var = T.mul(T.tsum(T.mul(centered, centered), axis=1), 1.0 / n)
         inv = T.recip(T.sqrt(T.add(var, LAYER_NORM_EPS)))
-        return T.add_colwise(T.scale_colwise(T.scale_rowwise(centered, inv), gain), bias)
+        return T.add(T.mul(T.mul(centered, inv), gain), bias)
 
     def _attention_sublayer(self, x: Tensor, batch: int, block: int) -> Tensor:
         spec = self.spec
@@ -282,10 +284,8 @@ class Model:
         p = self.params
         a = self._dropout(self._attention_sublayer(x, batch, block), rng)
         x = self._layer_norm(T.add(x, a), p[f"block{block}.ln1.g"], p[f"block{block}.ln1.b"])
-        hidden = T.relu(T.add_colwise(T.matmul(x, p[f"block{block}.ffn.w1"]),
-                                      p[f"block{block}.ffn.b1"]))
-        f = T.add_colwise(T.matmul(hidden, p[f"block{block}.ffn.w2"]),
-                          p[f"block{block}.ffn.b2"])
+        hidden = T.relu(T.add(T.matmul(x, p[f"block{block}.ffn.w1"]), p[f"block{block}.ffn.b1"]))
+        f = T.add(T.matmul(hidden, p[f"block{block}.ffn.w2"]), p[f"block{block}.ffn.b2"])
         f = self._dropout(f, rng)
         return self._layer_norm(T.add(x, f), p[f"block{block}.ln2.g"], p[f"block{block}.ln2.b"])
 
@@ -302,7 +302,7 @@ class Model:
         drop_rng = rng if train else None
 
         x = Tensor(windows.reshape(batch * length, n_feat))
-        x = T.add_colwise(T.matmul(x, self.params["embed.w"]), self.params["embed.b"])
+        x = T.add(T.matmul(x, self.params["embed.w"]), self.params["embed.b"])
         if spec.uses_attention:
             x = T.add(x, Tensor(np.tile(self.positional, (batch, 1))))
             for i in range(spec.blocks):
@@ -323,7 +323,7 @@ class Model:
         n_fc = len(self.spec.fc_widths)
         h = rep
         for k in range(n_fc):
-            h = T.add_colwise(T.matmul(h, self.params[f"fc{k}.w"]), self.params[f"fc{k}.b"])
+            h = T.add(T.matmul(h, self.params[f"fc{k}.w"]), self.params[f"fc{k}.b"])
             if k < n_fc - 1:
                 h = T.relu(h)
         return h
@@ -404,7 +404,7 @@ def _batch_loss(model: Model, windows, targets, train, rng) -> Tensor:
     preds = model.forward_batch(windows, train=train, rng=rng)
     target_t = Tensor(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
     diff = T.sub(preds, target_t)
-    return T.scale(T.tsum(T.mul(diff, diff)), 1.0 / len(targets))
+    return T.mul(T.tsum(T.mul(diff, diff)), 1.0 / len(targets))
 
 
 def _eval_loss(model: Model, windows, targets, batch: int) -> float:

@@ -18,9 +18,11 @@ Design constraints honoured here:
     checks (``check_finite``) every intermediate its composed form would
     have checked, and notes its buffers in the allocation log
     (``note_buffers``),
-  * broadcasting in ``add``/``sub``/``mul`` is limited to scalar-with-tensor
-    and identical shapes; row/column-vector broadcasts are separate named
-    primitives (``add_rowwise`` etc.) with their own gradient rules.
+  * ``add``/``sub``/``mul`` broadcast as numpy does, but only where the
+    result has the shape of one operand (a (3, 1) with a (1, 4) raises
+    :class:`ShapeError`); a Python number is a constant with no gradient, and
+    each backward pass sums the gradient over the broadcast axes
+    (``_sum_to``).
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -243,52 +245,52 @@ def _require_2d(name: str, *ts: Tensor) -> None:
             raise ShapeError(f"{name} expects rank-2 tensors, got shape {t.shape}")
 
 
-def _require_same_shape(name: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} differ")
+# ---------------------------------------------------------------------------
+# binary elementwise (broadcast to the shape of one operand)
+# ---------------------------------------------------------------------------
+
+def _broadcast(name: str, a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; their broadcast shape must be one of theirs."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        shape = np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        shape = None
+    if shape not in (a.data.shape, b.data.shape):
+        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast "
+                         f"to the shape of either")
+    return a, b
 
 
-# ---------------------------------------------------------------------------
-# binary elementwise (scalar-with-tensor or same-shape only)
-# ---------------------------------------------------------------------------
+def _sum_to(t: Tensor, g: np.ndarray) -> np.ndarray:
+    """``g`` summed over the axes that broadcasting stretched ``t`` along."""
+    shape = t.data.shape
+    if g.shape == shape:
+        return g
+    padded = (1,) * (g.ndim - len(shape)) + shape
+    axes = tuple(i for i, (m, n) in enumerate(zip(g.shape, padded)) if m != n)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
+
 
 def add(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        c = float(b)
-        return _make((a,), a.data + c, lambda g: (g,))
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        return add(b, a)
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape("add", a, b)
-    return _make((a, b), a.data + b.data, lambda g: (g, g))
+    a, b = _broadcast("add", a, b)
+    return _make((a, b), a.data + b.data, lambda g: (_sum_to(a, g), _sum_to(b, g)))
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        c = float(b)
-        return _make((a,), a.data - c, lambda g: (g,))
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        c = float(a)
-        return _make((b,), c - b.data, lambda g: (-g,))
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape("sub", a, b)
-    return _make((a, b), a.data - b.data, lambda g: (g, -g))
+    a, b = _broadcast("sub", a, b)
+    return _make((a, b), a.data - b.data, lambda g: (_sum_to(a, g), -_sum_to(b, g)))
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        return scale(a, float(b))
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        return scale(b, float(a))
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape("mul", a, b)
+    a, b = _broadcast("mul", a, b)
     ad, bd = a.data, b.data
-    return _make((a, b), ad * bd, lambda g: (g * bd, g * ad))
 
+    def backward(g):
+        return (_sum_to(a, g * bd) if a.requires_grad else None,
+                _sum_to(b, g * ad) if b.requires_grad else None)
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make((x,), x.data * c, lambda g: (g * c,))
+    return _make((a, b), ad * bd, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +320,10 @@ def exp(x: Tensor) -> Tensor:
     return _make((x,), e, lambda g: (g * e,))
 
 
-def exp_clamped(x: Tensor, limit: float = EXP_CLAMP) -> Tensor:
-    """exp with the argument clamped from above; gradient is zero past the clamp."""
-    mask = x.data < limit
-    e = np.exp(np.minimum(x.data, limit))
+def exp_clamped(x: Tensor) -> Tensor:
+    """exp with the argument clamped at EXP_CLAMP; gradient is zero past the clamp."""
+    mask = x.data < EXP_CLAMP
+    e = np.exp(np.minimum(x.data, EXP_CLAMP))
     return _make((x,), e, lambda g: (g * e * mask,))
 
 
@@ -383,68 +385,14 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make((x,), out, backward)
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Full reduction to a scalar (shape ())."""
+def tsum(x: Tensor, axis: int | None = None) -> Tensor:
+    """Sum over ``axis`` of a rank-2 tensor, kept with extent 1 (0 gives
+    (1, n), 1 gives (m, 1)), or over everything to shape () for ``None``."""
+    if axis is not None:
+        _require_2d("tsum", x)
     shape = x.data.shape
-    return _make((x,), np.asarray(x.data.sum()),
-                 lambda g: (np.full(shape, float(g)),))
-
-
-def rowsum(x: Tensor) -> Tensor:
-    """(m, n) -> (m, 1)."""
-    _require_2d("rowsum", x)
-    shape = x.data.shape
-    return _make((x,), x.data.sum(axis=1, keepdims=True),
+    return _make((x,), np.asarray(x.data.sum(axis=axis, keepdims=axis is not None)),
                  lambda g: (np.broadcast_to(g, shape),))
-
-
-def colsum(x: Tensor) -> Tensor:
-    """(m, n) -> (1, n)."""
-    _require_2d("colsum", x)
-    shape = x.data.shape
-    return _make((x,), x.data.sum(axis=0, keepdims=True),
-                 lambda g: (np.broadcast_to(g, shape),))
-
-
-# ---------------------------------------------------------------------------
-# row/column-vector broadcasts (named, with explicit gradient rules)
-# ---------------------------------------------------------------------------
-
-def _require_vec(name: str, x: Tensor, v: Tensor, axis: int) -> None:
-    _require_2d(name, x, v)
-    want = (x.data.shape[0], 1) if axis == 0 else (1, x.data.shape[1])
-    if v.data.shape != want:
-        raise ShapeError(f"{name}: vector shape {v.shape} does not match {want}")
-
-
-def add_rowwise(x: Tensor, v: Tensor) -> Tensor:
-    """Add v[i] (shape (m,1)) to every element of row i of x."""
-    _require_vec("add_rowwise", x, v, axis=0)
-    return _make((x, v), x.data + v.data,
-                 lambda g: (g, g.sum(axis=1, keepdims=True)))
-
-
-def scale_rowwise(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of x by s[i] (shape (m,1))."""
-    _require_vec("scale_rowwise", x, s, axis=0)
-    xd, sd = x.data, s.data
-    return _make((x, s), xd * sd,
-                 lambda g: (g * sd, (g * xd).sum(axis=1, keepdims=True)))
-
-
-def add_colwise(x: Tensor, v: Tensor) -> Tensor:
-    """Add v[j] (shape (1,n)) to every element of column j of x."""
-    _require_vec("add_colwise", x, v, axis=1)
-    return _make((x, v), x.data + v.data,
-                 lambda g: (g, g.sum(axis=0, keepdims=True)))
-
-
-def scale_colwise(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply column j of x by v[j] (shape (1,n))."""
-    _require_vec("scale_colwise", x, v, axis=1)
-    xd, vd = x.data, v.data
-    return _make((x, v), xd * vd,
-                 lambda g: (g * vd, (g * xd).sum(axis=0, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------

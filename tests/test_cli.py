@@ -128,6 +128,38 @@ class TestPrepare:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+INTEGRAL_FLOATS = [
+    ("prepare", ("model", "window"), 8.0),
+    ("train", ("model", "window"), 8.0),
+    ("train", ("model", "heads"), 2.0),
+    ("train", ("model", "bilstm_hidden"), 4.0),
+    ("train", ("model", "fc_widths"), [4.0, 1]),
+    ("train", ("model", "favor", "r"), 16.0),
+    ("train", ("train", "epochs"), 2.0),
+    ("train", ("indicators", "bb_n"), 20.0),
+    ("train", ("seed",), 5.0),
+    ("train", ("data", "interval"), 3600.0),
+]
+
+
+@pytest.mark.parametrize("command,keys,value", INTEGRAL_FLOATS,
+                         ids=[f"{c}-{'.'.join(k)}" for c, k, _ in INTEGRAL_FLOATS])
+def test_integral_float_for_integer_exits_four(tmp_path, fixture_csv, command, keys, value):
+    """JSON Schema's integer type admits 16.0; the config check does not."""
+    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm")
+    raw = json.loads(config.read_text())
+    section = raw
+    for key in keys[:-1]:
+        section = section.setdefault(key, {})
+    section[keys[-1]] = value
+    config.write_text(json.dumps(raw))
+    proc = run_cli("-m", "fastforecast.cli", command, "--config", str(config),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ")
+
+
 def len_windows_oracle(rows, warmup, window):
     return rows - warmup - window
 
@@ -267,6 +299,7 @@ MALFORMED_CHECKPOINTS = {
     "cut_in_parameters": lambda b: b[:-8],
     "trailing_bytes": lambda b: b + b"\x00" * 4,
     "nan_parameter": lambda b: b[:-8] + struct.pack("<d", float("nan")),
+    "zero_bilstm_hidden": lambda b: edit_header(b, lambda h: h["spec"].update(bilstm_hidden=0)),
 }
 
 

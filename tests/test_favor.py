@@ -19,7 +19,7 @@ from fastforecast.favor import (
     write_probe_csv,
     _phi,
 )
-from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
+from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, rel_err
 
@@ -49,19 +49,19 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
 def composed_phi(x, fm):
     """Reference for φ, composed from tensor primitives."""
     proj = T.matmul(x, Tensor(fm.omega.T))
-    sq_half = T.scale(T.rowsum(T.mul(x, x)), 0.5)
-    arg = T.add_rowwise(proj, -sq_half)
-    return T.scale(T.exp_clamped(arg, EXP_CLAMP), 1.0 / np.sqrt(fm.r))
+    sq_half = T.mul(T.tsum(T.mul(x, x), axis=1), 0.5)
+    arg = T.add(proj, -sq_half)
+    return T.mul(T.exp_clamped(arg), 1.0 / np.sqrt(fm.r))
 
 
 def composed_favor(q, k, v, fm):
     """Reference for favor_bidirectional, composed from tensor primitives."""
     scale = fm.d_k ** -0.25
-    q_hat = composed_phi(T.scale(q, scale), fm)
-    k_hat = composed_phi(T.scale(k, scale), fm)
+    q_hat = composed_phi(T.mul(q, scale), fm)
+    k_hat = composed_phi(T.mul(k, scale), fm)
     num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
-    den = T.matmul(q_hat, T.transpose(T.colsum(k_hat)))
-    return T.scale_rowwise(num, T.recip(T.clip_min(den, DENOM_FLOOR)))
+    den = T.matmul(q_hat, T.transpose(T.tsum(k_hat, axis=0)))
+    return T.mul(num, T.recip(T.clip_min(den, DENOM_FLOOR)))
 
 
 def composed_causal_favor(q, k, v, fm):
@@ -69,8 +69,8 @@ def composed_causal_favor(q, k, v, fm):
     one row at a time over running sums S_i = Σ_{j<=i} φ(k_j) v_jᵀ and
     z_i = Σ_{j<=i} φ(k_j)."""
     scale = fm.d_k ** -0.25
-    q_hat = composed_phi(T.scale(q, scale), fm)
-    k_hat = composed_phi(T.scale(k, scale), fm)
+    q_hat = composed_phi(T.mul(q, scale), fm)
+    k_hat = composed_phi(T.mul(k, scale), fm)
     rows = []
     s_state = z_state = None  # (r, d_v), (r, 1)
     for i in range(q.shape[0]):
@@ -81,7 +81,7 @@ def composed_causal_favor(q, k, v, fm):
         s_state = outer if s_state is None else T.add(s_state, outer)
         z_state = k_col if z_state is None else T.add(z_state, k_col)
         den = T.clip_min(T.matmul(q_row, z_state), DENOM_FLOOR)  # (1, 1)
-        rows.append(T.scale_rowwise(T.matmul(q_row, s_state), T.recip(den)))
+        rows.append(T.mul(T.matmul(q_row, s_state), T.recip(den)))
     return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 

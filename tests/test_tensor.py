@@ -121,6 +121,16 @@ class TestElementwiseValues:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("shapes", [((3, 1), (1, 4)), ((2, 2), (2, 3))],
+                             ids=["outer", "mismatch"])
+    def test_broadcast_to_neither_operand_rejected(self, op, shapes):
+        """Only a broadcast whose result has one operand's shape is allowed."""
+        a, b = (Tensor(np.ones(s)) for s in shapes)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ShapeError):
+                op(x, y)
+
     def test_exp_clamped_caps_and_counts_nothing(self):
         out = T.exp_clamped(Tensor([[1000.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[np.exp(700.0), 1.0]])
@@ -193,7 +203,9 @@ class TestBackward:
 
 
 # Every primitive is checked against central finite differences with h=1e-5
-# at relative tolerance 1e-6 (the engine-wide gradient contract).
+# at relative tolerance 1e-6 (the engine-wide gradient contract).  The rows
+# named after the engine's old row/column primitives (scale, rowsum, ...,
+# scale_colwise) check the same cases through broadcasting and tsum(axis).
 
 def _r(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape) * 0.8
@@ -203,7 +215,7 @@ PRIMITIVE_CASES = [
     ("add", lambda x, y: T.tsum(T.add(x, y)), [_r((3, 4), 0), _r((3, 4), 1)]),
     ("sub", lambda x, y: T.tsum(T.mul(T.sub(x, y), T.sub(x, y))), [_r((3, 4), 2), _r((3, 4), 3)]),
     ("mul", lambda x, y: T.tsum(T.mul(x, y)), [_r((3, 4), 4), _r((3, 4), 5)]),
-    ("scale", lambda x: T.tsum(T.scale(x, -2.5)), [_r((3, 4), 6)]),
+    ("scale", lambda x: T.tsum(T.mul(x, -2.5)), [_r((3, 4), 6)]),
     ("sigmoid", lambda x: T.tsum(T.sigmoid(x)), [_r((3, 4), 7)]),
     ("tanh", lambda x: T.tsum(T.tanh(x)), [_r((3, 4), 8)]),
     ("exp", lambda x: T.tsum(T.exp(x)), [_r((3, 4), 9)]),
@@ -216,12 +228,14 @@ PRIMITIVE_CASES = [
     ("transpose", lambda x: T.tsum(T.mul(T.transpose(x), T.transpose(x))), [_r((3, 4), 18)]),
     ("softmax_rows", lambda x: T.tsum(T.mul(T.softmax_rows(x), x)), [_r((3, 4), 19)]),
     ("tsum", lambda x: T.mul(T.tsum(x), T.tsum(x)), [_r((3, 4), 20)]),
-    ("rowsum", lambda x: T.tsum(T.mul(T.rowsum(x), T.rowsum(x))), [_r((3, 4), 21)]),
-    ("colsum", lambda x: T.tsum(T.mul(T.colsum(x), T.colsum(x))), [_r((3, 4), 22)]),
-    ("add_rowwise", lambda x, v: T.tsum(T.tanh(T.add_rowwise(x, v))), [_r((3, 4), 23), _r((3, 1), 24)]),
-    ("scale_rowwise", lambda x, v: T.tsum(T.scale_rowwise(x, v)), [_r((3, 4), 25), _r((3, 1), 26)]),
-    ("add_colwise", lambda x, v: T.tsum(T.tanh(T.add_colwise(x, v))), [_r((3, 4), 27), _r((1, 4), 28)]),
-    ("scale_colwise", lambda x, v: T.tsum(T.scale_colwise(x, v)), [_r((3, 4), 29), _r((1, 4), 30)]),
+    ("rowsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=1), T.tsum(x, axis=1))), [_r((3, 4), 21)]),
+    ("colsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0), T.tsum(x, axis=0))), [_r((3, 4), 22)]),
+    ("add_rowwise", lambda x, v: T.tsum(T.tanh(T.add(x, v))), [_r((3, 4), 23), _r((3, 1), 24)]),
+    ("scale_rowwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 25), _r((3, 1), 26)]),
+    ("add_colwise", lambda x, v: T.tsum(T.tanh(T.add(x, v))), [_r((3, 4), 27), _r((1, 4), 28)]),
+    ("scale_colwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 29), _r((1, 4), 30)]),
+    ("sub_row_vector", lambda x, v: T.tsum(T.tanh(T.sub(x, v))), [_r((3, 4), 38), _r((1, 4), 39)]),
+    ("sub_scalar_first", lambda x: T.tsum(T.tanh(T.sub(3.0, x))), [_r((3, 4), 40)]),
     ("concat0", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
     ("concat1", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
     ("slice_rows", lambda x: T.tsum(T.mul(T.slice_rows(x, 1, 3), T.slice_rows(x, 1, 3))), [_r((4, 3), 35)]),
@@ -239,8 +253,8 @@ class TestComposedGraphGradients:
 
     def _random_graph(self, seed):
         rng = np.random.default_rng(seed)
-        unary = [T.tanh, T.sigmoid, lambda t: T.scale(t, 0.7), T.relu,
-                 lambda t: T.exp(T.scale(t, 0.3)), T.softmax_rows]
+        unary = [T.tanh, T.sigmoid, lambda t: T.mul(t, 0.7), T.relu,
+                 lambda t: T.exp(T.mul(t, 0.3)), T.softmax_rows]
         depth = int(rng.integers(2, 9))
         chain = [unary[int(rng.integers(0, len(unary)))] for _ in range(depth - 1)]
 
