@@ -74,7 +74,7 @@ def exact_bidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     d_k = q.shape[1]
     scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
     row_max = Tensor(scores.data.max(axis=1, keepdims=True))  # constant shift
-    a = T.exp(T.add(scores, -row_max))
+    a = T.exp(T.sub(scores, row_max))
     return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 
 
@@ -89,7 +89,7 @@ def exact_unidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     # and contribute nothing to the row sums
     visible = np.where(mask > 0, scores.data, -np.inf)
     row_max = Tensor(visible.max(axis=1, keepdims=True))
-    shifted = T.add(scores, -row_max)
+    shifted = T.sub(scores, row_max)
     a = T.exp(T.sub(T.mul(shifted, Tensor(mask)), Tensor((1.0 - mask) * 800.0)))
     return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 

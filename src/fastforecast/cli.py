@@ -5,7 +5,9 @@ Every command is driven by a JSON config checked against CONFIG_SCHEMA
 command with the same config and seed overwrites its artifacts with
 byte-identical content.
 
-Exit codes: 0 success, 2 input error, 3 numeric divergence, 4 config error.
+Exit codes: 0 success, 2 input error (a missing, unreadable or undecodable
+input, or an output that cannot be written), 3 numeric divergence, 4 config
+error.
 
 The FF_THREADS environment variable caps BLAS/OpenMP worker threads; it is
 applied before numpy is imported, which is why all numeric imports here
@@ -135,6 +137,8 @@ def load_config(path, seed_override=None) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     # JSON Schema's "integer" admits 16.0, which would reach range() and crash
     base = jsonschema.Draft202012Validator
     strict = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
@@ -156,6 +160,8 @@ def load_config(path, seed_override=None) -> dict:
            "split": list(raw.get("split", SPLIT_FRACTIONS)),
            "seed": int(raw.get("seed", seed))}
     if seed_override is not None:
+        if seed_override < 0:  # the schema's minimum, which an override bypasses
+            raise ConfigError(f"--seed {seed_override}: must be >= 0")
         cfg["seed"] = int(seed_override)
     if VARIANTS[variant].attention == "favor":
         model["favor"] = {**_defaults(FavorConfig), "seed": cfg["seed"] + 1,
@@ -278,9 +284,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .errors import ConfigError
     from .favor import FavorConfig, complexity_probe, loglog_slope, write_probe_csv
 
-    lengths = [int(x) for x in args.lengths.split(",")]
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")]
+    except ValueError:
+        raise ConfigError(f"--lengths {args.lengths}: expected comma-separated integers") from None
     r = FavorConfig.r if args.r is None else args.r
     rows = []
     slopes = {}
@@ -337,7 +347,7 @@ def main(argv=None) -> int:
                "evaluate": cmd_evaluate, "bench": cmd_bench}[args.command]
     try:
         return handler(args)
-    except (FileNotFoundError, DataError) as exc:
+    except (OSError, DataError) as exc:  # missing, unreadable or unwritable paths too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DivergenceError, FiniteError) as exc:

@@ -58,28 +58,31 @@ def load_csv(path, interval) -> OhlcvSeries:
 
     Keeps the longest contiguous segment when the file contains gaps; raises
     :class:`DataError` (with the line number) for malformed rows, duplicate
-    or decreasing timestamps, and empty files.
+    or decreasing timestamps, text that is not UTF-8, and empty files.
     """
     interval = parse_interval(interval)
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise DataError(f"{path}: header {header} != {CSV_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                ts = int(row[0])
-                vals = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            rows.append((lineno, ts, vals))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if [h.strip().lower() for h in header] != CSV_HEADER:
+                raise DataError(f"{path}: header {header} != {CSV_HEADER}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 6:
+                    raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+                try:
+                    ts = int(row[0])
+                    vals = [float(x) for x in row[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                rows.append((lineno, ts, vals))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -327,7 +330,7 @@ def atomic_write(path, mode: str, **open_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# prediction CSV round-trip
+# prediction CSV
 # ---------------------------------------------------------------------------
 
 PREDICTION_HEADER = ["timestamp", "actual", "predicted"]
@@ -339,18 +342,3 @@ def write_predictions(path, timestamps, actual, predicted) -> None:
         writer.writerow(PREDICTION_HEADER)
         for ts, a, p in zip(timestamps, actual, predicted):
             writer.writerow([int(ts), repr(float(a)), repr(float(p))])
-
-
-def read_predictions(path):
-    times, actual, predicted = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PREDICTION_HEADER:
-            raise DataError(f"{path}: bad prediction header {header}")
-        for row in reader:
-            times.append(int(row[0]))
-            actual.append(float(row[1]))
-            predicted.append(float(row[2]))
-    return (np.asarray(times, dtype=np.int64), np.asarray(actual, dtype=np.float64),
-            np.asarray(predicted, dtype=np.float64))

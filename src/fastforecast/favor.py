@@ -69,6 +69,8 @@ class FavorConfig:
             raise ConfigError("random-feature count r must be >= 1")
         if self.d_k < 1:
             raise ConfigError("d_k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.redraw_interval is not None and self.redraw_interval < 1:
             raise ConfigError("redraw_interval must be >= 1 when set")
 
@@ -78,10 +80,6 @@ class RandomFeatureMap:
     """Frozen projection matrix Ω (r × d_k) plus its normaliser 1/√r."""
 
     omega: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.omega.shape[0]
 
     @property
     def d_k(self) -> int:
@@ -243,13 +241,15 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
     """
     if mode not in ("exact", "favor"):
         raise ConfigError(f"unknown probe mode '{mode}'")
+    if any(length < 1 for length in lengths):
+        raise ConfigError(f"sequence lengths must be >= 1, got {list(lengths)}")
+    fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))  # checks d_k, r and seed
     rng = np.random.default_rng(seed)
     rows = []
     for length in lengths:
         q = Tensor(rng.standard_normal((length, d_k)))
         k = Tensor(rng.standard_normal((length, d_k)))
         v = Tensor(rng.standard_normal((length, d_k)))
-        fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))
 
         def run():
             if mode == "exact":

@@ -9,9 +9,10 @@ all gates reading the concatenation [h_{t-1}, x_t] (hidden part first).
 Rows are batch entries, so the same code serves a single sequence (one row)
 and a mini-batch.
 
-``lstm_cell`` is one step built from tensor primitives.  ``lstm_sequence``
-runs the whole recurrence over a time-major sequence as one fused tape
-node: each step computes all four gates with one matmul,
+``lstm_cell`` is one step built from tensor primitives: it takes the
+previous states h and c and returns the new pair ``(h, c)``.
+``lstm_sequence`` runs the whole recurrence over a time-major sequence as
+one fused tape node: each step computes all four gates with one matmul,
 [h_{t-1}, x_t] @ W_allᵀ + b, with the gate matrices stacked inside the
 kernel, and the backward pass is backpropagation through time in numpy.
 It does the same arithmetic as a fold over ``lstm_cell``, so the two agree
@@ -60,12 +61,6 @@ class LstmWeights:
                 raise ShapeError("gate biases must be (1, hidden)")
 
 
-@dataclass
-class LstmState:
-    h: Tensor  # (batch, hidden)
-    c: Tensor  # (batch, hidden)
-
-
 def init_lstm_weights(input_size: int, hidden_size: int,
                       rng: np.random.Generator) -> LstmWeights:
     """Uniform init in [-1/sqrt(hidden), 1/sqrt(hidden)]; forget bias 1.0."""
@@ -82,17 +77,14 @@ def init_lstm_weights(input_size: int, hidden_size: int,
                        b_f=b(1.0), b_i=b(), b_c=b(), b_o=b())
 
 
-def zero_state(batch: int, hidden: int) -> LstmState:
-    return LstmState(Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden))))
-
-
-def lstm_cell(x: Tensor, prev: LstmState, w: LstmWeights) -> LstmState:
-    """One step of the recurrence for a (batch, input) slice."""
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: LstmWeights) -> tuple[Tensor, Tensor]:
+    """One step of the recurrence for a (batch, input) slice, from the
+    (batch, hidden) previous states h and c; returns the new (h, c)."""
     if x.data.ndim != 2 or x.shape[1] != w.input_size:
         raise ShapeError(f"cell input width {x.shape} != {w.input_size}")
-    if prev.h.shape != (x.shape[0], w.hidden_size):
+    if h.shape != (x.shape[0], w.hidden_size):
         raise ShapeError("previous state does not match batch/hidden sizes")
-    z = T.concat([prev.h, x], axis=1)  # (batch, hidden+input)
+    z = T.concat([h, x], axis=1)  # (batch, hidden+input)
 
     def gate(wm, bias, squash):
         return squash(T.add(T.matmul(z, T.transpose(wm)), bias))
@@ -101,9 +93,8 @@ def lstm_cell(x: Tensor, prev: LstmState, w: LstmWeights) -> LstmState:
     i = gate(w.w_i, w.b_i, T.sigmoid)
     c_tilde = gate(w.w_c, w.b_c, T.tanh)
     o = gate(w.w_o, w.b_o, T.sigmoid)
-    c = T.add(T.mul(f, prev.c), T.mul(i, c_tilde))
-    h = T.mul(o, T.tanh(c))
-    return LstmState(h, c)
+    c = T.add(T.mul(f, c), T.mul(i, c_tilde))
+    return T.mul(o, T.tanh(c)), c
 
 
 def lstm_sequence(xs: Tensor, batch: int, w: LstmWeights, reverse: bool = False) -> Tensor:

@@ -260,7 +260,7 @@ class Model:
     def _layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         n = x.shape[1]
         mean = T.mul(T.tsum(x, axis=1), 1.0 / n)
-        centered = T.add(x, -mean)
+        centered = T.sub(x, mean)
         var = T.mul(T.tsum(T.mul(centered, centered), axis=1), 1.0 / n)
         inv = T.recip(T.sqrt(T.add(var, LAYER_NORM_EPS)))
         return T.add(T.mul(T.mul(centered, inv), gain), bias)

@@ -10,7 +10,8 @@ primitive computes its forward value with numpy and, when a
 node whose closure maps the output gradient to per-input gradients; a fused
 kernel's closure is its hand-derived backward pass.
 Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
-every leaf.
+every leaf.  Ops are module functions, called as ``T.add(a, b)``,
+``T.matmul(a, b)`` and so on; ``Tensor`` has no operator methods.
 
 Design constraints honoured here:
   * float64 everywhere,
@@ -108,29 +109,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars are treated as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -320,13 +298,6 @@ def exp(x: Tensor) -> Tensor:
     return _make((x,), e, lambda g: (g * e,))
 
 
-def exp_clamped(x: Tensor) -> Tensor:
-    """exp with the argument clamped at EXP_CLAMP; gradient is zero past the clamp."""
-    mask = x.data < EXP_CLAMP
-    e = np.exp(np.minimum(x.data, EXP_CLAMP))
-    return _make((x,), e, lambda g: (g * e * mask,))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _make((x,), np.maximum(x.data, 0.0), lambda g: (g * mask,))
@@ -340,12 +311,6 @@ def sqrt(x: Tensor) -> Tensor:
 def recip(x: Tensor) -> Tensor:
     r = 1.0 / x.data
     return _make((x,), r, lambda g: (-g * r * r,))
-
-
-def clip_min(x: Tensor, floor: float) -> Tensor:
-    """max(x, floor) elementwise; gradient passes only where x > floor."""
-    mask = x.data > floor
-    return _make((x,), np.maximum(x.data, floor), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

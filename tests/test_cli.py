@@ -187,8 +187,6 @@ class TestTrainEvaluate:
         assert pred_lines[0] == "timestamp,actual,predicted"
 
     def test_metrics_json_matches_prediction_csv(self, tmp_path, fixture_csv):
-        from fastforecast.data import read_predictions
-
         config = make_config(tmp_path, fixture_csv)
         out = tmp_path / "run"
         main(["train", "--config", str(config), "--out", str(out)])
@@ -196,7 +194,8 @@ class TestTrainEvaluate:
               "--checkpoint", str(out / "checkpoint.ffck"),
               "--split", "val", "--out", str(out)])
         metrics = json.loads((out / "metrics_val.json").read_text())
-        _, actual, predicted = read_predictions(out / "predictions_val.csv")
+        _, actual, predicted = np.loadtxt(out / "predictions_val.csv", delimiter=",",
+                                          skiprows=1, unpack=True)
         # independent recomputation from the emitted CSV
         d = actual - predicted
         assert metrics["MSE"] == pytest.approx(float(np.mean(d * d)), abs=1e-10)
@@ -335,3 +334,65 @@ class TestBench:
         assert lines[0] == "mode,L,d_k,r,rep,wall_ns,peak_bytes_estimate"
         assert len(lines) == 1 + 2 * 2 * 2  # |L| * modes * reps
         assert "slope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [["--lengths", "32,abc"], ["--lengths", "0,32"],
+                                     ["--lengths=-4,32"], ["--dk", "-1"], ["--seed", "-1"]],
+                             ids=["not-int", "zero", "negative", "dk", "seed"])
+    def test_bad_argument_exits_four(self, tmp_path, bad):
+        proc = run_cli("-m", "fastforecast.cli", "bench", "--lengths", "8,16", "--dk", "4",
+                       "--r", "8", "--reps", "1", *bad, "--out", str(tmp_path / "bench"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train"])
+def test_negative_seed_override_exits_four(tmp_path, fixture_csv, command):
+    """The schema's minimum of 0 holds for --seed as it does for the config."""
+    config = make_config(tmp_path, fixture_csv)
+    proc = run_cli("-m", "fastforecast.cli", command, "--config", str(config),
+                   "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: --seed -1")
+    assert not (tmp_path / "out").exists()
+
+
+def _not_utf8_config(tmp_path, config):
+    config.write_bytes(config.read_bytes().replace(b'"hourly"', b'"hourly\xff"'))
+    return [], EXIT_CONFIG, "not UTF-8"
+
+
+def _not_utf8_csv(tmp_path, config):
+    csv_path = Path(json.loads(config.read_text())["data"]["path"])
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\xfe\n")
+    return [], EXIT_INPUT, f"{csv_path}: not UTF-8"
+
+
+def _csv_is_directory(tmp_path, config):
+    make_config(tmp_path, tmp_path)  # rewrites the config with the directory as data
+    return [], EXIT_INPUT, "Is a directory"
+
+
+def _out_below_file(tmp_path, config):
+    (tmp_path / "taken").write_text("")
+    return ["--out", str(tmp_path / "taken" / "out")], EXIT_INPUT, "Not a directory"
+
+
+UNREADABLE_INPUTS = {"config-not-utf8": _not_utf8_config, "csv-not-utf8": _not_utf8_csv,
+                     "csv-is-directory": _csv_is_directory, "out-below-file": _out_below_file}
+
+
+@pytest.mark.parametrize("spoil", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS)
+def test_unreadable_input_or_output_exits_with_its_code(tmp_path, fixture_csv, spoil):
+    """Undecodable or unreadable inputs and unwritable outputs: a one-line
+    error and the documented exit code, never a traceback."""
+    config = make_config(tmp_path, fixture_csv)
+    args, code, message = spoil(tmp_path, config)
+    proc = run_cli("-m", "fastforecast.cli", "prepare", "--config", str(config),
+                   "--out", str(tmp_path / "out"), *args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

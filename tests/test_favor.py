@@ -5,12 +5,11 @@ import pytest
 
 import fastforecast.tensor as T
 from fastforecast.attention import exact_bidirectional
-from fastforecast.errors import FiniteError, ShapeError
+from fastforecast.errors import ConfigError, FiniteError, ShapeError
 from fastforecast.favor import (
     DENOM_FLOOR,
     DIAGNOSTICS,
     FavorConfig,
-    RandomFeatureMap,
     complexity_probe,
     draw_features,
     favor_bidirectional,
@@ -19,7 +18,7 @@ from fastforecast.favor import (
     write_probe_csv,
     _phi,
 )
-from fastforecast.tensor import GradTape, Tensor
+from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
 from conftest import check_gradients, rel_err
 
@@ -46,12 +45,21 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
     return log.shapes
 
 
+def masked(x, keep, fill):
+    """x where the 0/1 array ``keep`` is 1 and the constant ``fill`` elsewhere,
+    as x·keep + fill·(1−keep): no gradient reaches x where keep is 0.  The
+    references write φ's exp clamp and the denominator floor this way."""
+    keep = np.asarray(keep, dtype=np.float64)
+    return T.add(T.mul(x, Tensor(keep)), Tensor(fill * (1.0 - keep)))
+
+
 def composed_phi(x, fm):
     """Reference for φ, composed from tensor primitives."""
     proj = T.matmul(x, Tensor(fm.omega.T))
     sq_half = T.mul(T.tsum(T.mul(x, x), axis=1), 0.5)
-    arg = T.add(proj, -sq_half)
-    return T.mul(T.exp_clamped(arg), 1.0 / np.sqrt(fm.r))
+    arg = T.sub(proj, sq_half)
+    clamped = masked(arg, arg.data < EXP_CLAMP, EXP_CLAMP)
+    return T.mul(T.exp(clamped), 1.0 / np.sqrt(fm.omega.shape[0]))
 
 
 def composed_favor(q, k, v, fm):
@@ -61,7 +69,7 @@ def composed_favor(q, k, v, fm):
     k_hat = composed_phi(T.mul(k, scale), fm)
     num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
     den = T.matmul(q_hat, T.transpose(T.tsum(k_hat, axis=0)))
-    return T.mul(num, T.recip(T.clip_min(den, DENOM_FLOOR)))
+    return T.mul(num, T.recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
 
 
 def composed_causal_favor(q, k, v, fm):
@@ -80,7 +88,8 @@ def composed_causal_favor(q, k, v, fm):
         k_col = T.transpose(k_row)  # (r, 1)
         s_state = outer if s_state is None else T.add(s_state, outer)
         z_state = k_col if z_state is None else T.add(z_state, k_col)
-        den = T.clip_min(T.matmul(q_row, z_state), DENOM_FLOOR)  # (1, 1)
+        den = T.matmul(q_row, z_state)  # (1, 1)
+        den = masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)
         rows.append(T.mul(T.matmul(q_row, s_state), T.recip(den)))
     return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
@@ -194,10 +203,16 @@ class TestPhiPositive:
         assert np.mean(rel) <= 0.05
 
     def test_clamp_diagnostics_trigger(self):
+        """Only the first exponent (1599) is clamped: its feature is e^700/√r,
+        the others are e^-1/√r, and the counter counts one."""
         before = DIAGNOSTICS.exp_clamped
-        fm = RandomFeatureMap(np.full((4, 2), 800.0))
-        _phi(np.ones((1, 2)), fm.omega)
-        assert DIAGNOSTICS.exp_clamped > before
+        omega = np.zeros((4, 2))
+        omega[0] = 800.0
+        out, mask = _phi(np.ones((1, 2)), omega)
+        assert DIAGNOSTICS.exp_clamped == before + 1
+        np.testing.assert_allclose(out[0, 0], np.exp(700.0) / np.sqrt(4), rtol=1e-15)
+        np.testing.assert_allclose(out[0, 1:], np.exp(-1.0) / np.sqrt(4), rtol=1e-15)
+        np.testing.assert_array_equal(mask, [[False, True, True, True]])
 
     def test_width_mismatch(self):
         """φ takes rows of width d_k; both kernels reject wider q and k."""
@@ -293,6 +308,26 @@ class TestFavorBidirectional:
                 kernel(Tensor(q * 1e200), Tensor(k), Tensor(v), fm)
 
 
+@pytest.mark.parametrize("kernel,composed", [(favor_bidirectional, composed_favor),
+                                             (favor_unidirectional, composed_causal_favor)],
+                         ids=["bidirectional", "causal"])
+def test_vanishing_query_features_hit_the_denominator_floor(kernel, composed, rng):
+    """Scaled, the query row (80, 0, 0, 0) has ‖q‖²/2 = 1600, so every feature
+    exponent is far below -745: φ(q) and its denominator underflow to 0.  The
+    floor keeps that output row a finite 0 and counts it once, and the
+    mask-form reference agrees."""
+    q, k, v = rand_inputs(rng, 5, 4)
+    q[2] = (80.0, 0.0, 0.0, 0.0)
+    fm = draw_features(FavorConfig(r=8, d_k=4, seed=19))
+    before = DIAGNOSTICS.denom_floored
+    out = kernel(Tensor(q), Tensor(k), Tensor(v), fm).data
+    assert DIAGNOSTICS.denom_floored == before + 1
+    np.testing.assert_array_equal(out[2], np.zeros(4))
+    assert np.all(np.isfinite(out))
+    assert np.all(np.delete(out, 2, axis=0) != 0)
+    assert_matches_composed(kernel, composed, q, k, v, fm)
+
+
 class TestFavorUnidirectional:
     def test_first_row_equals_first_value(self, rng):
         q, k, v = rand_inputs(rng, 6, 4)
@@ -369,6 +404,11 @@ class TestComplexityProbe:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "mode,L,d_k,r,rep,wall_ns,peak_bytes_estimate"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("lengths", [[0, 32], [32, -4]])
+    def test_rejects_lengths_below_one(self, lengths):
+        with pytest.raises(ConfigError, match="lengths must be >= 1"):
+            complexity_probe("favor", lengths, d_k=8, r=16, reps=1)
 
     def test_favor_never_allocates_lxl(self):
         for mode in ("favor", "causal"):

@@ -7,13 +7,11 @@ import pytest
 import fastforecast.tensor as T
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.lstm import (
-    LstmState,
     LstmWeights,
     bilstm_forward_steps,
     init_lstm_weights,
     lstm_cell,
     lstm_sequence,
-    zero_state,
 )
 from fastforecast.tensor import GradTape, Tensor
 
@@ -55,16 +53,21 @@ def bilstm_forward(xs, w_fwd, w_bwd):
     return bilstm_forward_steps(xs, 1, w_fwd, w_bwd)
 
 
+def zero_state(batch, hidden):
+    """Zero (batch, hidden) states h and c."""
+    return Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden)))
+
+
 def lstm_fold(xs, batch, w, reverse=False):
     """Reference for lstm_sequence: a fold over lstm_cell, one step of
     ``batch`` time-major rows at a time."""
     length = xs.shape[0] // batch
     order = range(length - 1, -1, -1) if reverse else range(length)
-    state = zero_state(batch, w.hidden_size)
+    h, c = zero_state(batch, w.hidden_size)
     outs = [None] * length
     for t in order:
-        state = lstm_cell(T.slice_rows(xs, t * batch, (t + 1) * batch), state, w)
-        outs[t] = state.h
+        h, c = lstm_cell(T.slice_rows(xs, t * batch, (t + 1) * batch), h, c, w)
+        outs[t] = h
     return T.concat(outs, axis=0) if length > 1 else outs[0]
 
 
@@ -83,10 +86,10 @@ class TestLstmCell:
                         zeros((hidden, hidden + inp)), zeros((hidden, hidden + inp)),
                         zeros((1, hidden)), zeros((1, hidden)), zeros((1, hidden)),
                         zeros((1, hidden)))
-        state = lstm_cell(Tensor(np.zeros((1, inp))), zero_state(1, hidden), w)
+        h, c = lstm_cell(Tensor(np.zeros((1, inp))), *zero_state(1, hidden), w)
         # gates sit at sigmoid(0)=0.5, candidate tanh(0)=0 => c=0, h=0
-        np.testing.assert_array_equal(state.c.data, np.zeros((1, hidden)))
-        np.testing.assert_array_equal(state.h.data, np.zeros((1, hidden)))
+        np.testing.assert_array_equal(c.data, np.zeros((1, hidden)))
+        np.testing.assert_array_equal(h.data, np.zeros((1, hidden)))
 
     def test_saturated_forget_gate_remembers(self, rng):
         """With b_f = 50 the forget gate saturates at 1, so the new cell is
@@ -95,35 +98,34 @@ class TestLstmCell:
         x = rng.standard_normal((1, 2))
         h_prev = rng.standard_normal((1, 4)) * 0.3
         c_prev = rng.standard_normal((1, 4))
-        prev = LstmState(Tensor(h_prev), Tensor(c_prev))
-        state = lstm_cell(Tensor(x), prev, w)
+        _, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), w)
         d = as_dict(w)
         z = np.concatenate([h_prev[0], x[0]])
         i = sigmoid(d["w_i"] @ z + d["b_i"])
         c_tilde = np.tanh(d["w_c"] @ z + d["b_c"])
-        np.testing.assert_allclose(state.c.data[0] - i * c_tilde, c_prev[0], atol=1e-9)
+        np.testing.assert_allclose(c.data[0] - i * c_tilde, c_prev[0], atol=1e-9)
 
     def test_matches_gate_by_gate_oracle(self, rng):
         w = random_weights(3, 5, seed=2)
         x = rng.standard_normal((1, 3))
         h_prev = rng.standard_normal((1, 5)) * 0.5
         c_prev = rng.standard_normal((1, 5))
-        state = lstm_cell(Tensor(x), LstmState(Tensor(h_prev), Tensor(c_prev)), w)
-        h, c = cell_oracle(x[0], h_prev[0], c_prev[0], as_dict(w))
-        np.testing.assert_allclose(state.h.data[0], h, atol=1e-12)
-        np.testing.assert_allclose(state.c.data[0], c, atol=1e-12)
+        h, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), w)
+        h_ref, c_ref = cell_oracle(x[0], h_prev[0], c_prev[0], as_dict(w))
+        np.testing.assert_allclose(h.data[0], h_ref, atol=1e-12)
+        np.testing.assert_allclose(c.data[0], c_ref, atol=1e-12)
 
     def test_gate_ranges_and_hidden_bound(self, rng):
         w = random_weights(2, 4, seed=3)
-        state = zero_state(1, 4)
+        h, c = zero_state(1, 4)
         for t in range(10):
-            state = lstm_cell(Tensor(rng.standard_normal((1, 2)) * 3), state, w)
-            assert np.all(np.abs(state.h.data) < 1.0)
+            h, c = lstm_cell(Tensor(rng.standard_normal((1, 2)) * 3), h, c, w)
+            assert np.all(np.abs(h.data) < 1.0)
 
     def test_dimension_mismatch(self, rng):
         w = random_weights(2, 4, seed=4)
         with pytest.raises(ShapeError):
-            lstm_cell(Tensor(np.ones((1, 3))), zero_state(1, 4), w)
+            lstm_cell(Tensor(np.ones((1, 3))), *zero_state(1, 4), w)
 
 
 class TestLstmForward:
@@ -131,8 +133,8 @@ class TestLstmForward:
         w = random_weights(3, 4, seed=5)
         x = rng.standard_normal((1, 3))
         seq_out = lstm_forward(Tensor(x), w)
-        cell_out = lstm_cell(Tensor(x), zero_state(1, 4), w)
-        np.testing.assert_array_equal(seq_out.data, cell_out.h.data)
+        cell_h, _ = lstm_cell(Tensor(x), *zero_state(1, 4), w)
+        np.testing.assert_array_equal(seq_out.data, cell_h.data)
 
     def test_zero_weights_zero_outputs(self, rng):
         hidden, inp = 3, 2
@@ -185,8 +187,8 @@ class TestBilstmForward:
         wb = random_weights(2, 3, seed=13)
         x = rng.standard_normal((1, 2))
         out = bilstm_forward(Tensor(x), wf, wb).data
-        f = lstm_cell(Tensor(x), zero_state(1, 3), wf).h.data
-        b = lstm_cell(Tensor(x), zero_state(1, 3), wb).h.data
+        f = lstm_cell(Tensor(x), *zero_state(1, 3), wf)[0].data
+        b = lstm_cell(Tensor(x), *zero_state(1, 3), wb)[0].data
         np.testing.assert_array_equal(out, np.concatenate([f, b], axis=1))
 
     def test_forward_half_ignores_future_backward_half_ignores_past(self, rng):
