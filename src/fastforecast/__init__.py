@@ -4,24 +4,6 @@ Feature extraction with classic technical indicators, a random-feature
 (FAVOR+) linear-attention encoder with an exact softmax-attention oracle,
 BiLSTM + fully-connected heads, and a training/evaluation harness, all on
 a small float64 autodiff tape.
-
-Submodules are imported lazily so the CLI can cap BLAS thread counts (via
-FF_THREADS) before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("tensor", "indicators", "attention", "favor", "lstm",
-               "model", "data", "cli", "errors")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

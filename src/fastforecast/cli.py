@@ -203,19 +203,6 @@ def _write_json(path, payload, sort: bool = True) -> None:
         fh.write("\n")
 
 
-def _write_losses(path, report) -> None:
-    """One row per epoch: the training and validation loss, as ``repr`` floats."""
-    import csv
-
-    from .data import atomic_write
-
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, (tl, vl) in enumerate(zip(report.train_losses, report.val_losses)):
-            writer.writerow([epoch, repr(tl), repr(vl)])
-
-
 def cmd_prepare(args) -> int:
     cfg = load_config(args.config, args.seed)
     series, dataset = _build_dataset(cfg)
@@ -240,6 +227,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .data import write_csv
     from .model import TrainHyperparams, build, save_checkpoint, train
 
     cfg = load_config(args.config, args.seed)
@@ -250,7 +238,10 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, dataset.norm, os.path.join(args.out, "checkpoint.ffck"))
     _write_json(os.path.join(args.out, "train_report.json"), report.to_dict())
-    _write_losses(os.path.join(args.out, "losses.csv"), report)
+    # one row per epoch: the training and validation loss, as ``repr`` floats
+    write_csv(os.path.join(args.out, "losses.csv"), ["epoch", "train_loss", "val_loss"],
+              ([epoch, repr(tl), repr(vl)] for epoch, (tl, vl)
+               in enumerate(zip(report.train_losses, report.val_losses))))
 
     print(f"parameters: {report.parameter_count}")
     print(f"best epoch: {report.best_epoch}")
@@ -284,8 +275,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .data import write_csv
     from .errors import ConfigError
-    from .favor import FavorConfig, complexity_probe, loglog_slope, write_probe_csv
+    from .favor import PROBE_COLUMNS, FavorConfig, complexity_probe, loglog_slope
 
     try:
         lengths = [int(x) for x in args.lengths.split(",")]
@@ -301,7 +293,7 @@ def cmd_bench(args) -> int:
         slopes[mode] = loglog_slope(mode_rows)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bench.csv")
-    write_probe_csv(rows, path)
+    write_csv(path, PROBE_COLUMNS, map(dataclasses.astuple, rows))
     for mode, slope in slopes.items():
         print(f"{mode} log-log time slope: {slope:.3f}")
     print(f"bench table written to {path}")

@@ -57,8 +57,9 @@ def load_csv(path, interval) -> OhlcvSeries:
     """Parse an OHLCV CSV into a gap-free series.
 
     Keeps the longest contiguous segment when the file contains gaps; raises
-    :class:`DataError` (with the line number) for malformed rows, duplicate
-    or decreasing timestamps, text that is not UTF-8, and empty files.
+    :class:`DataError` (with the line number) for malformed rows, timestamps
+    outside the int64 range, duplicate or decreasing timestamps, text that is
+    not UTF-8, and empty files.
     """
     interval = parse_interval(interval)
     rows = []
@@ -80,6 +81,8 @@ def load_csv(path, interval) -> OhlcvSeries:
                     vals = [float(x) for x in row[1:]]
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
+                if not -2**63 <= ts < 2**63:
+                    raise DataError(f"{path}:{lineno}: timestamp {ts} outside the int64 range")
                 rows.append((lineno, ts, vals))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
@@ -149,6 +152,9 @@ class ColumnStats:
         n = len(stats.columns)
         if stats.mean.shape != (n,) or stats.std.shape != (n,) or not 0 <= stats.target_index < n:
             raise DataError(f"statistics do not match their {n} columns")
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+                and (stats.std > 0).all()):
+            raise DataError("statistics need a finite mean and a finite, positive std")
         return stats
 
 
@@ -330,15 +336,21 @@ def atomic_write(path, mode: str, **open_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# prediction CSV
+# CSV artifacts
 # ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and rows as UTF-8 CSV, atomically."""
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 PREDICTION_HEADER = ["timestamp", "actual", "predicted"]
 
 
 def write_predictions(path, timestamps, actual, predicted) -> None:
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_HEADER)
-        for ts, a, p in zip(timestamps, actual, predicted):
-            writer.writerow([int(ts), repr(float(a)), repr(float(p))])
+    write_csv(path, PREDICTION_HEADER,
+              ([int(ts), repr(float(a)), repr(float(p))]
+               for ts, a, p in zip(timestamps, actual, predicted)))

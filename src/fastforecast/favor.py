@@ -34,7 +34,6 @@ import numpy as np
 
 from . import tensor as T
 from .attention import _check_qkv, exact_bidirectional
-from .data import atomic_write
 from .errors import ConfigError, ShapeError
 from .tensor import EXP_CLAMP, Tensor
 
@@ -75,17 +74,6 @@ class FavorConfig:
             raise ConfigError("redraw_interval must be >= 1 when set")
 
 
-@dataclass(frozen=True)
-class RandomFeatureMap:
-    """Frozen projection matrix Ω (r × d_k) plus its normaliser 1/√r."""
-
-    omega: np.ndarray
-
-    @property
-    def d_k(self) -> int:
-        return self.omega.shape[1]
-
-
 def _gram_schmidt(block: np.ndarray) -> np.ndarray:
     """Orthonormalise the rows of a square block (modified Gram–Schmidt)."""
     q = block.copy()
@@ -100,8 +88,9 @@ def _gram_schmidt(block: np.ndarray) -> np.ndarray:
     return q
 
 
-def draw_features(cfg: FavorConfig) -> RandomFeatureMap:
-    """Sample Ω: blockwise-orthogonal Gaussian directions with χ-resampled norms.
+def draw_features(cfg: FavorConfig) -> np.ndarray:
+    """Sample the (r, d_k) projection Ω: blockwise-orthogonal Gaussian
+    directions with χ-resampled norms.
 
     Deterministic for a given seed.  For r <= d_k all rows are pairwise
     orthogonal; for larger r each consecutive block of d_k rows is.
@@ -118,7 +107,7 @@ def draw_features(cfg: FavorConfig) -> RandomFeatureMap:
     directions = np.vstack(blocks)
     # norms of independent standard Gaussians keep the χ marginal
     norms = np.linalg.norm(rng.standard_normal((cfg.r, cfg.d_k)), axis=1)
-    return RandomFeatureMap(directions * norms[:, None])
+    return directions * norms[:, None]
 
 
 def _phi(x: np.ndarray, omega: np.ndarray):
@@ -148,7 +137,7 @@ def _reverse_cumsum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x[::-1], axis=0)[::-1]
 
 
-def _favor(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap, causal: bool) -> Tensor:
+def _favor(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray, causal: bool) -> Tensor:
     """Both FAVOR+ forms as one tape node; only the three contractions differ.
 
     Bidirectional: K̂ᵀV (r, d_v), Q̂(K̂ᵀV) and K̂ᵀ1.  Causal: the prefix sums
@@ -157,12 +146,13 @@ def _favor(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap, causal: bool) 
     cumulative sums over i >= j.
     """
     _check_qkv(q, k, v)
-    if q.shape[1] != fm.d_k:
-        raise ShapeError(f"FAVOR+ expects queries and keys of width {fm.d_k}, got {q.shape}")
-    scale = fm.d_k ** -0.25
+    d_k = omega.shape[1]
+    if q.shape[1] != d_k:
+        raise ShapeError(f"FAVOR+ expects queries and keys of width {d_k}, got {q.shape}")
+    scale = d_k ** -0.25
     qs, ks, vd = q.data * scale, k.data * scale, v.data
-    q_hat, q_mask = _phi(qs, fm.omega)
-    k_hat, k_mask = _phi(ks, fm.omega)
+    q_hat, q_mask = _phi(qs, omega)
+    k_hat, k_mask = _phi(ks, omega)
     if causal:
         kv = np.cumsum(k_hat[:, :, None] * vd[:, None, :], axis=0)  # (L, r, d_v)
         num = (q_hat[:, None, :] @ kv)[:, 0]  # (L, d_v)
@@ -194,22 +184,22 @@ def _favor(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap, causal: bool) 
             g_q_hat = g_num @ kv.T + g_den * z
             g_k_hat = vd @ g_kv.T + g_den.T @ q_hat
             g_v = k_hat @ g_kv
-        return (_phi_grad(qs, fm.omega, q_hat, q_mask, g_q_hat) * scale,
-                _phi_grad(ks, fm.omega, k_hat, k_mask, g_k_hat) * scale,
+        return (_phi_grad(qs, omega, q_hat, q_mask, g_q_hat) * scale,
+                _phi_grad(ks, omega, k_hat, k_mask, g_k_hat) * scale,
                 g_v)
 
     return T._make((q, k, v), num * inv, backward)
 
 
-def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
+def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> Tensor:
     """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate.  One tape node."""
-    return _favor(q, k, v, fm, causal=False)
+    return _favor(q, k, v, omega, causal=False)
 
 
-def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, fm: RandomFeatureMap) -> Tensor:
+def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> Tensor:
     """Causal linear attention: row i is (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i) over the
     prefix sums S_i and z_i; O(L·r·d) time, no L×L intermediate.  One tape node."""
-    return _favor(q, k, v, fm, causal=True)
+    return _favor(q, k, v, omega, causal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +233,9 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
         raise ConfigError(f"unknown probe mode '{mode}'")
     if any(length < 1 for length in lengths):
         raise ConfigError(f"sequence lengths must be >= 1, got {list(lengths)}")
-    fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))  # checks d_k, r and seed
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
+    omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))  # checks d_k, r and seed
     rng = np.random.default_rng(seed)
     rows = []
     for length in lengths:
@@ -254,7 +246,7 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
         def run():
             if mode == "exact":
                 return exact_bidirectional(q, k, v)
-            return favor_bidirectional(q, k, v, fm)
+            return favor_bidirectional(q, k, v, omega)
 
         run()  # warm-up: page in buffers, trigger lazy BLAS init
         for rep in range(reps):
@@ -279,13 +271,3 @@ def loglog_slope(rows: list[ProbeRow]) -> float:
     coeffs = np.polyfit(np.log(np.asarray(lengths, dtype=float)), np.log(medians), 1)
     return float(coeffs[0])
 
-
-def write_probe_csv(rows: list[ProbeRow], path) -> None:
-    import csv
-
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROBE_COLUMNS)
-        for row in rows:
-            writer.writerow([row.mode, row.L, row.d_k, row.r, row.rep,
-                             row.wall_ns, row.peak_bytes_estimate])

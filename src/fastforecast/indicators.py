@@ -2,9 +2,10 @@
 
 Five indicators feed the forecasting model: simple and exponential moving
 averages, Bollinger Bands, the relative strength index and the commodity
-channel index.  Each indicator returns full-length values plus an explicit
-``valid_from`` offset; entries before the offset are warm-up filler (zeros)
-and must never be read.  No NaN sentinel enters the numeric path.
+channel index.  Each indicator returns a full-length array whose warm-up
+entries (before its first complete window) are zeros and must never be
+read; ``IndicatorParams.warmup`` is the largest of those offsets.  No NaN
+sentinel enters the numeric path.
 
 Conventions (documented so the test oracles agree):
   * EMA is seeded with the n-period SMA at index n-1, then
@@ -94,14 +95,6 @@ class IndicatorParams:
                    self.rsi_n, self.cci_n - 1)
 
 
-@dataclass
-class IndicatorSeries:
-    """Full-length indicator values with the first valid index."""
-
-    values: np.ndarray
-    valid_from: int
-
-
 def _check_window(prices: np.ndarray, n: int, needed: int) -> None:
     if n < 1:
         raise DataError("window must be >= 1")
@@ -109,16 +102,16 @@ def _check_window(prices: np.ndarray, n: int, needed: int) -> None:
         raise DataError(f"need at least {needed} points, got {len(prices)}")
 
 
-def sma(prices: np.ndarray, n: int) -> IndicatorSeries:
+def sma(prices: np.ndarray, n: int) -> np.ndarray:
     """n-period simple moving average; valid from index n-1."""
     prices = np.asarray(prices, dtype=np.float64)
     _check_window(prices, n, n)
     out = np.zeros_like(prices)
     out[n - 1:] = np.convolve(prices, np.ones(n), mode="valid") / n
-    return IndicatorSeries(out, n - 1)
+    return out
 
 
-def ema(prices: np.ndarray, n: int) -> IndicatorSeries:
+def ema(prices: np.ndarray, n: int) -> np.ndarray:
     """n-period exponential moving average, SMA-seeded, k = 2/(n+1)."""
     prices = np.asarray(prices, dtype=np.float64)
     _check_window(prices, n, n)
@@ -127,18 +120,13 @@ def ema(prices: np.ndarray, n: int) -> IndicatorSeries:
     out[n - 1] = prices[:n].mean()
     for i in range(n, len(prices)):
         out[i] = (prices[i] - out[i - 1]) * k + out[i - 1]
-    return IndicatorSeries(out, n - 1)
+    return out
 
 
-@dataclass
-class BollingerBands:
-    mid: IndicatorSeries
-    upper: IndicatorSeries
-    lower: IndicatorSeries
-
-
-def bollinger(prices: np.ndarray, n: int, k: float = 2.0) -> BollingerBands:
-    """Middle band = SMA(n); outer bands at k population standard deviations."""
+def bollinger(prices: np.ndarray, n: int,
+              k: float = 2.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mid, upper, lower): middle band = SMA(n), outer bands at k population
+    standard deviations; valid from index n-1."""
     prices = np.asarray(prices, dtype=np.float64)
     if n < 2:
         raise DataError("bollinger needs n >= 2")
@@ -149,11 +137,10 @@ def bollinger(prices: np.ndarray, n: int, k: float = 2.0) -> BollingerBands:
     dev = windows - windows.mean(axis=1, keepdims=True)
     width = np.zeros_like(prices)
     width[n - 1:] = k * np.sqrt((dev * dev).mean(axis=1))
-    return BollingerBands(mid, IndicatorSeries(mid.values + width, n - 1),
-                          IndicatorSeries(mid.values - width, n - 1))
+    return mid, mid + width, mid - width
 
 
-def rsi(prices: np.ndarray, n: int) -> IndicatorSeries:
+def rsi(prices: np.ndarray, n: int) -> np.ndarray:
     """Relative strength index in [0, 100]; valid from index n."""
     prices = np.asarray(prices, dtype=np.float64)
     _check_window(prices, n, n + 1)
@@ -167,7 +154,7 @@ def rsi(prices: np.ndarray, n: int) -> IndicatorSeries:
     with np.errstate(divide="ignore", invalid="ignore"):
         out[n:] = np.where(avg_loss == 0.0, 100.0, np.where(
             avg_gain == 0.0, 0.0, 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)))
-    return IndicatorSeries(out, n)
+    return out
 
 
 def typical_price(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> np.ndarray:
@@ -175,8 +162,9 @@ def typical_price(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> np.nd
             + np.asarray(close, dtype=np.float64)) / 3.0
 
 
-def cci(series: OhlcvSeries, n: int) -> IndicatorSeries:
-    """Commodity channel index over the typical price; 0 where the window is flat."""
+def cci(series: OhlcvSeries, n: int) -> np.ndarray:
+    """Commodity channel index over the typical price; valid from index n-1,
+    0 where the window is flat."""
     if n < 2:
         raise DataError("cci needs n >= 2")
     tp = typical_price(series.high, series.low, series.close)
@@ -188,7 +176,7 @@ def cci(series: OhlcvSeries, n: int) -> IndicatorSeries:
     # the quotient's inf/nan on flat windows (dev == 0) is discarded by np.where
     with np.errstate(divide="ignore", invalid="ignore"):
         out[n - 1:] = np.where(dev == 0.0, 0.0, (tp[n - 1:] - ma) / (0.015 * dev))
-    return IndicatorSeries(out, n - 1)
+    return out
 
 
 FEATURE_COLUMNS = ("close", "sma", "ema", "bb_mid", "bb_upper", "bb_lower", "rsi", "cci")
@@ -210,14 +198,10 @@ def build_features(series: OhlcvSeries, params: IndicatorParams) -> FeatureMatri
     if len(series) <= warm:
         raise DataError(f"series of {len(series)} rows shorter than warm-up {warm}")
     close = np.asarray(series.close, dtype=np.float64)
-    s = sma(close, params.sma_n)
-    e = ema(close, params.ema_n)
-    bb = bollinger(close, params.bb_n, params.bb_k)
-    r = rsi(close, params.rsi_n)
-    c = cci(series, params.cci_n)
     values = np.column_stack([
-        close, s.values, e.values, bb.mid.values,
-        bb.upper.values, bb.lower.values, r.values, c.values,
+        close, sma(close, params.sma_n), ema(close, params.ema_n),
+        *bollinger(close, params.bb_n, params.bb_k),
+        rsi(close, params.rsi_n), cci(series, params.cci_n),
     ])
     return FeatureMatrix(FEATURE_COLUMNS, values, warm)
 

@@ -37,7 +37,7 @@ from . import tensor as T
 from .attention import AttentionWeights, multi_head, scaled_dot_attention
 from .data import ColumnStats, Dataset, MetricSet, atomic_write, evaluate_metrics
 from .errors import ConfigError, DataError, DivergenceError, FiniteError
-from .favor import FavorConfig, RandomFeatureMap, draw_features, favor_bidirectional, favor_unidirectional
+from .favor import FavorConfig, draw_features, favor_bidirectional, favor_unidirectional
 from .lstm import LstmWeights, bilstm_forward_steps, init_lstm_weights
 from .tensor import GradTape, Tensor
 
@@ -151,7 +151,7 @@ class Model:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.params: dict[str, Tensor] = {}
-        self.feature_maps: list[list[RandomFeatureMap]] = []
+        self.feature_maps: list[list[np.ndarray]] = []
         self.favor_generation = 0
         rng = np.random.default_rng(spec.seed)
         d = spec.d_model
@@ -201,7 +201,7 @@ class Model:
     # -- structure helpers ---------------------------------------------------
 
     def _draw_feature_maps(self) -> None:
-        """One map per (block, head); seeds derived from the favor seed and
+        """One projection Ω per (block, head); seeds derived from the favor seed and
         the redraw generation so redraws stay reproducible."""
         spec = self.spec
         ss = np.random.SeedSequence([spec.favor.seed, self.favor_generation])
@@ -272,7 +272,8 @@ class Model:
         # on this module's names (a tracer) sees every call
         if spec.uses_favor:
             kernel = favor_unidirectional if spec.favor.causal else favor_bidirectional
-            kernels = [functools.partial(kernel, fm=fm) for fm in self.feature_maps[block]]
+            kernels = [functools.partial(kernel, omega=omega)
+                       for omega in self.feature_maps[block]]
         else:
             kernels = [scaled_dot_attention] * spec.heads
         w = self._attn_weights(block)
@@ -289,8 +290,9 @@ class Model:
         f = self._dropout(f, rng)
         return self._layer_norm(T.add(x, f), p[f"block{block}.ln2.g"], p[f"block{block}.ln2.b"])
 
-    def forward_batch(self, windows: np.ndarray, train: bool = False, rng=None) -> Tensor:
-        """(B, L, F) feature windows -> (B, 1) normalized predictions."""
+    def forward_batch(self, windows: np.ndarray, rng=None) -> Tensor:
+        """(B, L, F) feature windows -> (B, 1) normalized predictions; dropout
+        applies exactly when ``rng`` is given."""
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 3:
             raise ConfigError(f"expected (B, L, F) windows, got shape {windows.shape}")
@@ -299,14 +301,13 @@ class Model:
         if length != spec.window or n_feat != spec.n_features:
             raise ConfigError(
                 f"window shape ({length}, {n_feat}) != spec ({spec.window}, {spec.n_features})")
-        drop_rng = rng if train else None
 
         x = Tensor(windows.reshape(batch * length, n_feat))
         x = T.add(T.matmul(x, self.params["embed.w"]), self.params["embed.b"])
         if spec.uses_attention:
             x = T.add(x, Tensor(np.tile(self.positional, (batch, 1))))
             for i in range(spec.blocks):
-                x = self._encoder_block(x, batch, i, drop_rng)
+                x = self._encoder_block(x, batch, i, rng)
 
         if spec.uses_bilstm:
             # time-major rows: row t·B + b is window b at step t
@@ -315,7 +316,7 @@ class Model:
             for layer in (1, 2):
                 seq = bilstm_forward_steps(seq, batch, self._lstm_weights(layer, "fwd"),
                                            self._lstm_weights(layer, "bwd"))
-                seq = self._dropout(seq, drop_rng)
+                seq = self._dropout(seq, rng)
             rep = T.slice_rows(seq, (length - 1) * batch, length * batch)
         else:
             rep = T.take_rows(x, np.arange(batch) * length + (length - 1))
@@ -400,8 +401,8 @@ def _clip_gradients(grads: dict[str, np.ndarray], clip: float) -> None:
             grads[name] = grads[name] * factor
 
 
-def _batch_loss(model: Model, windows, targets, train, rng) -> Tensor:
-    preds = model.forward_batch(windows, train=train, rng=rng)
+def _batch_loss(model: Model, windows, targets, rng) -> Tensor:
+    preds = model.forward_batch(windows, rng)
     target_t = Tensor(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
     diff = T.sub(preds, target_t)
     return T.mul(T.tsum(T.mul(diff, diff)), 1.0 / len(targets))
@@ -411,7 +412,7 @@ def _eval_loss(model: Model, windows, targets, batch: int) -> float:
     total, count = 0.0, 0
     for lo in range(0, len(windows), batch):
         hi = min(lo + batch, len(windows))
-        preds = model.forward_batch(windows[lo:hi], train=False).data[:, 0]
+        preds = model.forward_batch(windows[lo:hi]).data[:, 0]
         total += float(np.sum((preds - targets[lo:hi]) ** 2))
         count += hi - lo
     return total / count
@@ -449,7 +450,7 @@ def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
                 with GradTape() as tape:
                     for p in model.params.values():
                         tape.watch(p)
-                    loss = _batch_loss(model, train_w[idx], train_y[idx], True, dropout_rng)
+                    loss = _batch_loss(model, train_w[idx], train_y[idx], dropout_rng)
                 loss_value = loss.item()
                 if not math.isfinite(loss_value):
                     raise FiniteError("non-finite loss")
@@ -509,7 +510,7 @@ def predict_series(model: Model, dataset: Dataset, split: str,
     preds = np.empty(len(windows))
     for lo in range(0, len(windows), batch):
         hi = min(lo + batch, len(windows))
-        preds[lo:hi] = model.forward_batch(windows[lo:hi], train=False).data[:, 0]
+        preds[lo:hi] = model.forward_batch(windows[lo:hi]).data[:, 0]
     return PredictionSeries(
         timestamps=dataset.target_times[r.start:r.stop].copy(),
         actual=dataset.raw_targets[r.start:r.stop].copy(),

@@ -78,8 +78,10 @@ class AllocationLog:
 class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
-    ``data`` is a C-contiguous ndarray; ``grad`` is filled by
-    ``GradTape.backward`` and has the same shape as ``data``.
+    Only the constructor guarantees that ``data`` is a C-contiguous ndarray;
+    a primitive's result may be a view (``transpose`` returns one).
+    ``grad`` is filled by ``GradTape.backward`` and has the same shape as
+    ``data``.
     """
 
     __slots__ = ("data", "requires_grad", "grad")

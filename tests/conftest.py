@@ -1,11 +1,28 @@
 """Shared fixtures and oracles for the test suite."""
 
+import ctypes
 import os
 
 # One BLAS thread, set before numpy loads: acceptance criterion 2 fits
 # complexity slopes to wall-clock times, which BLAS thread pools disturb.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# glibc serves every allocation from its heap and never hands freed memory
+# back: acceptance criterion 2 fits slopes to wall-clock times, and page
+# faults must not be in them.  By default the mmap threshold is dynamic, so
+# after earlier tests some probe lengths get heap memory and others fresh
+# mmap pages (a step in the FAVOR+ timings); pinned at its 128 KiB default,
+# every exact-attention buffer is faulted in afresh and the exact slope
+# falls to its bound.  With no mmap and no trimming, each length's warm-up
+# call leaves resident pages that its timed calls reuse.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-4, 0)  # M_MMAP_MAX: no mmapped chunks
+    _mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: keep freed heap resident
+except AttributeError:  # a libc without mallopt (not glibc)
+    pass
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -73,8 +73,8 @@ class TestCriterion1KernelApproximation:
                 k = unit_rows(rng.standard_normal((64, 16)))
                 v = rng.standard_normal((64, 16))
                 exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-                fm = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
-                approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+                omega = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
+                approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
                 errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             medians[r] = float(np.median(errs))
         elapsed = time.monotonic() - start
@@ -120,9 +120,9 @@ class TestCriterion3GradientIntegrity:
         q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
         for kernel in (scaled_dot_attention, exact_bidirectional, exact_unidirectional):
             check_gradients(lambda a, b, c: sq(kernel(a, b, c)), [q, k, v], tol=1e-6)
-        fm = draw_features(FavorConfig(r=8, d_k=3, seed=1))
+        omega = draw_features(FavorConfig(r=8, d_k=3, seed=1))
         for kernel in (favor_bidirectional, favor_unidirectional):
-            check_gradients(lambda a, b, c: sq(kernel(a, b, c, fm)),
+            check_gradients(lambda a, b, c: sq(kernel(a, b, c, omega)),
                             [unit_rows(q), unit_rows(k), v], tol=1e-5)
 
         # LSTM / BiLSTM stacks over 5 timesteps
@@ -155,7 +155,7 @@ class TestCriterion3GradientIntegrity:
         with GradTape() as tape:
             for p in model.params.values():
                 tape.watch(p)
-            loss = _batch_loss(model, windows, targets, False, None)
+            loss = _batch_loss(model, windows, targets, None)
         tape.backward(loss)
         h = 1e-5
         worst = 0.0
@@ -165,9 +165,9 @@ class TestCriterion3GradientIntegrity:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                fp = _batch_loss(model, windows, targets, False, None).item()
+                fp = _batch_loss(model, windows, targets, None).item()
                 flat[i] = orig - h
-                fmi = _batch_loss(model, windows, targets, False, None).item()
+                fmi = _batch_loss(model, windows, targets, None).item()
                 flat[i] = orig
                 numeric[i] = (fp - fmi) / (2 * h)
             err = rel_err(p.grad.reshape(-1), numeric)
@@ -216,26 +216,26 @@ class TestCriterion5IndicatorOracles:
 
         s = sma(prices, 14)
         for i in range(13, 1000):
-            assert abs(s.values[i] - sma_oracle(prices, 14, i)) <= 1e-9
+            assert abs(s[i] - sma_oracle(prices, 14, i)) <= 1e-9
         e = ema(prices, 14)
-        np.testing.assert_allclose(valid(e), ema_oracle(prices, 14), atol=1e-9)
-        bb = bollinger(prices, 20, 2.0)
+        np.testing.assert_allclose(valid(e, 13), ema_oracle(prices, 14), atol=1e-9)
+        mid, upper, lower = bollinger(prices, 20, 2.0)
         for i in range(19, 1000):
             m, u, low = bollinger_oracle(prices, 20, 2.0, i)
-            assert abs(bb.mid.values[i] - m) <= 1e-9
-            assert abs(bb.upper.values[i] - u) <= 1e-9
-            assert abs(bb.lower.values[i] - low) <= 1e-9
+            assert abs(mid[i] - m) <= 1e-9
+            assert abs(upper[i] - u) <= 1e-9
+            assert abs(lower[i] - low) <= 1e-9
         r = rsi(prices, 14)
         for i in range(14, 1000):
-            assert abs(r.values[i] - rsi_oracle(prices, 14, i)) <= 1e-9
+            assert abs(r[i] - rsi_oracle(prices, 14, i)) <= 1e-9
         c = cci(series, 20)
         for i in range(19, 1000):
             expect = cci_oracle(series.high, series.low, series.close, 20, i)
-            assert abs(c.values[i] - expect) <= 1e-9
+            assert abs(c[i] - expect) <= 1e-9
 
-        assert np.all(valid(r) >= 0.0) and np.all(valid(r) <= 100.0)
-        assert np.all(valid(bb.lower) <= valid(bb.mid))
-        assert np.all(valid(bb.mid) <= valid(bb.upper))
+        assert np.all(valid(r, 14) >= 0.0) and np.all(valid(r, 14) <= 100.0)
+        assert np.all(valid(lower, 19) <= valid(mid, 19))
+        assert np.all(valid(mid, 19) <= valid(upper, 19))
         report(5, "SMA/EMA/Bollinger/RSI/CCI match brute-force recomputation "
                   "<= 1e-9 on 1000 points; RSI in [0,100]; bands ordered")
 

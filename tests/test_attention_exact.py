@@ -197,7 +197,8 @@ class TestAttentionGradients:
         x = rng.standard_normal((4, 4)) * 0.5
         kernels = [kernel] * 2
         if kernel is not scaled_dot_attention:  # each FAVOR+ head has its own features
-            kernels = [functools.partial(kernel, fm=draw_features(FavorConfig(r=8, d_k=2, seed=j)))
+            kernels = [functools.partial(kernel,
+                                         omega=draw_features(FavorConfig(r=8, d_k=2, seed=j)))
                        for j in range(2)]
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):

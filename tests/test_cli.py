@@ -286,6 +286,13 @@ def edit_header(blob, edit):
     return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
 
 
+def set_first_norm_entry(field, value):
+    """A corruption that sets the first ``norm.<field>`` entry of the header."""
+    def edit(header):
+        header["norm"][field][0] = value
+    return lambda blob: edit_header(blob, edit)
+
+
 MALFORMED_CHECKPOINTS = {
     "bad_magic": lambda b: b"NOPE" + b[4:],
     "bad_version": lambda b: b[:4] + struct.pack("<I", 99) + b[8:],
@@ -299,6 +306,10 @@ MALFORMED_CHECKPOINTS = {
     "trailing_bytes": lambda b: b + b"\x00" * 4,
     "nan_parameter": lambda b: b[:-8] + struct.pack("<d", float("nan")),
     "zero_bilstm_hidden": lambda b: edit_header(b, lambda h: h["spec"].update(bilstm_hidden=0)),
+    "zero_std": set_first_norm_entry("std", 0.0),
+    "nan_std": set_first_norm_entry("std", float("nan")),
+    "negative_std": set_first_norm_entry("std", -1.0),
+    "infinite_mean": set_first_norm_entry("mean", float("inf")),
 }
 
 
@@ -344,6 +355,15 @@ class TestBench:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: ")
+        assert not (tmp_path / "bench").exists()
+
+    def test_reps_below_one_exits_four_naming_reps(self, tmp_path):
+        proc = run_cli("-m", "fastforecast.cli", "bench", "--lengths", "8,16", "--dk", "4",
+                       "--r", "8", "--reps", "0", "--out", str(tmp_path / "bench"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert "reps" in proc.stderr
         assert not (tmp_path / "bench").exists()
 
 
@@ -396,3 +416,16 @@ def test_unreadable_input_or_output_exits_with_its_code(tmp_path, fixture_csv, s
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_timestamp_outside_int64_exits_two(tmp_path):
+    """A timestamp numpy cannot hold is an input error naming its line."""
+    csv_path = tmp_path / "far.csv"
+    write_csv(csv_path, candle_rows(200, start_ts=2**63))
+    config = make_config(tmp_path, csv_path)
+    proc = run_cli("-m", "fastforecast.cli", "prepare", "--config", str(config),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {csv_path}:2: timestamp")
+    assert not (tmp_path / "out").exists()

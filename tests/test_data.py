@@ -82,6 +82,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"bad\.csv:5"):
             load_csv(path, "hourly")
 
+    @pytest.mark.parametrize("start, line", [(2**63, 2), (2**63 - 3 * 3600, 5),
+                                             (-2**63 - 200 * 3600, 2)],
+                             ids=["above", "crossing", "below"])
+    def test_timestamp_outside_int64_names_line(self, tmp_path, start, line):
+        path = tmp_path / "far.csv"
+        write_csv(path, candle_rows(200, start_ts=start))
+        with pytest.raises(DataError, match=rf"far\.csv:{line}: timestamp .* int64"):
+            load_csv(path, "hourly")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -285,23 +294,24 @@ class TestPredictionCsvRoundTrip:
 
 def _artifact_writers():
     """Every artifact writer, each as a function of the target path."""
-    from types import SimpleNamespace
+    import dataclasses
 
-    from fastforecast.cli import _write_json, _write_losses
-    from fastforecast.data import ColumnStats
-    from fastforecast.favor import ProbeRow, write_probe_csv
+    from fastforecast import data
+    from fastforecast.cli import _write_json
+    from fastforecast.favor import PROBE_COLUMNS, ProbeRow
     from fastforecast.model import ModelSpec, build, save_checkpoint
 
     model = build(ModelSpec(variant="bilstm_only", window=4, n_features=2,
                             bilstm_hidden=2, fc_widths=(2, 1), seed=0))
-    norm = ColumnStats(("open", "close"), np.zeros(2), np.ones(2), 1)
-    report = SimpleNamespace(train_losses=[0.5, 0.25], val_losses=[0.75, 0.5])
-    rows = [ProbeRow("favor", 8 * i, 4, 16, 0, 1000 * i, 64 * i) for i in (1, 2)]
+    norm = data.ColumnStats(("open", "close"), np.zeros(2), np.ones(2), 1)
+    probe_rows = [ProbeRow("favor", 8 * i, 4, 16, 0, 1000 * i, 64 * i) for i in (1, 2)]
     return {
         "json": lambda path: _write_json(path, {"rows": 3, "columns": ["a", "b"]}),
-        "losses": lambda path: _write_losses(path, report),
+        "losses": lambda path: data.write_csv(path, ["epoch", "train_loss", "val_loss"],
+                                              [[0, 0.5, 0.75], [1, 0.25, 0.5]]),
         "predictions": lambda path: write_predictions(path, [0, 3600], [1.0, 2.0], [1.5, 2.5]),
-        "probe": lambda path: write_probe_csv(rows, path),
+        "probe": lambda path: data.write_csv(path, PROBE_COLUMNS,
+                                             map(dataclasses.astuple, probe_rows)),
         "checkpoint": lambda path: save_checkpoint(model, norm, path),
     }
 

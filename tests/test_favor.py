@@ -1,21 +1,24 @@
 """Random-feature attention: kernel estimates, exact-oracle agreement, causality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fastforecast.tensor as T
 from fastforecast.attention import exact_bidirectional
+from fastforecast.data import write_csv
 from fastforecast.errors import ConfigError, FiniteError, ShapeError
 from fastforecast.favor import (
     DENOM_FLOOR,
     DIAGNOSTICS,
+    PROBE_COLUMNS,
     FavorConfig,
     complexity_probe,
     draw_features,
     favor_bidirectional,
     favor_unidirectional,
     loglog_slope,
-    write_probe_csv,
     _phi,
 )
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
@@ -34,14 +37,14 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
     q = Tensor(rng.standard_normal((length, d_k)))
     k = Tensor(rng.standard_normal((length, d_k)))
     v = Tensor(rng.standard_normal((length, d_k)))
-    fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))
+    omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))
     with T.track_allocations() as log:
         if mode == "exact":
             exact_bidirectional(q, k, v)
         elif mode == "causal":
-            favor_unidirectional(q, k, v, fm)
+            favor_unidirectional(q, k, v, omega)
         else:
-            favor_bidirectional(q, k, v, fm)
+            favor_bidirectional(q, k, v, omega)
     return log.shapes
 
 
@@ -53,32 +56,32 @@ def masked(x, keep, fill):
     return T.add(T.mul(x, Tensor(keep)), Tensor(fill * (1.0 - keep)))
 
 
-def composed_phi(x, fm):
+def composed_phi(x, omega):
     """Reference for φ, composed from tensor primitives."""
-    proj = T.matmul(x, Tensor(fm.omega.T))
+    proj = T.matmul(x, Tensor(omega.T))
     sq_half = T.mul(T.tsum(T.mul(x, x), axis=1), 0.5)
     arg = T.sub(proj, sq_half)
     clamped = masked(arg, arg.data < EXP_CLAMP, EXP_CLAMP)
-    return T.mul(T.exp(clamped), 1.0 / np.sqrt(fm.omega.shape[0]))
+    return T.mul(T.exp(clamped), 1.0 / np.sqrt(omega.shape[0]))
 
 
-def composed_favor(q, k, v, fm):
+def composed_favor(q, k, v, omega):
     """Reference for favor_bidirectional, composed from tensor primitives."""
-    scale = fm.d_k ** -0.25
-    q_hat = composed_phi(T.mul(q, scale), fm)
-    k_hat = composed_phi(T.mul(k, scale), fm)
+    scale = omega.shape[1] ** -0.25
+    q_hat = composed_phi(T.mul(q, scale), omega)
+    k_hat = composed_phi(T.mul(k, scale), omega)
     num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
     den = T.matmul(q_hat, T.transpose(T.tsum(k_hat, axis=0)))
     return T.mul(num, T.recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
 
 
-def composed_causal_favor(q, k, v, fm):
+def composed_causal_favor(q, k, v, omega):
     """Reference for favor_unidirectional, composed from tensor primitives:
     one row at a time over running sums S_i = Σ_{j<=i} φ(k_j) v_jᵀ and
     z_i = Σ_{j<=i} φ(k_j)."""
-    scale = fm.d_k ** -0.25
-    q_hat = composed_phi(T.mul(q, scale), fm)
-    k_hat = composed_phi(T.mul(k, scale), fm)
+    scale = omega.shape[1] ** -0.25
+    q_hat = composed_phi(T.mul(q, scale), omega)
+    k_hat = composed_phi(T.mul(k, scale), omega)
     rows = []
     s_state = z_state = None  # (r, d_v), (r, 1)
     for i in range(q.shape[0]):
@@ -94,13 +97,13 @@ def composed_causal_favor(q, k, v, fm):
     return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
-def assert_matches_composed(kernel, composed, q, k, v, fm):
+def assert_matches_composed(kernel, composed, q, k, v, omega):
     """Bitwise forward; gradients of q, k and v within 1e-12."""
     outs, grads = [], []
     for fn in (kernel, composed):
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         with GradTape() as tape:
-            out = fn(*leaves, fm)
+            out = fn(*leaves, omega)
             loss = T.tsum(T.mul(out, out))
         tape.backward(loss)
         outs.append(out.data)
@@ -125,18 +128,18 @@ class TestDrawFeatures:
         cfg = FavorConfig(r=32, d_k=8, seed=123)
         a = draw_features(cfg)
         b = draw_features(cfg)
-        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a, b)
 
     def test_square_block_orthogonality(self):
-        fm = draw_features(FavorConfig(r=4, d_k=4, seed=0))
-        gram = fm.omega @ fm.omega.T
+        omega = draw_features(FavorConfig(r=4, d_k=4, seed=0))
+        gram = omega @ omega.T
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-10
 
     def test_blockwise_orthogonality_when_r_exceeds_dk(self):
-        fm = draw_features(FavorConfig(r=10, d_k=4, seed=1))
+        omega = draw_features(FavorConfig(r=10, d_k=4, seed=1))
         for start in (0, 4, 8):
-            block = fm.omega[start:start + 4]
+            block = omega[start:start + 4]
             gram = block @ block.T
             off = gram - np.diag(np.diag(gram))
             assert np.max(np.abs(off)) <= 1e-10
@@ -145,8 +148,8 @@ class TestDrawFeatures:
         # mean of chi_d is sqrt(2)*Gamma((d+1)/2)/Gamma(d/2); check loosely
         import math
         d = 8
-        fm = draw_features(FavorConfig(r=4000, d_k=d, seed=2))
-        norms = np.linalg.norm(fm.omega, axis=1)
+        omega = draw_features(FavorConfig(r=4000, d_k=d, seed=2))
+        norms = np.linalg.norm(omega, axis=1)
         expect = math.sqrt(2) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
         assert abs(norms.mean() - expect) < 0.05
 
@@ -163,9 +166,9 @@ class TestDrawFeatures:
         for r in (4, 64):
             estimates = []
             for seed in range(200):
-                fm = draw_features(FavorConfig(r=r, d_k=4, seed=seed))
-                px = _phi(x[None, :], fm.omega)[0][0]
-                py = _phi(y[None, :], fm.omega)[0][0]
+                omega = draw_features(FavorConfig(r=r, d_k=4, seed=seed))
+                px = _phi(x[None, :], omega)[0][0]
+                py = _phi(y[None, :], omega)[0][0]
                 estimates.append(px @ py)
             errors[r] = abs(np.mean(estimates) - true) / true
         assert errors[64] < 0.02  # 200 x 64 samples pin the kernel tightly
@@ -174,15 +177,15 @@ class TestDrawFeatures:
 
 class TestPhiPositive:
     def test_zero_vector(self):
-        fm = draw_features(FavorConfig(r=16, d_k=4, seed=0))
-        out, _ = _phi(np.zeros((1, 4)), fm.omega)
+        omega = draw_features(FavorConfig(r=16, d_k=4, seed=0))
+        out, _ = _phi(np.zeros((1, 4)), omega)
         np.testing.assert_allclose(out, np.full((1, 16), 1 / 4.0), atol=1e-15)
         # phi(0)ᵀphi(0) = 1 = exp(0)
         assert out[0] @ out[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_positive(self, rng):
-        fm = draw_features(FavorConfig(r=32, d_k=6, seed=4))
-        out, _ = _phi(rng.standard_normal((10, 6)), fm.omega)
+        omega = draw_features(FavorConfig(r=32, d_k=6, seed=4))
+        out, _ = _phi(rng.standard_normal((10, 6)), omega)
         assert np.all(out > 0)
 
     def test_kernel_estimate_accuracy_at_r1024(self):
@@ -196,9 +199,9 @@ class TestPhiPositive:
         true = np.exp(x @ y)
         rel = []
         for seed in range(20):
-            fm = draw_features(FavorConfig(r=1024, d_k=4, seed=seed))
-            px = _phi(x[None, :], fm.omega)[0][0]
-            py = _phi(y[None, :], fm.omega)[0][0]
+            omega = draw_features(FavorConfig(r=1024, d_k=4, seed=seed))
+            px = _phi(x[None, :], omega)[0][0]
+            py = _phi(y[None, :], omega)[0][0]
             rel.append(abs(px @ py - true) / true)
         assert np.mean(rel) <= 0.05
 
@@ -216,24 +219,24 @@ class TestPhiPositive:
 
     def test_width_mismatch(self):
         """φ takes rows of width d_k; both kernels reject wider q and k."""
-        fm = draw_features(FavorConfig(r=8, d_k=4, seed=0))
+        omega = draw_features(FavorConfig(r=8, d_k=4, seed=0))
         x = Tensor(np.ones((3, 5)))
         for kernel in (favor_bidirectional, favor_unidirectional):
             with pytest.raises(ShapeError, match="width 4"):
-                kernel(x, x, x, fm)
+                kernel(x, x, x, omega)
 
 
 class TestFavorBidirectional:
     def test_single_position_returns_value(self, rng):
         q, k, v = rand_inputs(rng, 1, 8)
-        fm = draw_features(FavorConfig(r=32, d_k=8, seed=6))
-        out = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm)
+        omega = draw_features(FavorConfig(r=32, d_k=8, seed=6))
+        out = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega)
         np.testing.assert_allclose(out.data, v, atol=1e-9)
 
     def test_output_in_value_hull(self, rng):
         q, k, v = rand_inputs(rng, 20, 8, d_v=3)
-        fm = draw_features(FavorConfig(r=64, d_k=8, seed=7))
-        out = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+        omega = draw_features(FavorConfig(r=64, d_k=8, seed=7))
+        out = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
         assert np.all(out >= v.min(axis=0) - 1e-9)
         assert np.all(out <= v.max(axis=0) + 1e-9)
 
@@ -245,8 +248,8 @@ class TestFavorBidirectional:
             rng = np.random.default_rng(1000 + seed)
             q, k, v = rand_inputs(rng, 64, 16)
             exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-            fm = draw_features(FavorConfig(r=256, d_k=16, seed=seed))
-            approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+            omega = draw_features(FavorConfig(r=256, d_k=16, seed=seed))
+            approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.05
 
@@ -260,8 +263,8 @@ class TestFavorBidirectional:
                 rng = np.random.default_rng(2000 + seed)
                 q, k, v = rand_inputs(rng, 48, 16)
                 exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-                fm = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
-                approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+                omega = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
+                approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
                 errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             medians.append(float(np.median(errs)))
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
@@ -276,18 +279,18 @@ class TestFavorBidirectional:
             rng = np.random.default_rng(seed)
             q, k, v = rand_inputs(rng, 16, 2)
             exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-            fm = draw_features(FavorConfig(r=4096, d_k=2, seed=seed))
-            approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+            omega = draw_features(FavorConfig(r=4096, d_k=2, seed=seed))
+            approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
             rows = np.linalg.norm(approx - exact, axis=1) / np.linalg.norm(exact, axis=1)
             row_errs.extend(rows.tolist())
         assert np.median(row_errs) <= 0.02
 
     def test_deterministic_given_seed(self, rng):
         q, k, v = rand_inputs(rng, 10, 4)
-        fm1 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
-        fm2 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
-        a = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm1).data
-        b = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm2).data
+        omega1 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
+        omega2 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
+        a = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega1).data
+        b = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega2).data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("length,d_k,d_v,r", [(1, 3, 3, 8), (9, 4, 2, 16), (64, 16, 16, 128)])
@@ -295,17 +298,17 @@ class TestFavorBidirectional:
         """The fused kernel against the primitive composition: bitwise
         forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
-        fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=16))
-        assert_matches_composed(favor_bidirectional, composed_favor, q, k, v, fm)
+        omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=16))
+        assert_matches_composed(favor_bidirectional, composed_favor, q, k, v, omega)
 
     def test_overflowing_query_raises(self, rng):
         """q·1e200 overflows ‖q‖² inside φ; neither kernel may return zeros."""
         q, k, v = rand_inputs(rng, 6, 4)
-        fm = draw_features(FavorConfig(r=16, d_k=4, seed=17))
+        omega = draw_features(FavorConfig(r=16, d_k=4, seed=17))
         for kernel in (favor_bidirectional, composed_favor,
                        favor_unidirectional, composed_causal_favor):
             with pytest.raises(FiniteError):
-                kernel(Tensor(q * 1e200), Tensor(k), Tensor(v), fm)
+                kernel(Tensor(q * 1e200), Tensor(k), Tensor(v), omega)
 
 
 @pytest.mark.parametrize("kernel,composed", [(favor_bidirectional, composed_favor),
@@ -318,36 +321,36 @@ def test_vanishing_query_features_hit_the_denominator_floor(kernel, composed, rn
     mask-form reference agrees."""
     q, k, v = rand_inputs(rng, 5, 4)
     q[2] = (80.0, 0.0, 0.0, 0.0)
-    fm = draw_features(FavorConfig(r=8, d_k=4, seed=19))
+    omega = draw_features(FavorConfig(r=8, d_k=4, seed=19))
     before = DIAGNOSTICS.denom_floored
-    out = kernel(Tensor(q), Tensor(k), Tensor(v), fm).data
+    out = kernel(Tensor(q), Tensor(k), Tensor(v), omega).data
     assert DIAGNOSTICS.denom_floored == before + 1
     np.testing.assert_array_equal(out[2], np.zeros(4))
     assert np.all(np.isfinite(out))
     assert np.all(np.delete(out, 2, axis=0) != 0)
-    assert_matches_composed(kernel, composed, q, k, v, fm)
+    assert_matches_composed(kernel, composed, q, k, v, omega)
 
 
 class TestFavorUnidirectional:
     def test_first_row_equals_first_value(self, rng):
         q, k, v = rand_inputs(rng, 6, 4)
-        fm = draw_features(FavorConfig(r=16, d_k=4, seed=10))
-        out = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), fm)
+        omega = draw_features(FavorConfig(r=16, d_k=4, seed=10))
+        out = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega)
         np.testing.assert_allclose(out.data[0], v[0], atol=1e-9)
 
     def test_length_one_matches_bidirectional(self, rng):
         q, k, v = rand_inputs(rng, 1, 4)
-        fm = draw_features(FavorConfig(r=16, d_k=4, seed=11))
-        uni = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
-        bi = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+        omega = draw_features(FavorConfig(r=16, d_k=4, seed=11))
+        uni = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+        bi = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
         np.testing.assert_allclose(uni, bi, atol=1e-12)
 
     def test_prefix_recomputation_bitwise(self, rng):
         q, k, v = rand_inputs(rng, 12, 4)
-        fm = draw_features(FavorConfig(r=16, d_k=4, seed=12))
-        full = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+        omega = draw_features(FavorConfig(r=16, d_k=4, seed=12))
+        full = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
         for t in (1, 4, 9):
-            prefix = favor_unidirectional(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t]), fm).data
+            prefix = favor_unidirectional(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t]), omega).data
             assert np.array_equal(full[:t], prefix)
 
     def test_tracks_exact_causal_attention(self):
@@ -357,8 +360,8 @@ class TestFavorUnidirectional:
             rng = np.random.default_rng(3000 + seed)
             q, k, v = rand_inputs(rng, 32, 8)
             exact = exact_unidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-            fm = draw_features(FavorConfig(r=512, d_k=8, seed=seed, causal=True))
-            approx = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), fm).data
+            omega = draw_features(FavorConfig(r=512, d_k=8, seed=seed, causal=True))
+            approx = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.15
 
@@ -367,28 +370,28 @@ class TestFavorUnidirectional:
         """The fused prefix-sum kernel against the per-row composition:
         bitwise forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
-        fm = draw_features(FavorConfig(r=r, d_k=d_k, seed=18))
-        assert_matches_composed(favor_unidirectional, composed_causal_favor, q, k, v, fm)
+        omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=18))
+        assert_matches_composed(favor_unidirectional, composed_causal_favor, q, k, v, omega)
 
 
 class TestFavorGradients:
     """Both attention variants, φ included, pass finite-difference checks (<= 1e-5)."""
 
     def test_bidirectional_gradient(self, rng):
-        fm = draw_features(FavorConfig(r=8, d_k=3, seed=14))
+        omega = draw_features(FavorConfig(r=8, d_k=3, seed=14))
 
         def build(q, k, v):
-            out = favor_bidirectional(q, k, v, fm)
+            out = favor_bidirectional(q, k, v, omega)
             return T.tsum(T.mul(out, out))
 
         q, k, v = rand_inputs(rng, 5, 3)
         check_gradients(build, [q, k, v], tol=1e-5)
 
     def test_unidirectional_gradient(self, rng):
-        fm = draw_features(FavorConfig(r=8, d_k=3, seed=15))
+        omega = draw_features(FavorConfig(r=8, d_k=3, seed=15))
 
         def build(q, k, v):
-            out = favor_unidirectional(q, k, v, fm)
+            out = favor_unidirectional(q, k, v, omega)
             return T.tsum(T.mul(out, out))
 
         q, k, v = rand_inputs(rng, 5, 3)
@@ -400,7 +403,7 @@ class TestComplexityProbe:
         rows = complexity_probe("favor", [32, 64], d_k=8, r=16, reps=2)
         assert len(rows) == 4
         path = tmp_path / "probe.csv"
-        write_probe_csv(rows, path)
+        write_csv(path, PROBE_COLUMNS, map(dataclasses.astuple, rows))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "mode,L,d_k,r,rep,wall_ns,peak_bytes_estimate"
         assert len(lines) == 5
@@ -409,6 +412,11 @@ class TestComplexityProbe:
     def test_rejects_lengths_below_one(self, lengths):
         with pytest.raises(ConfigError, match="lengths must be >= 1"):
             complexity_probe("favor", lengths, d_k=8, r=16, reps=1)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_reps_below_one(self, reps):
+        with pytest.raises(ConfigError, match="reps must be >= 1"):
+            complexity_probe("favor", [8, 16], d_k=8, r=16, reps=reps)
 
     def test_favor_never_allocates_lxl(self):
         for mode in ("favor", "causal"):

@@ -41,9 +41,11 @@ def random_walk(n, seed, start=100.0, step=1.0):
 
 # --- brute-force oracles: written independently of the library internals ---
 
-def valid(series):
-    """The values of an IndicatorSeries from its first valid index on."""
-    return series.values[series.valid_from:]
+def valid(values, start):
+    """An indicator's values from its first valid index ``start`` on, after
+    checking that the warm-up entries before it are zero-filled."""
+    np.testing.assert_array_equal(values[:start], 0.0)
+    return values[start:]
 
 
 def sma_oracle(prices, n, i):
@@ -94,19 +96,18 @@ def cci_oracle(high, low, close, n, i):
 class TestSma:
     def test_three_point_mean(self):
         out = sma([1.0, 2.0, 3.0], 3)
-        assert out.valid_from == 2
-        assert out.values[2] == pytest.approx(2.0)
+        np.testing.assert_array_equal(out[:2], 0.0)
+        assert out[2] == pytest.approx(2.0)
 
     def test_constant_series(self):
         out = sma([5.0, 5.0, 5.0, 5.0], 2)
-        assert out.valid_from == 1
-        np.testing.assert_array_equal(valid(out), [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(valid(out, 1), [5.0, 5.0, 5.0])
 
     def test_matches_resummation_oracle(self):
         prices = random_walk(100, seed=7)
         out = sma(prices, 14)
         for i in range(13, 100):
-            assert out.values[i] == pytest.approx(sma_oracle(prices, 14, i), abs=1e-12)
+            assert out[i] == pytest.approx(sma_oracle(prices, 14, i), abs=1e-12)
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
@@ -117,88 +118,88 @@ class TestEma:
     def test_n1_is_identity(self):
         prices = np.array([3.0, 1.0, 4.0, 1.5])
         out = ema(prices, 1)
-        assert out.valid_from == 0
-        np.testing.assert_allclose(out.values, prices, atol=1e-15)
+        np.testing.assert_array_equal(out[:0], 0.0)
+        np.testing.assert_allclose(out, prices, atol=1e-15)
 
     def test_constant_fixed_point(self):
         out = ema(np.full(20, 7.25), 5)
-        np.testing.assert_allclose(valid(out), np.full(16, 7.25), atol=1e-15)
+        np.testing.assert_allclose(valid(out, 4), np.full(16, 7.25), atol=1e-15)
 
     def test_hand_recurrence(self):
         # seed = mean(10, 11) = 10.5; then 11.5 and 12.5 by the k=2/3 recurrence
         out = ema([10.0, 11.0, 12.0, 13.0], 2)
-        assert out.valid_from == 1
-        np.testing.assert_allclose(out.values[1:], [10.5, 11.5, 12.5], atol=1e-12)
+        np.testing.assert_array_equal(out[:1], 0.0)
+        np.testing.assert_allclose(out[1:], [10.5, 11.5, 12.5], atol=1e-12)
 
     def test_matches_independent_recurrence(self):
         prices = random_walk(200, seed=11)
         out = ema(prices, 14)
-        np.testing.assert_allclose(valid(out), ema_oracle(prices, 14), atol=1e-10)
+        np.testing.assert_allclose(valid(out, 13), ema_oracle(prices, 14), atol=1e-10)
 
 
 class TestBollinger:
     def test_constant_series_bands_collapse(self):
-        bb = bollinger(np.full(10, 4.0), 5, 2.0)
-        np.testing.assert_array_equal(valid(bb.mid), valid(bb.upper))
-        np.testing.assert_array_equal(valid(bb.mid), valid(bb.lower))
+        mid, upper, lower = bollinger(np.full(10, 4.0), 5, 2.0)
+        np.testing.assert_array_equal(valid(mid, 4), valid(upper, 4))
+        np.testing.assert_array_equal(valid(mid, 4), valid(lower, 4))
 
     def test_two_point_window(self):
-        bb = bollinger([1.0, 3.0], 2, 2.0)
-        assert bb.mid.values[1] == pytest.approx(2.0)
-        assert bb.upper.values[1] == pytest.approx(4.0)
-        assert bb.lower.values[1] == pytest.approx(0.0)
+        mid, upper, lower = bollinger([1.0, 3.0], 2, 2.0)
+        assert mid[1] == pytest.approx(2.0)
+        assert upper[1] == pytest.approx(4.0)
+        assert lower[1] == pytest.approx(0.0)
 
     def test_matches_two_pass_oracle(self):
         prices = random_walk(300, seed=13, start=40000.0, step=120.0)
-        bb = bollinger(prices, 20, 2.0)
+        mid, upper, lower = bollinger(prices, 20, 2.0)
         for i in range(19, 300, 7):
             m, u, low = bollinger_oracle(prices, 20, 2.0, i)
-            assert bb.mid.values[i] == pytest.approx(m, abs=1e-10)
-            assert bb.upper.values[i] == pytest.approx(u, abs=1e-10)
-            assert bb.lower.values[i] == pytest.approx(low, abs=1e-10)
+            assert mid[i] == pytest.approx(m, abs=1e-10)
+            assert upper[i] == pytest.approx(u, abs=1e-10)
+            assert lower[i] == pytest.approx(low, abs=1e-10)
 
     def test_band_ordering(self):
         prices = random_walk(200, seed=17)
-        bb = bollinger(prices, 20, 2.0)
-        assert np.all(valid(bb.lower) <= valid(bb.mid))
-        assert np.all(valid(bb.mid) <= valid(bb.upper))
+        mid, upper, lower = bollinger(prices, 20, 2.0)
+        assert np.all(valid(lower, 19) <= valid(mid, 19))
+        assert np.all(valid(mid, 19) <= valid(upper, 19))
 
 
 class TestRsi:
     def test_strictly_increasing_is_100(self):
         out = rsi(np.arange(1.0, 30.0), 14)
-        np.testing.assert_array_equal(valid(out), np.full(len(valid(out)), 100.0))
+        np.testing.assert_array_equal(valid(out, 14), np.full(len(valid(out, 14)), 100.0))
 
     def test_strictly_decreasing_is_0(self):
         out = rsi(np.arange(30.0, 1.0, -1.0), 14)
-        np.testing.assert_array_equal(valid(out), np.zeros(len(valid(out))))
+        np.testing.assert_array_equal(valid(out, 14), np.zeros(len(valid(out, 14))))
 
     def test_alternating_deltas_give_50(self):
         prices = 10.0 + np.cumsum(np.tile([1.0, -1.0], 10))
         prices = np.concatenate([[10.0], prices])
         out = rsi(prices, 14)
-        np.testing.assert_allclose(valid(out), 50.0, atol=1e-12)
+        np.testing.assert_allclose(valid(out, 14), 50.0, atol=1e-12)
 
     def test_matches_direct_oracle(self):
         prices = random_walk(250, seed=19)
         out = rsi(prices, 14)
         for i in range(14, 250, 5):
-            assert out.values[i] == pytest.approx(rsi_oracle(prices, 14, i), abs=1e-10)
+            assert out[i] == pytest.approx(rsi_oracle(prices, 14, i), abs=1e-10)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(deadline=None, max_examples=25)
     def test_bounds_hold_for_random_walks(self, seed):
         prices = random_walk(60, seed=seed)
         out = rsi(prices, 14)
-        assert np.all(valid(out) >= 0.0)
-        assert np.all(valid(out) <= 100.0)
+        assert np.all(valid(out, 14) >= 0.0)
+        assert np.all(valid(out, 14) <= 100.0)
 
 
 class TestCci:
     def test_constant_candles_zero(self):
         series = make_series(np.full(30, 25.0))
         out = cci(series, 20)
-        np.testing.assert_array_equal(valid(out), np.zeros(len(valid(out))))
+        np.testing.assert_array_equal(valid(out, 19), np.zeros(len(valid(out, 19))))
 
     def test_zero_when_tp_equals_window_mean(self):
         # symmetric window: last typical price equals the window mean
@@ -210,7 +211,7 @@ class TestCci:
         window = tp[i - n + 1:i + 1]
         if abs(tp[i] - window.mean()) < 1e-12:
             out = cci(series, n)
-            assert out.values[i] == pytest.approx(0.0, abs=1e-9)
+            assert out[i] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(23)
@@ -219,7 +220,7 @@ class TestCci:
         out = cci(series, 20)
         for i in range(19, 200, 4):
             expect = cci_oracle(series.high, series.low, series.close, 20, i)
-            assert out.values[i] == pytest.approx(expect, abs=1e-9)
+            assert out[i] == pytest.approx(expect, abs=1e-9)
 
 
 @pytest.mark.parametrize("close", [np.full(40, 25.0), np.arange(1.0, 41.0),
@@ -260,14 +261,14 @@ class TestBuildFeatures:
         fm = build_features(series, params)
         w = fm.warmup
         np.testing.assert_array_equal(fm.values[w:, 0], close[w:])
-        np.testing.assert_array_equal(fm.values[w:, 1], sma(close, params.sma_n).values[w:])
-        np.testing.assert_array_equal(fm.values[w:, 2], ema(close, params.ema_n).values[w:])
-        bb = bollinger(close, params.bb_n, params.bb_k)
-        np.testing.assert_array_equal(fm.values[w:, 3], bb.mid.values[w:])
-        np.testing.assert_array_equal(fm.values[w:, 4], bb.upper.values[w:])
-        np.testing.assert_array_equal(fm.values[w:, 5], bb.lower.values[w:])
-        np.testing.assert_array_equal(fm.values[w:, 6], rsi(close, params.rsi_n).values[w:])
-        np.testing.assert_array_equal(fm.values[w:, 7], cci(series, params.cci_n).values[w:])
+        np.testing.assert_array_equal(fm.values[w:, 1], sma(close, params.sma_n)[w:])
+        np.testing.assert_array_equal(fm.values[w:, 2], ema(close, params.ema_n)[w:])
+        mid, upper, lower = bollinger(close, params.bb_n, params.bb_k)
+        np.testing.assert_array_equal(fm.values[w:, 3], mid[w:])
+        np.testing.assert_array_equal(fm.values[w:, 4], upper[w:])
+        np.testing.assert_array_equal(fm.values[w:, 5], lower[w:])
+        np.testing.assert_array_equal(fm.values[w:, 6], rsi(close, params.rsi_n)[w:])
+        np.testing.assert_array_equal(fm.values[w:, 7], cci(series, params.cci_n)[w:])
         assert fm.columns == FEATURE_COLUMNS
 
     def test_too_short_series_rejected(self):
@@ -297,16 +298,16 @@ class TestShiftEquivariance:
         close = random_walk(160, seed=43)
         series = make_series(close, spread=0.2)
         n = 14
-        full_sma = sma(close, n).values[t:]
-        drop_sma = sma(close[t:], n).values
+        full_sma = sma(close, n)[t:]
+        drop_sma = sma(close[t:], n)
         np.testing.assert_allclose(full_sma[n - 1:], drop_sma[n - 1:], atol=1e-12)
 
-        full_rsi = rsi(close, n).values[t:]
-        drop_rsi = rsi(close[t:], n).values
+        full_rsi = rsi(close, n)[t:]
+        drop_rsi = rsi(close[t:], n)
         np.testing.assert_allclose(full_rsi[n:], drop_rsi[n:], atol=1e-12)
 
-        bb_full = bollinger(close, 20).upper.values[t:]
-        bb_drop = bollinger(close[t:], 20).upper.values
+        bb_full = bollinger(close, 20)[1][t:]
+        bb_drop = bollinger(close[t:], 20)[1]
         np.testing.assert_allclose(bb_full[19:], bb_drop[19:], atol=1e-12)
 
         dropped = make_series(close[t:], spread=0.2)
@@ -314,14 +315,14 @@ class TestShiftEquivariance:
         dropped = OhlcvSeries(series.interval, series.timestamps[t:] - series.timestamps[t],
                               series.open[t:], series.high[t:], series.low[t:],
                               series.close[t:], series.volume[t:])
-        cci_full = cci(series, 20).values[t:]
-        cci_drop = cci(dropped, 20).values
+        cci_full = cci(series, 20)[t:]
+        cci_drop = cci(dropped, 20)
         np.testing.assert_allclose(cci_full[19:], cci_drop[19:], atol=1e-12)
 
     def test_ema_seed_difference_decays(self):
         close = random_walk(600, seed=47)
         n, t = 14, 3
-        full = ema(close, n).values[t:]
-        drop = ema(close[t:], n).values
+        full = ema(close, n)[t:]
+        drop = ema(close[t:], n)
         # (13/15)^400 is far below any representable difference
         np.testing.assert_allclose(full[400:], drop[400:], atol=1e-9)

@@ -276,7 +276,7 @@ class TestTrain:
                 rng = np.random.default_rng(0)
                 windows = rng.standard_normal((4, window, spec.n_features))
                 with GradTape() as tape:
-                    loss = _batch_loss(model, windows, rng.standard_normal(4), True, rng)
+                    loss = _batch_loss(model, windows, rng.standard_normal(4), rng)
                 tape.backward(loss)
                 sizes.append(len(tape))
             assert sizes[0] == sizes[1], (variant, sizes)
@@ -309,7 +309,7 @@ class TestPredictSeries:
         class Oracle:
             spec = model.spec
 
-            def forward_batch(self, windows, train=False, rng=None):
+            def forward_batch(self, windows, rng=None):
                 # look the window up by matching its contents
                 from fastforecast.tensor import Tensor
                 idx = [next(i for i in range(len(ds.windows))
@@ -429,11 +429,11 @@ class TestEndToEndGradient:
         with GradTape() as tape:
             for p in model.params.values():
                 tape.watch(p)
-            loss = _batch_loss(model, windows, targets, False, None)
+            loss = _batch_loss(model, windows, targets, None)
         tape.backward(loss)
 
         def loss_fn():
-            return _batch_loss(model, windows, targets, False, None).item()
+            return _batch_loss(model, windows, targets, None).item()
 
         worst = 0.0
         h = 1e-5
