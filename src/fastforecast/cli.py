@@ -179,11 +179,11 @@ def _build_dataset(cfg, norm=None):
     from .indicators import IndicatorParams
     from .model import VARIANTS
 
-    params = IndicatorParams(**cfg["indicators"])
+    params = IndicatorParams(**cfg["indicators"])  # checked for every variant
+    indicators = VARIANTS[cfg["model"]["variant"]].indicators
     series = load_csv(cfg["data"]["path"], cfg["data"]["interval"])
-    dataset = make_dataset(series, params, cfg["model"]["window"], tuple(cfg["split"]),
-                           use_indicators=VARIANTS[cfg["model"]["variant"]].indicators,
-                           norm=norm)
+    dataset = make_dataset(series, params if indicators else None, cfg["model"]["window"],
+                           tuple(cfg["split"]), norm=norm)
     return series, dataset
 
 

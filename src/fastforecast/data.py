@@ -57,14 +57,15 @@ def load_csv(path, interval) -> OhlcvSeries:
     """Parse an OHLCV CSV into a gap-free series.
 
     Keeps the longest contiguous segment when the file contains gaps; raises
-    :class:`DataError` (with the line number) for malformed rows, timestamps
-    outside the int64 range, duplicate or decreasing timestamps, text that is
-    not UTF-8, and empty files.
+    :class:`DataError` (with the line number) for malformed rows, fields over
+    ``csv.field_size_limit()``, timestamps outside the int64 range, duplicate
+    or decreasing timestamps, text that is not UTF-8, and empty files.  A
+    UTF-8 byte-order mark is skipped.
     """
     interval = parse_interval(interval)
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -86,6 +87,8 @@ def load_csv(path, interval) -> OhlcvSeries:
                 rows.append((lineno, ts, vals))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -147,10 +150,13 @@ class ColumnStats:
 
     @staticmethod
     def from_dict(d: dict) -> "ColumnStats":
-        stats = ColumnStats(tuple(d["columns"]), np.asarray(d["mean"], dtype=np.float64),
-                            np.asarray(d["std"], dtype=np.float64), int(d["target_index"]))
-        n = len(stats.columns)
-        if stats.mean.shape != (n,) or stats.std.shape != (n,) or not 0 <= stats.target_index < n:
+        columns, target = tuple(d["columns"]), d["target_index"]
+        if "close" not in columns or type(target) is not int or target != columns.index("close"):
+            raise DataError(f"target_index {target!r} is not the index of 'close' in {columns}")
+        stats = ColumnStats(columns, np.asarray(d["mean"], dtype=np.float64),
+                            np.asarray(d["std"], dtype=np.float64), target)
+        n = len(columns)
+        if stats.mean.shape != (n,) or stats.std.shape != (n,):
             raise DataError(f"statistics do not match their {n} columns")
         if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
                 and (stats.std > 0).all()):
@@ -196,18 +202,19 @@ class Dataset:
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 
 
-def make_dataset(series: OhlcvSeries, params: IndicatorParams, window: int,
+def make_dataset(series: OhlcvSeries, params: IndicatorParams | None, window: int,
                  split_fractions=SPLIT_FRACTIONS,
-                 use_indicators: bool = True,
                  norm: ColumnStats | None = None) -> Dataset:
     """Build normalized sliding windows with a chronological split; the
-    statistics are fitted on the training rows unless ``norm`` is given."""
+    features are the indicators of ``params``, or the raw OHLCV columns when
+    it is None.  The statistics are fitted on the training rows unless
+    ``norm`` is given."""
     if window < 1:
         raise DataError("window length must be >= 1")
     if len(split_fractions) != 3 or abs(sum(split_fractions) - 1.0) > 1e-9 \
             or not all(0.0 <= f <= 1.0 for f in split_fractions):
         raise DataError("split fractions must be three values in [0, 1] summing to 1")
-    fm: FeatureMatrix = build_features(series, params) if use_indicators else raw_features(series)
+    fm: FeatureMatrix = raw_features(series) if params is None else build_features(series, params)
     valid = fm.values[fm.warmup:]
     times = series.timestamps[fm.warmup:]
     close_idx = fm.columns.index("close")

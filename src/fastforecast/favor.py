@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,8 +70,11 @@ class FavorConfig:
             raise ConfigError("d_k must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.redraw_interval is not None and self.redraw_interval < 1:
-            raise ConfigError("redraw_interval must be >= 1 when set")
+        if not isinstance(self.causal, bool):
+            raise ConfigError(f"causal must be true or false, got {self.causal!r}")
+        interval = self.redraw_interval
+        if interval is not None and (type(interval) is not int or interval < 1):
+            raise ConfigError(f"redraw_interval must be an integer >= 1 or null, got {interval!r}")
 
 
 def _gram_schmidt(block: np.ndarray) -> np.ndarray:
@@ -113,15 +116,18 @@ def draw_features(cfg: FavorConfig) -> np.ndarray:
 def _phi(x: np.ndarray, omega: np.ndarray):
     """φ of the rows of x: returns φ(x) and the mask of unclamped exponents
     (None when nothing was clamped)."""
-    arg = x @ np.ascontiguousarray(omega.T) - 0.5 * (x * x).sum(axis=1, keepdims=True)
-    T.check_finite(arg)
-    T.note_buffers(arg)
+    phi = x @ np.ascontiguousarray(omega.T)  # one (L, r) buffer, from exponent to φ
+    phi -= 0.5 * (x * x).sum(axis=1, keepdims=True)
+    T.check_finite(phi)
     mask = None
-    clamped = int(np.count_nonzero(arg >= EXP_CLAMP))
+    clamped = int(np.count_nonzero(phi >= EXP_CLAMP))
     if clamped:
         DIAGNOSTICS.exp_clamped += clamped
-        mask = arg < EXP_CLAMP
-    return np.exp(np.minimum(arg, EXP_CLAMP)) * (1.0 / math.sqrt(omega.shape[0])), mask
+        mask = phi < EXP_CLAMP
+        np.minimum(phi, EXP_CLAMP, out=phi)
+    np.exp(phi, out=phi)
+    phi *= 1.0 / math.sqrt(omega.shape[0])
+    return phi, mask
 
 
 def _phi_grad(x: np.ndarray, omega: np.ndarray, phi: np.ndarray, mask, g: np.ndarray):
@@ -206,9 +212,6 @@ def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> 
 # complexity probe
 # ---------------------------------------------------------------------------
 
-PROBE_COLUMNS = ("mode", "L", "d_k", "r", "rep", "wall_ns", "peak_bytes_estimate")
-
-
 @dataclass
 class ProbeRow:
     mode: str
@@ -218,6 +221,9 @@ class ProbeRow:
     rep: int
     wall_ns: int
     peak_bytes_estimate: int
+
+
+PROBE_COLUMNS = tuple(f.name for f in fields(ProbeRow))
 
 
 def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,

@@ -152,7 +152,7 @@ class Model:
         self.spec = spec
         self.params: dict[str, Tensor] = {}
         self.feature_maps: list[list[np.ndarray]] = []
-        self.favor_generation = 0
+        self.favor_generation: int | None = None  # no Ω drawn yet
         rng = np.random.default_rng(spec.seed)
         d = spec.d_model
 
@@ -177,8 +177,7 @@ class Model:
                 self.params[f"block{i}.ffn.b2"] = Tensor(np.zeros((1, d)), requires_grad=True)
                 self.params[f"block{i}.ln2.g"] = Tensor(np.ones((1, d)), requires_grad=True)
                 self.params[f"block{i}.ln2.b"] = Tensor(np.zeros((1, d)), requires_grad=True)
-        if spec.uses_favor:
-            self._draw_feature_maps()
+        self.set_favor_generation(0)
 
         if spec.uses_bilstm:
             width_in = d
@@ -200,25 +199,22 @@ class Model:
 
     # -- structure helpers ---------------------------------------------------
 
-    def _draw_feature_maps(self) -> None:
-        """One projection Ω per (block, head); seeds derived from the favor seed and
-        the redraw generation so redraws stay reproducible."""
-        spec = self.spec
-        ss = np.random.SeedSequence([spec.favor.seed, self.favor_generation])
-        seeds = ss.generate_state(spec.blocks * spec.heads, dtype=np.uint64)
-        self.feature_maps = []
-        idx = 0
-        for _ in range(spec.blocks):
-            row = []
-            for _ in range(spec.heads):
-                row.append(draw_features(dataclasses.replace(spec.favor, seed=int(seeds[idx]))))
-                idx += 1
-            self.feature_maps.append(row)
-
     def set_favor_generation(self, generation: int) -> None:
+        """Draw one projection Ω per (block, head) from the favor seed and the
+        redraw generation, so redraws stay reproducible.  Ω depends on nothing
+        else, so the generation already drawn is kept as it is."""
+        if type(generation) is not int or generation < 0:
+            raise ConfigError(f"favor_generation must be an integer >= 0, got {generation!r}")
+        if generation == self.favor_generation:
+            return
         self.favor_generation = generation
-        if self.spec.uses_favor:
-            self._draw_feature_maps()
+        spec = self.spec
+        if spec.uses_favor:
+            ss = np.random.SeedSequence([spec.favor.seed, generation])
+            seeds = ss.generate_state(spec.blocks * spec.heads, dtype=np.uint64)
+            self.feature_maps = [[draw_features(dataclasses.replace(spec.favor, seed=seed))
+                                  for seed in row]
+                                 for row in seeds.reshape(spec.blocks, spec.heads).tolist()]
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -277,7 +273,7 @@ class Model:
         else:
             kernels = [scaled_dot_attention] * spec.heads
         w = self._attn_weights(block)
-        parts = [multi_head(T.slice_rows(x, s * length, (s + 1) * length), w, kernels)
+        parts = [multi_head(T.take_rows(x, np.arange(s * length, (s + 1) * length)), w, kernels)
                  for s in range(batch)]
         return T.concat(parts, axis=0) if batch > 1 else parts[0]
 
@@ -317,7 +313,7 @@ class Model:
                 seq = bilstm_forward_steps(seq, batch, self._lstm_weights(layer, "fwd"),
                                            self._lstm_weights(layer, "bwd"))
                 seq = self._dropout(seq, rng)
-            rep = T.slice_rows(seq, (length - 1) * batch, length * batch)
+            rep = T.take_rows(seq, np.arange((length - 1) * batch, length * batch))
         else:
             rep = T.take_rows(x, np.arange(batch) * length + (length - 1))
 
@@ -408,14 +404,19 @@ def _batch_loss(model: Model, windows, targets, rng) -> Tensor:
     return T.mul(T.tsum(T.mul(diff, diff)), 1.0 / len(targets))
 
 
+def _predict(model: Model, windows, batch: int) -> np.ndarray:
+    """Normalized predictions for (N, L, F) windows, ``batch`` windows per
+    forward pass."""
+    return np.concatenate([model.forward_batch(windows[lo:lo + batch]).data[:, 0]
+                           for lo in range(0, len(windows), batch)])
+
+
 def _eval_loss(model: Model, windows, targets, batch: int) -> float:
-    total, count = 0.0, 0
-    for lo in range(0, len(windows), batch):
-        hi = min(lo + batch, len(windows))
-        preds = model.forward_batch(windows[lo:hi]).data[:, 0]
-        total += float(np.sum((preds - targets[lo:hi]) ** 2))
-        count += hi - lo
-    return total / count
+    squared = (_predict(model, windows, batch) - targets) ** 2
+    total = 0.0
+    for lo in range(0, len(windows), batch):  # another summation order moves the last bits
+        total += float(np.sum(squared[lo:lo + batch]))
+    return total / len(windows)
 
 
 def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
@@ -506,11 +507,7 @@ def predict_series(model: Model, dataset: Dataset, split: str,
     r = dataset.split.named()[split]
     if len(r) == 0:
         raise DataError(f"empty split '{split}'")
-    windows = dataset.windows[r.start:r.stop]
-    preds = np.empty(len(windows))
-    for lo in range(0, len(windows), batch):
-        hi = min(lo + batch, len(windows))
-        preds[lo:hi] = model.forward_batch(windows[lo:hi]).data[:, 0]
+    preds = _predict(model, dataset.windows[r.start:r.stop], batch)
     return PredictionSeries(
         timestamps=dataset.target_times[r.start:r.stop].copy(),
         actual=dataset.raw_targets[r.start:r.stop].copy(),

@@ -371,28 +371,13 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat supports axis 0 or 1")
     parts = tuple(parts)
     _require_2d("concat", *parts)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        if axis == 0:
-            return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return np.split(g, splits, axis=axis)
 
     return _make(parts, np.concatenate([p.data for p in parts], axis=axis),
                  backward, check=False)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d("slice_rows", x)
-    shape = x.data.shape
-
-    def backward(g):
-        z = np.zeros(shape)
-        z[start:stop] = g
-        return (z,)
-
-    return _make((x,), x.data[start:stop], backward, check=False)
 
 
 def take_rows(x: Tensor, idx) -> Tensor:

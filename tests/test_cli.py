@@ -1,5 +1,6 @@
 """End-to-end CLI tests on a small synthetic fixture."""
 
+import csv
 import json
 import os
 import struct
@@ -286,10 +287,14 @@ def edit_header(blob, edit):
     return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
 
 
-def set_first_norm_entry(field, value):
-    """A corruption that sets the first ``norm.<field>`` entry of the header."""
+def set_header_field(path, value):
+    """A corruption that sets the header entry at ``path``, a tuple of keys
+    and list indices."""
     def edit(header):
-        header["norm"][field][0] = value
+        section = header
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
     return lambda blob: edit_header(blob, edit)
 
 
@@ -306,10 +311,17 @@ MALFORMED_CHECKPOINTS = {
     "trailing_bytes": lambda b: b + b"\x00" * 4,
     "nan_parameter": lambda b: b[:-8] + struct.pack("<d", float("nan")),
     "zero_bilstm_hidden": lambda b: edit_header(b, lambda h: h["spec"].update(bilstm_hidden=0)),
-    "zero_std": set_first_norm_entry("std", 0.0),
-    "nan_std": set_first_norm_entry("std", float("nan")),
-    "negative_std": set_first_norm_entry("std", -1.0),
-    "infinite_mean": set_first_norm_entry("mean", float("inf")),
+    "zero_std": set_header_field(("norm", "std", 0), 0.0),
+    "nan_std": set_header_field(("norm", "std", 0), float("nan")),
+    "negative_std": set_header_field(("norm", "std", 0), -1.0),
+    "infinite_mean": set_header_field(("norm", "mean", 0), float("inf")),
+    # each of these loaded at exit 0 and gave other numbers, or ran another kernel
+    "target_index_not_close": set_header_field(("norm", "target_index"), 1),
+    "target_index_bool": set_header_field(("norm", "target_index"), True),
+    "favor_generation_bool": set_header_field(("favor_generation",), True),
+    "causal_string": set_header_field(("spec", "favor", "causal"), "false"),
+    "causal_int": set_header_field(("spec", "favor", "causal"), 1),
+    "redraw_interval_float": set_header_field(("spec", "favor", "redraw_interval"), 2.5),
 }
 
 
@@ -318,7 +330,8 @@ def trained_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trained")
     csv_path = tmp / "ohlcv.csv"
     write_csv(csv_path, candle_rows(140, seed=21))
-    config = make_config(tmp, csv_path)
+    # a FAVOR+ variant, so that the header has every field
+    config = make_config(tmp, csv_path, variant="performer_bilstm")
     assert main(["train", "--config", str(config), "--out", str(tmp / "run")]) == EXIT_OK
     return config, (tmp / "run" / "checkpoint.ffck").read_bytes()
 
@@ -400,8 +413,17 @@ def _out_below_file(tmp_path, config):
     return ["--out", str(tmp_path / "taken" / "out")], EXIT_INPUT, "Not a directory"
 
 
+def _csv_field_too_long(tmp_path, config):
+    csv_path = Path(json.loads(config.read_text())["data"]["path"])
+    with open(csv_path, "a", encoding="utf-8") as fh:
+        fh.write("1" * (csv.field_size_limit() + 1) + ",1,1,1,1,1\n")
+    lines = len(csv_path.read_text(encoding="utf-8").splitlines())
+    return [], EXIT_INPUT, f"{csv_path}:{lines}: field larger than field limit"
+
+
 UNREADABLE_INPUTS = {"config-not-utf8": _not_utf8_config, "csv-not-utf8": _not_utf8_csv,
-                     "csv-is-directory": _csv_is_directory, "out-below-file": _out_below_file}
+                     "csv-is-directory": _csv_is_directory, "out-below-file": _out_below_file,
+                     "csv-field-too-long": _csv_field_too_long}
 
 
 @pytest.mark.parametrize("spoil", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS)

@@ -1,5 +1,6 @@
 """Dataset pipeline and metric tests."""
 
+import csv
 import logging
 
 import numpy as np
@@ -90,6 +91,22 @@ class TestLoadCsv:
         write_csv(path, candle_rows(200, start_ts=start))
         with pytest.raises(DataError, match=rf"far\.csv:{line}: timestamp .* int64"):
             load_csv(path, "hourly")
+
+    def test_field_over_the_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        write_csv(path, candle_rows(3))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("1" * (csv.field_size_limit() + 1) + ",1,1,1,1,1\n")
+        with pytest.raises(DataError, match=r"long\.csv:5: field larger than field limit"):
+            load_csv(path, "hourly")
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(path, candle_rows(5))
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, with_bom = load_csv(path, "hourly"), load_csv(marked, "hourly")
+        for field in ("timestamps", "open", "high", "low", "close", "volume"):
+            assert np.array_equal(getattr(with_bom, field), getattr(plain, field)), field
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -200,7 +217,7 @@ class TestMakeDataset:
             make_dataset(self._series(25), IndicatorParams(), 10)
 
     def test_raw_feature_mode(self):
-        ds = make_dataset(self._series(80), IndicatorParams(), 10, use_indicators=False)
+        ds = make_dataset(self._series(80), None, 10)
         assert ds.columns == ("open", "high", "low", "close", "volume")
         assert ds.n_features == 5
 

@@ -85,9 +85,9 @@ def composed_causal_favor(q, k, v, omega):
     rows = []
     s_state = z_state = None  # (r, d_v), (r, 1)
     for i in range(q.shape[0]):
-        k_row = T.slice_rows(k_hat, i, i + 1)  # (1, r)
-        q_row = T.slice_rows(q_hat, i, i + 1)  # (1, r)
-        outer = T.matmul(T.transpose(k_row), T.slice_rows(v, i, i + 1))  # (r, d_v)
+        k_row = T.take_rows(k_hat, [i])  # (1, r)
+        q_row = T.take_rows(q_hat, [i])  # (1, r)
+        outer = T.matmul(T.transpose(k_row), T.take_rows(v, [i]))  # (r, d_v)
         k_col = T.transpose(k_row)  # (r, 1)
         s_state = outer if s_state is None else T.add(s_state, outer)
         z_state = k_col if z_state is None else T.add(z_state, k_col)

@@ -66,7 +66,7 @@ def lstm_fold(xs, batch, w, reverse=False):
     h, c = zero_state(batch, w.hidden_size)
     outs = [None] * length
     for t in order:
-        h, c = lstm_cell(T.slice_rows(xs, t * batch, (t + 1) * batch), h, c, w)
+        h, c = lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)), h, c, w)
         outs[t] = h
     return T.concat(outs, axis=0) if length > 1 else outs[0]
 

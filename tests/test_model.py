@@ -44,9 +44,9 @@ def tiny_spec(variant="performer_bilstm", window=8, n_features=8, seed=0, **kw):
                      dropout=kw.pop("dropout", 0.0), seed=seed, **kw)
 
 
-def tiny_dataset(n=120, window=8, seed=3, use_indicators=True):
+def tiny_dataset(n=120, window=8, seed=3):
     series = make_series(random_walk(n, seed=seed), spread=0.3)
-    return make_dataset(series, IndicatorParams(), window, use_indicators=use_indicators)
+    return make_dataset(series, IndicatorParams(), window)
 
 
 class TestSpecValidation:
@@ -104,6 +104,22 @@ class TestBuild:
         widths = [2 * hid, 4, 1]
         expect += sum(a * b + b for a, b in zip(widths, widths[1:]))
         assert model.parameter_count() == expect
+
+    def test_feature_draw_changes_only_with_the_generation(self):
+        model = build(tiny_spec(blocks=2))
+        drawn = [omega for row in model.feature_maps for omega in row]
+        model.set_favor_generation(0)
+        kept = [omega for row in model.feature_maps for omega in row]
+        assert len(kept) == 4 and all(a is b for a, b in zip(drawn, kept))
+        model.set_favor_generation(1)
+        redrawn = [omega for row in model.feature_maps for omega in row]
+        assert not any(np.array_equal(a, b) for a, b in zip(drawn, redrawn))
+
+    @pytest.mark.parametrize("generation", [True, 1.0, "1", -1])
+    def test_feature_generation_must_be_a_natural_number(self, generation):
+        model = build(tiny_spec())
+        with pytest.raises(ConfigError, match="favor_generation"):
+            model.set_favor_generation(generation)
 
     def test_positional_encoding_shape_and_interleave(self):
         pe = sinusoidal_encoding(10, 8)

@@ -234,7 +234,7 @@ PRIMITIVE_CASES = [
     ("sub_scalar_first", lambda x: T.tsum(T.tanh(T.sub(3.0, x))), [_r((3, 4), 40)]),
     ("concat0", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
     ("concat1", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
-    ("slice_rows", lambda x: T.tsum(T.mul(T.slice_rows(x, 1, 3), T.slice_rows(x, 1, 3))), [_r((4, 3), 35)]),
+    ("take_rows_range", lambda x: T.tsum(T.mul(T.take_rows(x, [1, 2]), T.take_rows(x, [1, 2]))), [_r((4, 3), 35)]),
     ("take_rows", lambda x: T.tsum(T.tanh(T.take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
 ]
 
