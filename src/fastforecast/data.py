@@ -1,11 +1,18 @@
 """CSV ingestion, window datasets, normalization and the evaluation metrics.
 
-Input CSV format: header ``timestamp,open,high,low,close,volume``, integer
-epoch-second timestamps, ``.`` decimal separator, UTF-8.  Rows must be
-strictly increasing in time; a spacing larger than the declared interval is
-a gap — the series is split at gaps and the longest contiguous segment is
-kept (one warning logged per gap).  Duplicate or decreasing timestamps are
-rejected outright with the offending line number.
+Input CSV format: header ``timestamp,open,high,low,close,volume``, UTF-8
+with or without a byte-order mark, lines ending in ``\n``, ``\r\n`` or
+``\r``.  Every other line that is not blank or whitespace-only is a row of
+six comma-separated fields: an integer epoch-second timestamp, then five
+numbers with a ``.`` decimal separator.  Numbers are ASCII (no ``_``
+separators, no non-ASCII digits); a field may be padded with whitespace and
+wrapped in ``"``, but may not hold a line break.  ``#`` starts no comment: a
+``#`` line is a malformed row.  Every malformed row is rejected with its
+line number.  Rows must be strictly increasing in time; any other spacing
+than the declared interval is a gap — the series is split at gaps and the
+longest contiguous segment is kept (one warning logged per gap).  Duplicate
+or decreasing timestamps are rejected outright with the offending line
+number.
 
 Dataset construction slides a length-L window over the valid (post warm-up)
 feature rows; the target is the next close.  The split is chronological and
@@ -20,7 +27,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import logging
+import operator
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +56,16 @@ def parse_interval(value) -> int:
         if value not in INTERVALS:
             raise DataError(f"unknown interval '{value}' (use hourly/daily or seconds)")
         return INTERVALS[value]
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise DataError(f"interval must be a whole number of seconds, got {value!r}")
     iv = int(value)
     if iv <= 0:
         raise DataError("interval must be positive")
     return iv
+
+
+# one record per data row: the epoch-second timestamp, then the five candle columns
+_ROW_DTYPE = np.dtype([("timestamp", "<i8")] + [(name, "<f8") for name in CSV_HEADER[1:]])
 
 
 def load_csv(path, interval) -> OhlcvSeries:
@@ -63,60 +78,116 @@ def load_csv(path, interval) -> OhlcvSeries:
     UTF-8 byte-order mark is skipped.
     """
     interval = parse_interval(interval)
-    rows = []
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if [h.strip().lower() for h in header] != CSV_HEADER:
-                raise DataError(f"{path}: header {header} != {CSV_HEADER}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 6:
-                    raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-                try:
-                    ts = int(row[0])
-                    vals = [float(x) for x in row[1:]]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                if not -2**63 <= ts < 2**63:
-                    raise DataError(f"{path}:{lineno}: timestamp {ts} outside the int64 range")
-                rows.append((lineno, ts, vals))
+        # universal newlines: "\r\n" and a lone "\r" end a line, as for csv.reader
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not text:
+        raise DataError(f"{path}: empty file")
+    head, *body = text.split("\n")
+    try:
+        header = next(csv.reader([head]))
     except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        raise DataError(f"{path}:1: {exc}") from None
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise DataError(f"{path}: header {header} != {CSV_HEADER}")
+    rows = list(filter(str.strip, body))  # blank and whitespace-only lines are skipped
     if not rows:
         raise DataError(f"{path}: no data rows")
-
-    # split into contiguous segments at gaps; reject non-increasing stamps
-    segments = [[rows[0]]]
-    for prev, cur in zip(rows, rows[1:]):
-        delta = cur[1] - prev[1]
-        if delta <= 0:
-            kind = "duplicate" if delta == 0 else "decreasing"
-            raise DataError(f"{path}:{cur[0]}: {kind} timestamp {cur[1]}")
-        if delta != interval:
-            logger.warning("%s:%d: gap of %ds (expected %ds); splitting series",
-                           path, cur[0], delta, interval)
-            segments.append([])
-        segments[-1].append(cur)
-
-    best = max(segments, key=len)
-    if len(segments) > 1:
-        dropped = len(rows) - len(best)
-        logger.info("kept longest segment of %d rows (%d rows dropped)", len(best), dropped)
-
-    ts = np.array([r[1] for r in best], dtype=np.int64)
-    cols = np.array([r[2] for r in best], dtype=np.float64)
+    if _numpy_is_laxer(text, rows):
+        _check_rows(path)
     try:
-        return OhlcvSeries(interval, ts, cols[:, 0], cols[:, 1], cols[:, 2],
-                           cols[:, 3], cols[:, 4])
+        with warnings.catch_warnings():
+            # older numpy parses "1.0" into an int64 column with only a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+    except (ValueError, DeprecationWarning):
+        _check_rows(path)
+        raise DataError(f"{path}: rows could not be parsed") from None
+
+    # split into contiguous segments at gaps; reject non-increasing stamps.
+    # The comparison catches a step back that np.diff wraps round to +interval.
+    ts = table["timestamp"]
+    breaks = np.flatnonzero((np.diff(ts) != interval) | (ts[1:] <= ts[:-1])) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [len(ts)]))
+    best = int(np.argmax(ends - starts))
+    keep = slice(starts[best], ends[best])
+    if len(breaks):
+        lines = _data_line_numbers(body)
+        for i in breaks:
+            delta = int(ts[i]) - int(ts[i - 1])
+            if delta <= 0:
+                kind = "duplicate" if delta == 0 else "decreasing"
+                raise DataError(f"{path}:{lines[i]}: {kind} timestamp {ts[i]}")
+            logger.warning("%s:%d: gap of %ds (expected %ds); splitting series",
+                           path, lines[i], delta, interval)
+        kept = ends[best] - starts[best]
+        logger.info("kept longest segment of %d rows (%d rows dropped)", kept, len(ts) - kept)
+
+    try:
+        return OhlcvSeries(interval, *(table[name][keep] for name in _ROW_DTYPE.names))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _numpy_is_laxer(text, rows) -> bool:
+    """Whether ``rows`` may hold what numpy parses but the CSV contract
+    rejects: a field over ``csv.field_size_limit()``, or a quote left open at
+    the end of a line, which numpy closes on a later line."""
+    if max(map(len, rows)) > csv.field_size_limit():
+        return True
+    if '"' not in text:
+        return False
+    quotes = np.fromiter(map(operator.methodcaller("count", '"'), rows), dtype=np.int64,
+                         count=len(rows))
+    return bool(np.any(quotes % 2))
+
+
+def _data_line_numbers(body) -> np.ndarray:
+    """File line number of each data row, given the lines after the header."""
+    kept = np.fromiter(map(bool, map(str.strip, body)), dtype=bool, count=len(body))
+    return np.flatnonzero(kept) + 2
+
+
+def _check_rows(path) -> None:
+    """Raise the :class:`DataError` of the first malformed data row of
+    ``path``, naming its line; return if there is none.
+
+    :func:`load_csv` calls this only when its one parse has failed, or may
+    have accepted a row that the contract rejects.  numpy's row numbers do
+    not count skipped lines, so this re-reads the file to name the line.
+    The rules are those of that parse, plus csv's field size limit: six
+    fields, an int64 timestamp, ASCII numbers with no ``_`` separators, no
+    line break inside a quoted field.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        next(fh)  # the header, already checked
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if len(row) != 6:
+                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+            values = []
+            for kind, field in zip((int, float, float, float, float, float), row):
+                if "\n" in field or "\r" in field:
+                    raise DataError(f"{path}:{lineno}: line break inside a quoted field")
+                number = field.strip()
+                if not number.isascii() or "_" in number:
+                    raise DataError(f"{path}:{lineno}: {field!r} is not a plain ASCII number")
+                try:
+                    values.append(kind(number))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not -2**63 <= values[0] < 2**63:
+                raise DataError(f"{path}:{lineno}: timestamp {values[0]} outside the int64 range")
 
 
 # ---------------------------------------------------------------------------

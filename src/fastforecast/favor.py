@@ -68,8 +68,8 @@ class FavorConfig:
             raise ConfigError("random-feature count r must be >= 1")
         if self.d_k < 1:
             raise ConfigError("d_k must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.causal, bool):
             raise ConfigError(f"causal must be true or false, got {self.causal!r}")
         interval = self.redraw_interval

@@ -88,8 +88,10 @@ class ModelSpec:
                               "and fc_widths must be positive")
         if not self.fc_widths or self.fc_widths[-1] != 1:
             raise ConfigError("fc_widths must end in 1 (scalar close output)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
+        if isinstance(self.dropout, bool) or not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.uses_attention and self.d_model % self.heads:
             raise ConfigError(f"d_model = {self.d_model} not divisible by h = {self.heads}")
         if self.uses_favor:

@@ -322,6 +322,11 @@ MALFORMED_CHECKPOINTS = {
     "causal_string": set_header_field(("spec", "favor", "causal"), "false"),
     "causal_int": set_header_field(("spec", "favor", "causal"), 1),
     "redraw_interval_float": set_header_field(("spec", "favor", "redraw_interval"), 2.5),
+    "favor_seed_bool": set_header_field(("spec", "favor", "seed"), True),
+    # these loaded at exit 0 with the same numbers, a wrong type taken as read
+    "spec_seed_null": set_header_field(("spec", "seed"), None),
+    "spec_seed_bool": set_header_field(("spec", "seed"), True),
+    "dropout_bool": set_header_field(("spec", "dropout"), False),
 }
 
 

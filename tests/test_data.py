@@ -1,7 +1,11 @@
 """Dataset pipeline and metric tests."""
 
+import contextlib
 import csv
 import logging
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastforecast.data import (
+    CSV_HEADER,
     evaluate_metrics,
     load_csv,
     make_dataset,
@@ -20,7 +25,7 @@ from fastforecast.data import (
     write_predictions,
 )
 from fastforecast.errors import DataError
-from fastforecast.indicators import IndicatorParams, build_features
+from fastforecast.indicators import IndicatorParams, OhlcvSeries, build_features
 
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
@@ -120,12 +125,251 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path, "hourly")
 
+    @pytest.mark.parametrize("field", ["1_600_007_200", "1600007200.0", "\u0661600007200"],
+                             ids=["underscores", "int-via-float", "arabic-indic-digit"])
+    def test_timestamp_outside_the_ascii_integer_contract_names_line(self, tmp_path, field):
+        rows = candle_rows(4)
+        rows[2] = (field,) + rows[2][1:]
+        path = tmp_path / "digits.csv"
+        write_csv(path, rows)
+        with pytest.raises(DataError, match=r"digits\.csv:4: "):
+            load_csv(path, "hourly")
+
+    @pytest.mark.parametrize("field", ["1_00.5", "\u0661\u0660\u0660.5"],
+                             ids=["underscores", "arabic-indic-digits"])
+    def test_price_outside_the_ascii_contract_names_line(self, tmp_path, field):
+        rows = candle_rows(4)
+        rows[1] = rows[1][:5] + (field,)
+        path = tmp_path / "digits.csv"
+        write_csv(path, rows)
+        with pytest.raises(DataError, match=r"digits\.csv:3: .* not a plain ASCII number"):
+            load_csv(path, "hourly")
+
+    @pytest.mark.parametrize("line", ["# a comment", "#1600000000,1,1,1,1,1"])
+    def test_hash_prefixed_row_is_data_and_rejected_with_line(self, tmp_path, line):
+        rows = [",".join(map(str, row)) for row in candle_rows(4)]
+        path = tmp_path / "hash.csv"
+        write_csv(path, [(row,) for row in rows[:2] + [line] + rows[2:]])
+        with pytest.raises(DataError, match=r"hash\.csv:4: "):
+            load_csv(path, "hourly")
+
+    def test_whitespace_only_lines_are_skipped_and_counted(self, tmp_path):
+        rows = [",".join(map(str, row)) for row in candle_rows(5)]
+        lines = [rows[0], "   ", "", "\t", rows[1], " \t ", rows[2], "\u00a0", rows[3], rows[4]]
+        path = tmp_path / "blank.csv"
+        write_csv(path, [(line,) for line in lines])
+        series = load_csv(path, "hourly")
+        assert len(series) == 5
+        # a repeated stamp after them is reported on its own file line
+        write_csv(path, [(line,) for line in lines + ["   ", rows[4]]])
+        with pytest.raises(DataError, match=r"blank\.csv:13: duplicate"):
+            load_csv(path, "hourly")
+
+    def test_quoted_fields_parse_as_plain_ones(self, tmp_path):
+        rows = candle_rows(4)
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_csv(plain, rows)
+        write_csv(quoted, [tuple(f'" {x} "' for x in row) for row in rows])
+        a, b = load_csv(plain, "hourly"), load_csv(quoted, "hourly")
+        for field in ("timestamps", "open", "high", "low", "close", "volume"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_line_break_inside_a_quoted_field_names_line(self, tmp_path):
+        rows = candle_rows(4)
+        rows[2] = rows[2][:5] + ('"1\n"',)
+        path = tmp_path / "quote.csv"
+        write_csv(path, rows)
+        with pytest.raises(DataError, match=r"quote\.csv:4: line break inside a quoted field"):
+            load_csv(path, "hourly")
+
+    def test_long_price_field_over_the_csv_limit_names_line(self, tmp_path):
+        """A price that numpy would parse is still held to csv's field limit."""
+        path = tmp_path / "long.csv"
+        rows = candle_rows(3)
+        write_csv(path, rows)
+        with open(path, "a", encoding="utf-8") as fh:
+            padded = "0" * csv.field_size_limit() + str(rows[2][1])
+            fh.write(f"{rows[2][0] + 3600},{padded},{rows[2][2]},{rows[2][3]},1,1\n")
+        with pytest.raises(DataError, match=r"long\.csv:5: field larger than field limit"):
+            load_csv(path, "hourly")
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "  \n\t\n"], ids=["none", "blank", "whitespace"])
+    def test_no_data_rows_raises_without_a_numpy_warning(self, tmp_path, body):
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(path, "hourly")
+
     def test_interval_parsing(self):
         assert parse_interval("hourly") == 3600
         assert parse_interval("daily") == 86400
         assert parse_interval(900) == 900
         with pytest.raises(DataError):
             parse_interval("weekly")
+        assert parse_interval(3600.0) == 3600
+        for truncated in (True, 3600.5):
+            with pytest.raises(DataError, match="whole number of seconds"):
+                parse_interval(truncated)
+
+
+def reference_load_csv(path, interval) -> OhlcvSeries:
+    """Reference for load_csv: the per-row parser it replaced (csv.reader,
+    then int/float per field, then a list of row tuples)."""
+    interval = parse_interval(interval)
+    logger = logging.getLogger("fastforecast.data")
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if [h.strip().lower() for h in header] != CSV_HEADER:
+                raise DataError(f"{path}: header {header} != {CSV_HEADER}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 6:
+                    raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+                try:
+                    ts = int(row[0])
+                    vals = [float(x) for x in row[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                if not -2**63 <= ts < 2**63:
+                    raise DataError(f"{path}:{lineno}: timestamp {ts} outside the int64 range")
+                rows.append((lineno, ts, vals))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    segments = [[rows[0]]]
+    for prev, cur in zip(rows, rows[1:]):
+        delta = cur[1] - prev[1]
+        if delta <= 0:
+            kind = "duplicate" if delta == 0 else "decreasing"
+            raise DataError(f"{path}:{cur[0]}: {kind} timestamp {cur[1]}")
+        if delta != interval:
+            logger.warning("%s:%d: gap of %ds (expected %ds); splitting series",
+                           path, cur[0], delta, interval)
+            segments.append([])
+        segments[-1].append(cur)
+
+    best = max(segments, key=len)
+    ts = np.array([r[1] for r in best], dtype=np.int64)
+    cols = np.array([r[2] for r in best], dtype=np.float64)
+    try:
+        return OhlcvSeries(interval, ts, cols[:, 0], cols[:, 1], cols[:, 2],
+                           cols[:, 3], cols[:, 4])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def logged_warnings():
+    """Collect the messages of the warnings logged to ``fastforecast.data``."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("fastforecast.data")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def load_both(path):
+    """(outcome, gap warnings) of load_csv and of the reference; an outcome
+    is the series or the DataError message."""
+    results = []
+    for loader in (load_csv, reference_load_csv):
+        with logged_warnings() as messages:
+            try:
+                outcome = loader(path, "hourly")
+            except DataError as exc:
+                outcome = str(exc)
+        results.append((outcome, messages))
+    return results
+
+
+def number_text(draw, value):
+    """``value`` written as repr, exponent or short text, maybe padded or quoted."""
+    text = draw(st.sampled_from([repr, "{:.17e}".format, "{:.6g}".format, "{:E}".format]))(value)
+    text = draw(st.sampled_from(["", " ", "\t", "  "])) + text + draw(st.sampled_from(["", " "]))
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+BAD_ROWS = ["short", "long", "unparsable", "duplicate", "decreasing", "above_int64",
+            "below_int64"]
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes of a CSV file, (row index, kind) of the injected bad row or None)."""
+    n = draw(st.integers(1, 30))
+    ts = draw(st.integers(-2**40, 2**40))
+    price = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+    spread = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in range(n):
+        ts += 3600 * draw(st.sampled_from([1, 1, 1, 1, 1, 2, 5]))  # some gaps
+        o, c = draw(price), draw(price)
+        # a 1% margin keeps the envelope through 6-digit rounding
+        h, low = max(o, c) * 1.01 + draw(spread), min(o, c) * 0.99 - draw(spread)
+        fields = [str(ts)] + [number_text(draw, x) for x in (o, h, low, c, draw(spread))]
+        rows.append(fields)
+    bad = draw(st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from(BAD_ROWS)))
+    if bad is not None:
+        i, kind = bad
+        if kind == "short":
+            rows[i] = rows[i][:5]
+        elif kind == "long":
+            rows[i] = rows[i] + ["1"]
+        elif kind == "unparsable":
+            rows[i][draw(st.integers(0, 5))] = draw(st.sampled_from(["abc", "1.2.3", "", "1e"]))
+        elif kind == "duplicate" and i > 0:
+            rows[i][0] = rows[i - 1][0]
+        elif kind == "decreasing" and i > 0:
+            rows[i][0] = str(int(rows[i - 1][0]) - 3600)
+        elif kind == "above_int64":
+            rows[i][0] = str(2**63 + draw(st.integers(0, 10)))
+        elif kind == "below_int64":
+            rows[i][0] = str(-2**63 - 1 - draw(st.integers(0, 10)))
+    lines = [",".join(CSV_HEADER)]
+    for fields in rows:
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)))
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), bad
+
+
+@given(csv_files())
+@settings(deadline=None, max_examples=150)
+def test_load_csv_matches_the_per_row_reference(case):
+    """Same series bit for bit, same gap warnings and the same error message
+    as the per-row parser, on files with gaps, blank and whitespace-only
+    lines, CRLF, a BOM, quoted and padded fields and one bad row."""
+    blob, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.csv"
+        path.write_bytes(blob)
+        (got, got_warnings), (want, want_warnings) = load_both(path)
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for field in ("timestamps", "open", "high", "low", "close", "volume"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 class TestMakeDataset:
