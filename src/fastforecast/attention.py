@@ -1,7 +1,9 @@
 """Exact softmax attention: the reference kernels and the multi-head wrapper.
 
 Three equivalent-or-related forms are provided:
-  * ``scaled_dot_attention`` — softmax(Q Kᵀ / √d_k) V, via the softmax primitive;
+  * ``scaled_dot_attention`` — softmax(Q Kᵀ / √d_k) V, one fused tape node
+    with the same arithmetic as the composition of tensor primitives, so the
+    two agree bit for bit;
   * ``exact_bidirectional``  — the same map through the explicit attention
     matrix A = exp(Q Kᵀ / √d_k) and its row-sum normaliser, kept as a second,
     independently coded route (it is the oracle the linear-attention kernel
@@ -61,11 +63,35 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q Kᵀ / √d_k) V."""
+    """softmax(Q Kᵀ / √d_k) V as one tape node.
+
+    The scores are scaled, max-shifted, exponentiated and normalised in one
+    L×L buffer.  Besides the output, only the scaled scores are checked: with
+    the max shift the attention matrix lies in [0, 1], and an unscaled
+    product that overflows overflows after scaling too (1/√d_k <= 1)."""
     _check_qkv(q, k, v)
-    d_k = q.shape[1]
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
-    return T.matmul(T.softmax_rows(scores), v)
+    scale = 1.0 / math.sqrt(q.shape[1])
+    qd, kd, vd = q.data, k.data, v.data
+    attn = qd @ kd.T
+    attn *= scale
+    T.check_finite(attn)
+    attn -= attn.max(axis=1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=1, keepdims=True)
+    T.note_buffers(attn)
+
+    def backward(g):
+        g_scores = None
+        if q.requires_grad or k.requires_grad:
+            g_scores = g @ vd.T  # softmax adjoint: A ⊙ (g_A - rowsum(g_A ⊙ A))
+            g_scores -= (g_scores * attn).sum(axis=1, keepdims=True)
+            g_scores *= attn
+            g_scores *= scale
+        return (g_scores @ kd if q.requires_grad else None,
+                (qd.T @ g_scores).T if k.requires_grad else None,  # Kᵀ's gradient, transposed
+                attn.T @ g if v.requires_grad else None)
+
+    return T._make((q, k, v), attn @ vd, backward)
 
 
 def exact_bidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

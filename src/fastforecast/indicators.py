@@ -53,8 +53,10 @@ class OhlcvSeries:
         if self.interval <= 0:
             raise DataError("interval must be positive")
         if n >= 2:
-            deltas = np.diff(self.timestamps)
-            if not np.all(deltas == self.interval):
+            ts = np.asarray(self.timestamps)
+            # the order comparison first: np.diff wraps round in int64, so a
+            # step back across the int64 range can look like one interval
+            if not (np.all(ts[1:] > ts[:-1]) and np.all(np.diff(ts) == self.interval)):
                 raise DataError("timestamps must increase by exactly one interval")
         for arr in (self.open, self.high, self.low, self.close, self.volume):
             if not np.all(np.isfinite(arr)):

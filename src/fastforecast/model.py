@@ -142,6 +142,12 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, kept with extent 1, as the tape sums the gradient of a
+    broadcast (N, 1) operand: a single column is returned as it is."""
+    return a if a.shape[1] == 1 else a.sum(axis=1, keepdims=True)
+
+
 def _glorot(rng, fan_in, fan_out):
     lim = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)), requires_grad=True)
@@ -256,12 +262,76 @@ class Model:
         return T.mul(x, Tensor(mask))
 
     def _layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-        n = x.shape[1]
-        mean = T.mul(T.tsum(x, axis=1), 1.0 / n)
-        centered = T.sub(x, mean)
-        var = T.mul(T.tsum(T.mul(centered, centered), axis=1), 1.0 / n)
-        inv = T.recip(T.sqrt(T.add(var, LAYER_NORM_EPS)))
-        return T.add(T.mul(T.mul(centered, inv), gain), bias)
+        """(x - mean) / √(var + eps) · gain + bias over each row, as one tape
+        node with the arithmetic of the composed primitives.
+
+        The variance and the output are checked.  A non-finite mean makes
+        every centered entry, and so the variance, non-finite; a finite
+        variance bounds the normalised rows."""
+        xd, gd = x.data, gain.data
+        n = xd.shape[1]
+        mean = xd.sum(axis=1, keepdims=True)
+        mean *= 1.0 / n
+        centered = xd - mean
+        out = centered * centered  # the squares' buffer becomes the output
+        var = out.sum(axis=1, keepdims=True)
+        var *= 1.0 / n
+        T.check_finite(var)
+        std = var + LAYER_NORM_EPS
+        np.sqrt(std, out=std)
+        inv = 1.0 / std
+        np.multiply(centered, inv, out=out)
+        out *= gd
+        out += bias.data
+        T.note_buffers(centered)
+
+        def backward(g):
+            g_normed = g * gd
+            g_inv = _row_sum(g_normed * centered)
+            g_var = -g_inv * inv * inv * (0.5 / std) * (1.0 / n)
+            # the tape sums the gradient of ``centered`` over the output path,
+            # then both operands of centered·centered; ``x`` takes the sub
+            # path before the mean path
+            via_var = g_var * centered
+            g_centered = g_normed * inv
+            g_centered += via_var
+            g_centered += via_var
+            g_x = None
+            if x.requires_grad:
+                g_x = g_centered + (-_row_sum(g_centered)) * (1.0 / n)
+            return (g_x,
+                    T._sum_to(gain, g * (centered * inv)) if gain.requires_grad else None,
+                    T._sum_to(bias, g))
+
+        return T._make((x, gain, bias), out, backward)
+
+    def _feed_forward(self, x: Tensor, block: int) -> Tensor:
+        """relu(x W1 + b1) W2 + b2 as one tape node with the arithmetic of the
+        composed primitives.  The pre-activation and the output are checked;
+        the backward pass keeps only the post-relu hidden array."""
+        p = self.params
+        w1, b1, w2, b2 = (p[f"block{block}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2"))
+        xd, w1d, w2d = x.data, w1.data, w2.data
+        hidden = xd @ w1d
+        hidden += b1.data
+        T.check_finite(hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ w2d
+        out += b2.data
+        T.note_buffers(hidden)
+
+        def backward(g):
+            g_hidden = None
+            if x.requires_grad or w1.requires_grad or b1.requires_grad:
+                g_hidden = g @ w2d.T
+                g_hidden *= hidden > 0
+            return (g_hidden @ w1d.T if x.requires_grad else None,
+                    xd.T @ g_hidden if w1.requires_grad else None,
+                    T._sum_to(b1, g_hidden) if g_hidden is not None else None,
+                    hidden.T @ g if w2.requires_grad else None,
+                    T._sum_to(b2, g))
+
+        return T._make((x, w1, b1, w2, b2), out, backward)
 
     def _attention_sublayer(self, x: Tensor, batch: int, block: int) -> Tensor:
         spec = self.spec
@@ -283,9 +353,7 @@ class Model:
         p = self.params
         a = self._dropout(self._attention_sublayer(x, batch, block), rng)
         x = self._layer_norm(T.add(x, a), p[f"block{block}.ln1.g"], p[f"block{block}.ln1.b"])
-        hidden = T.relu(T.add(T.matmul(x, p[f"block{block}.ffn.w1"]), p[f"block{block}.ffn.b1"]))
-        f = T.add(T.matmul(hidden, p[f"block{block}.ffn.w2"]), p[f"block{block}.ffn.b2"])
-        f = self._dropout(f, rng)
+        f = self._dropout(self._feed_forward(x, block), rng)
         return self._layer_norm(T.add(x, f), p[f"block{block}.ln2.g"], p[f"block{block}.ln2.b"])
 
     def forward_batch(self, windows: np.ndarray, rng=None) -> Tensor:
@@ -561,7 +629,13 @@ def load_checkpoint(path) -> tuple[Model, ColumnStats]:
             raise ConfigError(f"unsupported checkpoint version {version}")
         offset = 12 + header_len
         header = json.loads(blob[12:offset].decode("utf-8"))
-        model = build(ModelSpec.from_dict(header["spec"]))
+        spec = ModelSpec.from_dict(header["spec"])
+        # the header repeats the binary version and spec.seed; each copy must agree
+        for field, expected in (("version", version), ("seed", spec.seed)):
+            value = header[field]
+            if type(value) is not int or value != expected:
+                raise ConfigError(f"header {field} {value!r} != {expected}")
+        model = build(spec)
         model.set_favor_generation(header["favor_generation"])
         norm = ColumnStats.from_dict(header["norm"])
         state = {}

@@ -2,9 +2,12 @@
 
 Every differentiable operation in the package is a primitive registered
 through :func:`_make`: the elementwise, matrix and shape primitives in this
-module, plus two fused kernels elsewhere, the whole-sequence LSTM
-(``lstm.lstm_sequence``) and FAVOR+ attention in both its forms
-(``favor.favor_bidirectional`` and ``favor.favor_unidirectional``).  A
+module, plus five fused kernels elsewhere: the whole-sequence LSTM
+(``lstm.lstm_sequence``), FAVOR+ attention in both its forms
+(``favor.favor_bidirectional`` and ``favor.favor_unidirectional``), exact
+softmax attention (``attention.scaled_dot_attention``), and the encoder
+block's layer norm and feed-forward sublayer (``Model._layer_norm`` and
+``Model._feed_forward``).  A
 primitive computes its forward value with numpy and, when a
 :class:`GradTape` is active and an input requires gradients, records one
 node whose closure maps the output gradient to per-input gradients; a fused
@@ -16,9 +19,9 @@ every leaf.  Ops are module functions, called as ``T.add(a, b)``,
 Design constraints honoured here:
   * float64 everywhere,
   * non-finite values raise :class:`FiniteError` immediately; a fused kernel
-    checks (``check_finite``) every intermediate its composed form would
-    have checked, and notes its buffers in the allocation log
-    (``note_buffers``),
+    raises on exactly the inputs its composed form would have rejected,
+    checking (``check_finite``) each intermediate that no later check
+    covers, and notes its buffers in the allocation log (``note_buffers``),
   * ``add``/``sub``/``mul`` broadcast as numpy does, but only where the
     result has the shape of one operand (a (3, 1) with a (1, 4) raises
     :class:`ShapeError`); a Python number is a constant with no gradient, and
@@ -305,11 +308,6 @@ def relu(x: Tensor) -> Tensor:
     return _make((x,), np.maximum(x.data, 0.0), lambda g: (g * mask,))
 
 
-def sqrt(x: Tensor) -> Tensor:
-    r = np.sqrt(x.data)
-    return _make((x,), r, lambda g: (g * (0.5 / r),))
-
-
 def recip(x: Tensor) -> Tensor:
     r = 1.0 / x.data
     return _make((x,), r, lambda g: (-g * r * r,))
@@ -336,20 +334,6 @@ def matmul(a, b) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     _require_2d("transpose", x)
     return _make((x,), x.data.T, lambda g: (g.T,), check=False)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    _require_2d("softmax_rows", x)
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make((x,), out, backward)
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:

@@ -48,6 +48,7 @@ import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from conftest import check_gradients, rel_err
 from test_favor import kernel_shapes
+from test_fused_kernels import fused_feed_forward, fused_layer_norm
 from test_indicators import make_series, random_walk, valid
 from test_lstm import bilstm_forward, lstm_forward
 from test_tensor import PRIMITIVE_CASES
@@ -125,6 +126,19 @@ class TestCriterion3GradientIntegrity:
             check_gradients(lambda a, b, c: sq(kernel(a, b, c, omega)),
                             [unit_rows(q), unit_rows(k), v], tol=1e-5)
 
+        # the encoder block's fused layer norm and feed-forward nodes, on their
+        # own draws so the checks below see the same inputs as before
+        block_rng = np.random.default_rng(8)
+        x = block_rng.standard_normal((5, 4))
+        check_gradients(lambda *t: sq(fused_layer_norm(*t)),
+                        [x, 1.0 + 0.5 * block_rng.standard_normal((1, 4)),
+                         block_rng.standard_normal((1, 4))], tol=1e-6)
+        check_gradients(lambda *t: sq(fused_feed_forward(*t)),
+                        [x, 0.5 * block_rng.standard_normal((4, 6)),
+                         block_rng.standard_normal((1, 6)),
+                         0.5 * block_rng.standard_normal((6, 4)),
+                         block_rng.standard_normal((1, 4))], tol=1e-6)
+
         # LSTM / BiLSTM stacks over 5 timesteps
         from test_lstm import random_weights
         xs = rng.standard_normal((5, 2)) * 0.5
@@ -175,7 +189,8 @@ class TestCriterion3GradientIntegrity:
             assert err <= 1e-4, f"{name}: {err:.2e}"
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"criterion 3 took {elapsed:.1f}s"
-        report(3, f"all primitives <= 1e-6, kernels and recurrent stacks pass, "
+        report(3, f"all primitives <= 1e-6, attention kernels, layer norm, feed-forward "
+                  f"and recurrent stacks pass, "
                   f"end-to-end worst rel err {worst:.2e} <= 1e-4 ({elapsed:.1f}s)")
 
 

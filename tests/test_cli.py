@@ -327,6 +327,9 @@ MALFORMED_CHECKPOINTS = {
     "spec_seed_null": set_header_field(("spec", "seed"), None),
     "spec_seed_bool": set_header_field(("spec", "seed"), True),
     "dropout_bool": set_header_field(("spec", "dropout"), False),
+    # the header's copies of the binary version and of spec.seed were never read
+    "header_version_other": set_header_field(("version",), 7),
+    "header_seed_other": set_header_field(("seed",), 99),
 }
 
 

@@ -276,6 +276,16 @@ class TestBuildFeatures:
         with pytest.raises(DataError):
             build_features(series, IndicatorParams())
 
+    def test_step_back_across_the_int64_range_rejected(self):
+        """The int64 difference of these two timestamps wraps round to exactly
+        one interval, although the second is far before the first."""
+        ts = np.array([2**63 - 1, -2**63 + 3599], dtype=np.int64)
+        with np.errstate(over="ignore"):
+            assert np.diff(ts)[0] == 3600
+        prices = np.full(2, 5.0)
+        with pytest.raises(DataError, match="exactly one interval"):
+            OhlcvSeries(3600, ts, prices, prices, prices, prices, np.ones(2))
+
     def test_raw_features_have_no_warmup(self):
         series = make_series(random_walk(30, seed=41))
         fm = raw_features(series)

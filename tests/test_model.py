@@ -421,6 +421,20 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ffck"]
 
+    @pytest.mark.parametrize("field,value", [("seed", True), ("seed", 1.0),
+                                             ("version", True), ("version", 1.0)])
+    def test_header_copy_equal_only_in_value_rejected(self, tmp_path, field, value):
+        """The header's ``seed`` and ``version`` must be ints, not merely equal
+        to spec.seed and the binary version (both 1 here)."""
+        from test_cli import edit_header
+        ds = tiny_dataset()
+        path = tmp_path / "model.ffck"
+        save_checkpoint(build(tiny_spec(n_features=ds.n_features, seed=1)), ds.norm, path)
+        load_checkpoint(path)
+        path.write_bytes(edit_header(path.read_bytes(), lambda h: h.update({field: value})))
+        with pytest.raises(ConfigError, match=f"header {field}"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ffck"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

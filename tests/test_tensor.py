@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fastforecast.tensor as T
+from fastforecast.attention import scaled_dot_attention
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients
 from test_favor import masked
+from test_fused_kernels import softmax_rows, sqrt
 
 
 class TestTensorBasics:
@@ -63,28 +65,36 @@ class TestMatmul:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+def attention_matrix(q, k):
+    """softmax(q·kᵀ/√d_k) from the fused kernel: with V = I the output is the
+    attention matrix itself."""
+    return scaled_dot_attention(Tensor(q), Tensor(k), Tensor(np.eye(len(k)))).data
+
+
 class TestSoftmaxRows:
+    """Softmax rows through the fused attention kernel where q and k can set
+    the scores, and through the reference primitive otherwise."""
+
     def test_uniform_row(self):
-        out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out = attention_matrix(np.zeros((3, 2)), np.ones((3, 2)))
+        np.testing.assert_allclose(out, np.full((3, 3), 1 / 3), atol=1e-15)
 
     @pytest.mark.parametrize("c", [-100.0, 0.0, 3.7, 250.0])
     def test_shift_by_ln2(self, c):
-        out = T.softmax_rows(Tensor([[c, c + np.log(2.0)]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-12)
+        out = attention_matrix(np.ones((2, 1)), np.array([[c], [c + np.log(2.0)]]))
+        np.testing.assert_allclose(out, [[1 / 3, 2 / 3]] * 2, atol=1e-12)
 
     def test_row_sums(self, rng):
-        x = rng.standard_normal((6, 6)) * 5
-        out = T.softmax_rows(Tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(6), atol=1e-12)
+        out = attention_matrix(rng.standard_normal((6, 6)) * 5, np.eye(6))
+        np.testing.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-12)
 
     @given(st.floats(min_value=-500, max_value=500), st.integers(0, 2**31 - 1))
     @settings(deadline=None, max_examples=30)
     def test_shift_invariance_per_row(self, c, seed):
         x = np.random.default_rng(seed).standard_normal((3, 4))
         shifts = np.array([[c], [-c / 2], [c / 3]])  # a constant per row
-        base = T.softmax_rows(Tensor(x)).data
-        shifted = T.softmax_rows(Tensor(x + shifts)).data
+        base = softmax_rows(Tensor(x)).data
+        shifted = softmax_rows(Tensor(x + shifts)).data
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
@@ -200,7 +210,9 @@ class TestBackward:
 # named after the engine's old row/column primitives (scale, rowsum, ...,
 # scale_colwise) check the same cases through broadcasting and tsum(axis).
 # The rows exp_clamped and clip_min check the mask form (``masked``) that the
-# FAVOR+ references use for the exp clamp and the denominator floor.
+# FAVOR+ references use for the exp clamp and the denominator floor.  The rows
+# sqrt and softmax_rows check the reference primitives that the compositions
+# of the fused layer norm and attention kernels are built from.
 
 def _r(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape) * 0.8
@@ -217,12 +229,12 @@ PRIMITIVE_CASES = [
     ("exp_clamped", lambda x: T.tsum(T.exp(masked(x, x.data < T.EXP_CLAMP, T.EXP_CLAMP))),
      [_r((3, 4), 10)]),
     ("relu", lambda x: T.tsum(T.relu(x)), [_r((3, 4), 12) + 0.05]),
-    ("sqrt", lambda x: T.tsum(T.sqrt(x)), [np.abs(_r((3, 4), 13)) + 0.5]),
+    ("sqrt", lambda x: T.tsum(sqrt(x)), [np.abs(_r((3, 4), 13)) + 0.5]),
     ("recip", lambda x: T.tsum(T.recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
     ("clip_min", lambda x: T.tsum(masked(x, x.data > 0.1, 0.1)), [np.abs(_r((3, 4), 15)) + 0.3]),
     ("matmul", lambda x, y: T.tsum(T.matmul(x, y)), [_r((3, 4), 16), _r((4, 2), 17)]),
     ("transpose", lambda x: T.tsum(T.mul(T.transpose(x), T.transpose(x))), [_r((3, 4), 18)]),
-    ("softmax_rows", lambda x: T.tsum(T.mul(T.softmax_rows(x), x)), [_r((3, 4), 19)]),
+    ("softmax_rows", lambda x: T.tsum(T.mul(softmax_rows(x), x)), [_r((3, 4), 19)]),
     ("tsum", lambda x: T.mul(T.tsum(x), T.tsum(x)), [_r((3, 4), 20)]),
     ("rowsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=1), T.tsum(x, axis=1))), [_r((3, 4), 21)]),
     ("colsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0), T.tsum(x, axis=0))), [_r((3, 4), 22)]),
@@ -250,7 +262,7 @@ class TestComposedGraphGradients:
     def _random_graph(self, seed):
         rng = np.random.default_rng(seed)
         unary = [T.tanh, T.sigmoid, lambda t: T.mul(t, 0.7), T.relu,
-                 lambda t: T.exp(T.mul(t, 0.3)), T.softmax_rows]
+                 lambda t: T.exp(T.mul(t, 0.3)), softmax_rows]
         depth = int(rng.integers(2, 9))
         chain = [unary[int(rng.integers(0, len(unary)))] for _ in range(depth - 1)]
 
