@@ -1,17 +1,17 @@
-"""Exact softmax attention: the reference kernels and the multi-head wrapper.
+"""Softmax attention kernels and the multi-head node.
 
-Three equivalent-or-related forms are provided:
-  * ``scaled_dot_attention`` — softmax(Q Kᵀ / √d_k) V, one fused tape node
-    with the same arithmetic as the composition of tensor primitives, so the
-    two agree bit for bit;
-  * ``exact_bidirectional``  — the same map through the explicit attention
-    matrix A = exp(Q Kᵀ / √d_k) and its row-sum normaliser, kept as a second,
-    independently coded route (it is the oracle the linear-attention kernel
-    is checked against);
-  * ``exact_unidirectional`` — the causal variant: A is masked to its lower
-    triangle before normalising, so row i attends only to positions <= i.
+  * ``softmax_window`` — softmax(Q Kᵀ / √d_k) V over one window, on numpy
+    arrays, with its hand-derived backward pass (a window function, as
+    ``favor.favor_window`` is); the scores are scaled, max-shifted,
+    exponentiated and normalised in one L×L buffer;
+  * ``exact_bidirectional`` — the same map composed from tensor primitives,
+    through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the oracle the
+    linear-attention kernel is checked against;
+  * ``exact_unidirectional`` — the causal oracle: A is masked to its lower
+    triangle before normalising, so row i attends only to positions <= i;
+  * ``multi_head`` — self-attention over a batch of windows.
 
-All three stabilise with a per-row max subtraction, which leaves the result
+All stabilise with a per-row max subtraction, which leaves the result
 unchanged (softmax shift invariance) while keeping exp() in range.  The max
 is treated as a constant in the backward pass; the shift invariance makes
 that exact, not an approximation.
@@ -20,35 +20,12 @@ that exact, not an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-
-
-@dataclass
-class AttentionWeights:
-    """Per-head projections plus the output matrix."""
-
-    w_q: list  # h tensors, each (d_model, d_k)
-    w_k: list  # h tensors, each (d_model, d_k)
-    w_v: list  # h tensors, each (d_model, d_v)
-    w_o: Tensor  # (h*d_v, d_model)
-
-    def check(self, heads: int) -> None:
-        """The weights fit each other and ``heads`` heads."""
-        if not heads or not (len(self.w_q) == len(self.w_k) == len(self.w_v) == heads):
-            raise ConfigError("head count does not match weights")
-        d_model, d_k, d_v = self.w_o.shape[1], self.w_q[0].shape[1], self.w_v[0].shape[1]
-        for w, d in ((self.w_q, d_k), (self.w_k, d_k), (self.w_v, d_v)):
-            for t in w:
-                if t.shape != (d_model, d):
-                    raise ConfigError(f"projection shape {t.shape} != {(d_model, d)}")
-        if self.w_o.shape[0] != heads * d_v:
-            raise ConfigError("output projection shape mismatch")
 
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
@@ -62,16 +39,15 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
         raise ShapeError("self-attention requires equal sequence lengths")
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q Kᵀ / √d_k) V as one tape node.
+def softmax_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
+    """softmax(Q Kᵀ / √d_k) V over one window: returns the output and its
+    backward pass, which maps the output gradient to those of Q, K and V.
 
-    The scores are scaled, max-shifted, exponentiated and normalised in one
-    L×L buffer.  Besides the output, only the scaled scores are checked: with
-    the max shift the attention matrix lies in [0, 1], and an unscaled
-    product that overflows overflows after scaling too (1/√d_k <= 1)."""
-    _check_qkv(q, k, v)
-    scale = 1.0 / math.sqrt(q.shape[1])
-    qd, kd, vd = q.data, k.data, v.data
+    Besides the output, which the caller's tape node checks, only the scaled
+    scores are checked: with the max shift the attention matrix lies in
+    [0, 1], and an unscaled product that overflows overflows after scaling
+    too (1/√d_k <= 1)."""
+    scale = 1.0 / math.sqrt(qd.shape[1])
     attn = qd @ kd.T
     attn *= scale
     T.check_finite(attn)
@@ -81,17 +57,15 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     T.note_buffers(attn)
 
     def backward(g):
-        g_scores = None
-        if q.requires_grad or k.requires_grad:
-            g_scores = g @ vd.T  # softmax adjoint: A ⊙ (g_A - rowsum(g_A ⊙ A))
-            g_scores -= (g_scores * attn).sum(axis=1, keepdims=True)
-            g_scores *= attn
-            g_scores *= scale
-        return (g_scores @ kd if q.requires_grad else None,
-                (qd.T @ g_scores).T if k.requires_grad else None,  # Kᵀ's gradient, transposed
-                attn.T @ g if v.requires_grad else None)
+        g_scores = g @ vd.T  # softmax adjoint: A ⊙ (g_A - rowsum(g_A ⊙ A))
+        g_scores -= (g_scores * attn).sum(axis=1, keepdims=True)
+        g_scores *= attn
+        g_scores *= scale
+        return (g_scores @ kd,
+                (qd.T @ g_scores).T,  # Kᵀ's gradient, transposed
+                attn.T @ g)
 
-    return T._make((q, k, v), attn @ vd, backward)
+    return attn @ vd, backward
 
 
 def exact_bidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -120,11 +94,39 @@ def exact_unidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 
 
-def multi_head(x: Tensor, w: AttentionWeights, kernels) -> Tensor:
-    """Self-attention over one (L, d_model) window: head j applies
-    ``kernels[j]`` to its projections of x, and the output matrix mixes the
-    concatenated heads."""
-    w.check(len(kernels))  # T.matmul rejects an x of the wrong shape
-    heads = [kernel(T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv))
-             for kernel, wq, wk, wv in zip(kernels, w.w_q, w.w_k, w.w_v)]
-    return T.matmul(T.concat(heads, axis=1), w.w_o)
+def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, kernels, length: int) -> Tensor:
+    """Self-attention over the (B·L, d_model) rows of B windows of ``length``
+    rows each, as three tape nodes.
+
+    ``w_qkv`` joins each head's query, key and value projections, head by
+    head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  Head j
+    applies the window function ``kernels[j]`` (``softmax_window`` or a
+    ``favor.favor_window``) to each window's projections, and the output
+    matrix mixes the heads.  Each window's backward pass is kept only while
+    a tape records, so a forward pass without one holds a single window's
+    buffers at a time."""
+    heads = len(kernels)
+    if not heads or w_qkv.shape[1] % (3 * heads):
+        raise ConfigError("head count does not match weights")
+    d_k = w_qkv.shape[1] // (3 * heads)
+    qkv = T.matmul(x, w_qkv)
+    qd = qkv.data
+    out = np.empty((qd.shape[0], heads * d_k))
+    keep = qkv.requires_grad and T._active_tape() is not None
+    backwards = []
+    for lo in range(0, len(qd), length):
+        rows = slice(lo, lo + length)
+        for j, kernel in enumerate(kernels):
+            o, o_backward = kernel(*np.split(qd[rows, 3 * j * d_k:3 * (j + 1) * d_k], 3, axis=1))
+            out[rows, j * d_k:(j + 1) * d_k] = o
+            if keep:
+                backwards.append((rows, j, o_backward))
+
+    def backward(g):
+        g_qkv = np.empty_like(qd)
+        for rows, j, o_backward in backwards:
+            g_qkv[rows, 3 * j * d_k:3 * (j + 1) * d_k] = np.hstack(
+                o_backward(g[rows, j * d_k:(j + 1) * d_k]))
+        return (g_qkv,)
+
+    return T.matmul(T._make((qkv,), out, backward), w_o)

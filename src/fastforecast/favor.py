@@ -15,13 +15,14 @@ Both attention variants stay linear in sequence length: the bidirectional
 form contracts K̂ᵀV and K̂ᵀ1 first; the causal form takes prefix sums of
 φ(k_j)v_jᵀ and φ(k_j).  No L×L buffer is ever materialised.
 
-``favor_bidirectional`` and ``favor_unidirectional`` run one fused kernel,
-``_favor``: one tape node whose forward runs in numpy, with the same
+``favor_window`` runs both forms over one window in numpy, with the same
 arithmetic as the equivalent composition of tensor primitives (so the
-outputs agree bit for bit), and whose backward is derived by hand.  The two
-forms share φ (``_phi`` and ``_phi_grad``), the finiteness checks, the
-denominator floor and the division; only the three contractions and their
-adjoints differ.
+outputs agree bit for bit), and returns the output with its backward pass,
+derived by hand.  ``attention.multi_head`` calls it per window and head
+inside one tape node; ``favor_bidirectional`` and ``favor_unidirectional``
+record it as a tape node of its own.  The two forms share φ (``_phi`` and
+``_phi_grad``), the finiteness checks, the denominator floor and the
+division; only the three contractions and their adjoints differ.
 """
 
 from __future__ import annotations
@@ -143,20 +144,22 @@ def _reverse_cumsum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x[::-1], axis=0)[::-1]
 
 
-def _favor(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray, causal: bool) -> Tensor:
-    """Both FAVOR+ forms as one tape node; only the three contractions differ.
+def favor_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarray,
+                 causal: bool):
+    """Both FAVOR+ forms over one window: returns the output, unchecked, and
+    its backward pass, which maps the output gradient to those of Q, K and V.
+    Only the three contractions differ.
 
     Bidirectional: K̂ᵀV (r, d_v), Q̂(K̂ᵀV) and K̂ᵀ1.  Causal: the prefix sums
     S_i = Σ_{j<=i} φ(k_j) v_jᵀ (stacked (L, r, d_v)) and z_i = Σ_{j<=i} φ(k_j),
     read by row i as φ(q_i)ᵀS_i and φ(q_i)ᵀz_i; their adjoints are reverse
     cumulative sums over i >= j.
     """
-    _check_qkv(q, k, v)
     d_k = omega.shape[1]
-    if q.shape[1] != d_k:
-        raise ShapeError(f"FAVOR+ expects queries and keys of width {d_k}, got {q.shape}")
+    if qd.shape[1] != d_k:
+        raise ShapeError(f"FAVOR+ expects queries and keys of width {d_k}, got {qd.shape}")
     scale = d_k ** -0.25
-    qs, ks, vd = q.data * scale, k.data * scale, v.data
+    qs, ks = qd * scale, kd * scale
     q_hat, q_mask = _phi(qs, omega)
     k_hat, k_mask = _phi(ks, omega)
     if causal:
@@ -194,18 +197,20 @@ def _favor(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray, causal: bool) -> 
                 _phi_grad(ks, omega, k_hat, k_mask, g_k_hat) * scale,
                 g_v)
 
-    return T._make((q, k, v), num * inv, backward)
+    return num * inv, backward
 
 
 def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> Tensor:
     """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate.  One tape node."""
-    return _favor(q, k, v, omega, causal=False)
+    _check_qkv(q, k, v)
+    return T._make((q, k, v), *favor_window(q.data, k.data, v.data, omega, causal=False))
 
 
 def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> Tensor:
     """Causal linear attention: row i is (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i) over the
     prefix sums S_i and z_i; O(L·r·d) time, no L×L intermediate.  One tape node."""
-    return _favor(q, k, v, omega, causal=True)
+    _check_qkv(q, k, v)
+    return T._make((q, k, v), *favor_window(q.data, k.data, v.data, omega, causal=True))
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionWeights, multi_head, scaled_dot_attention
+from .attention import multi_head, softmax_window
 from .data import ColumnStats, Dataset, MetricSet, atomic_write, evaluate_metrics
 from .errors import ConfigError, DataError, DivergenceError, FiniteError
-from .favor import FavorConfig, draw_features, favor_bidirectional, favor_unidirectional
+# favor_bidirectional and favor_unidirectional are not called here: they are
+# imported so that a tracer wrapping the kernels under this module's names
+# (perfbench/tracing.py) still finds them
+from .favor import (FavorConfig, draw_features, favor_bidirectional, favor_unidirectional,
+                    favor_window)
 from .lstm import LstmWeights, bilstm_forward_steps, init_lstm_weights
 from .tensor import GradTape, Tensor
 
@@ -237,16 +241,6 @@ class Model:
                 raise ConfigError(f"parameter '{name}' shape {arr.shape} != {t.data.shape}")
             t.data = np.ascontiguousarray(arr, dtype=np.float64)
 
-    def _attn_weights(self, block: int) -> AttentionWeights:
-        p = self.params
-        h = self.spec.heads
-        return AttentionWeights(
-            w_q=[p[f"block{block}.attn.q{j}"] for j in range(h)],
-            w_k=[p[f"block{block}.attn.k{j}"] for j in range(h)],
-            w_v=[p[f"block{block}.attn.v{j}"] for j in range(h)],
-            w_o=p[f"block{block}.attn.o"],
-        )
-
     def _lstm_weights(self, layer: int, direction: str) -> LstmWeights:
         base = f"bilstm{layer}.{direction}"
         return LstmWeights(**{f.name: self.params[f"{base}.{f.name}"]
@@ -333,25 +327,23 @@ class Model:
 
         return T._make((x, w1, b1, w2, b2), out, backward)
 
-    def _attention_sublayer(self, x: Tensor, batch: int, block: int) -> Tensor:
+    def _attention_sublayer(self, x: Tensor, block: int) -> Tensor:
         spec = self.spec
-        length = spec.window
-        # the kernels are looked up here, at call time, so a wrapper installed
-        # on this module's names (a tracer) sees every call
+        p = self.params
         if spec.uses_favor:
-            kernel = favor_unidirectional if spec.favor.causal else favor_bidirectional
-            kernels = [functools.partial(kernel, omega=omega)
+            kernels = [functools.partial(favor_window, omega=omega, causal=spec.favor.causal)
                        for omega in self.feature_maps[block]]
         else:
-            kernels = [scaled_dot_attention] * spec.heads
-        w = self._attn_weights(block)
-        parts = [multi_head(T.take_rows(x, np.arange(s * length, (s + 1) * length)), w, kernels)
-                 for s in range(batch)]
-        return T.concat(parts, axis=0) if batch > 1 else parts[0]
+            kernels = [softmax_window] * spec.heads
+        w_qkv = T.concat([p[f"block{block}.attn.{m}{j}"]
+                          for j in range(spec.heads) for m in "qkv"], axis=1)
+        # multi_head is looked up here, at call time, so a wrapper installed
+        # on this module's name (a tracer) sees every call
+        return multi_head(x, w_qkv, p[f"block{block}.attn.o"], kernels, spec.window)
 
-    def _encoder_block(self, x: Tensor, batch: int, block: int, rng) -> Tensor:
+    def _encoder_block(self, x: Tensor, block: int, rng) -> Tensor:
         p = self.params
-        a = self._dropout(self._attention_sublayer(x, batch, block), rng)
+        a = self._dropout(self._attention_sublayer(x, block), rng)
         x = self._layer_norm(T.add(x, a), p[f"block{block}.ln1.g"], p[f"block{block}.ln1.b"])
         f = self._dropout(self._feed_forward(x, block), rng)
         return self._layer_norm(T.add(x, f), p[f"block{block}.ln2.g"], p[f"block{block}.ln2.b"])
@@ -373,7 +365,7 @@ class Model:
         if spec.uses_attention:
             x = T.add(x, Tensor(np.tile(self.positional, (batch, 1))))
             for i in range(spec.blocks):
-                x = self._encoder_block(x, batch, i, rng)
+                x = self._encoder_block(x, i, rng)
 
         if spec.uses_bilstm:
             # time-major rows: row t·B + b is window b at step t

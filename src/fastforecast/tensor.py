@@ -3,15 +3,16 @@
 Every differentiable operation in the package is a primitive registered
 through :func:`_make`: the elementwise, matrix and shape primitives in this
 module, plus five fused kernels elsewhere: the whole-sequence LSTM
-(``lstm.lstm_sequence``), FAVOR+ attention in both its forms
-(``favor.favor_bidirectional`` and ``favor.favor_unidirectional``), exact
-softmax attention (``attention.scaled_dot_attention``), and the encoder
-block's layer norm and feed-forward sublayer (``Model._layer_norm`` and
-``Model._feed_forward``).  A
-primitive computes its forward value with numpy and, when a
-:class:`GradTape` is active and an input requires gradients, records one
-node whose closure maps the output gradient to per-input gradients; a fused
-kernel's closure is its hand-derived backward pass.
+(``lstm.lstm_sequence``), the attention node of ``attention.multi_head``
+(a window function per window and head: ``attention.softmax_window`` or
+``favor.favor_window``), FAVOR+ on one window
+(``favor.favor_bidirectional`` and ``favor.favor_unidirectional``), and the
+encoder block's layer norm and feed-forward sublayer (``Model._layer_norm``
+and ``Model._feed_forward``).  A primitive computes its forward value with
+numpy and, when a :class:`GradTape` is active and an input requires
+gradients, records one node whose closure maps the output gradient to
+per-input gradients; a fused kernel's closure is its hand-derived backward
+pass.
 Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
 every leaf.  Ops are module functions, called as ``T.add(a, b)``,
 ``T.matmul(a, b)`` and so on; ``Tensor`` has no operator methods.

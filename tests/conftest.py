@@ -27,7 +27,16 @@ except AttributeError:  # a libc without mallopt (not glibc)
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+import fastforecast.tensor as T  # noqa: E402
+from fastforecast.attention import _check_qkv, softmax_window  # noqa: E402
 from fastforecast.tensor import GradTape, Tensor  # noqa: E402
+
+
+def scaled_dot_attention(q, k, v):
+    """softmax(Q Kᵀ / √d_k) V on tensors, as one tape node over the window
+    function the model's exact-attention heads run."""
+    _check_qkv(q, k, v)
+    return T._make((q, k, v), *softmax_window(q.data, k.data, v.data))
 
 
 @pytest.fixture

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 import fastforecast.tensor as T
-from fastforecast.attention import (
-    exact_bidirectional,
-    exact_unidirectional,
-    scaled_dot_attention,
-)
+from fastforecast.attention import exact_bidirectional, exact_unidirectional
 from fastforecast.data import (
     evaluate_metrics,
     make_dataset,
@@ -46,7 +42,7 @@ from fastforecast.tensor import GradTape, Tensor
 
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from conftest import check_gradients, rel_err
+from conftest import check_gradients, rel_err, scaled_dot_attention
 from test_favor import kernel_shapes
 from test_fused_kernels import fused_feed_forward, fused_layer_norm
 from test_indicators import make_series, random_walk, valid

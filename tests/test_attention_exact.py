@@ -7,29 +7,27 @@ import pytest
 
 import fastforecast.tensor as T
 from fastforecast.attention import (
-    AttentionWeights,
     exact_bidirectional,
     exact_unidirectional,
     multi_head,
-    scaled_dot_attention,
+    softmax_window,
 )
 from fastforecast.errors import ConfigError, ShapeError
-from fastforecast.favor import FavorConfig, draw_features, favor_bidirectional, favor_unidirectional
+from fastforecast.favor import FavorConfig, draw_features, favor_window
 from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
-from conftest import check_gradients
+from conftest import check_gradients, scaled_dot_attention
 
 
 def glorot_weights(d_model, h, rng):
-    """Per-head projections drawn with the model's Glorot initializer."""
+    """Per-head q, k and v projections drawn with the model's Glorot
+    initializer and joined head by head, as the model joins them, plus the
+    output matrix."""
     d_k = d_model // h
-    return AttentionWeights(
-        w_q=[_glorot(rng, d_model, d_k) for _ in range(h)],
-        w_k=[_glorot(rng, d_model, d_k) for _ in range(h)],
-        w_v=[_glorot(rng, d_model, d_k) for _ in range(h)],
-        w_o=_glorot(rng, h * d_k, d_model),
-    )
+    w_q, w_k, w_v = [[_glorot(rng, d_model, d_k).data for _ in range(h)] for _ in range(3)]
+    w_qkv = np.concatenate([w[j] for j in range(h) for w in (w_q, w_k, w_v)], axis=1)
+    return Tensor(w_qkv), _glorot(rng, h * d_k, d_model)
 
 
 def attention_oracle(q, k, v):
@@ -136,37 +134,35 @@ class TestExactUnidirectional:
 
 class TestMultiHead:
     def test_single_head_identity_projection_reduces(self, rng):
-        eye = lambda: Tensor(np.eye(4))
-        w = AttentionWeights([eye()], [eye()], [eye()], eye())
+        eye = np.eye(4)
         x = rng.standard_normal((6, 4))
-        out = multi_head(Tensor(x), w, [scaled_dot_attention]).data
+        out = multi_head(Tensor(x), Tensor(np.hstack([eye] * 3)), Tensor(eye),
+                         [softmax_window], 6).data
         direct = scaled_dot_attention(Tensor(x), Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(out, direct, atol=1e-12)
 
     def test_zero_output_matrix(self, rng):
-        w = glorot_weights(8, 2, rng)
-        w.w_o = Tensor(np.zeros((8, 8)))
-        out = multi_head(Tensor(rng.standard_normal((5, 8))), w, [scaled_dot_attention] * 2)
+        w_qkv, _ = glorot_weights(8, 2, rng)
+        out = multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, Tensor(np.zeros((8, 8))),
+                         [softmax_window] * 2, 5)
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
     def test_two_heads_match_manual_concat(self, rng):
-        w = glorot_weights(8, 2, rng)
+        w_qkv, w_o = glorot_weights(8, 2, rng)
         x = rng.standard_normal((7, 8))
         xt = Tensor(x)
         heads = []
         for i in range(2):
-            q = x @ w.w_q[i].data
-            k = x @ w.w_k[i].data
-            v = x @ w.w_v[i].data
+            q, k, v = np.split(x @ w_qkv.data[:, 12 * i:12 * (i + 1)], 3, axis=1)
             heads.append(scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data)
-        expect = np.concatenate(heads, axis=1) @ w.w_o.data
-        np.testing.assert_allclose(multi_head(xt, w, [scaled_dot_attention] * 2).data,
+        expect = np.concatenate(heads, axis=1) @ w_o.data
+        np.testing.assert_allclose(multi_head(xt, w_qkv, w_o, [softmax_window] * 2, 7).data,
                                    expect, atol=1e-12)
 
     def test_kernel_count_must_match_heads(self, rng):
-        w = glorot_weights(8, 2, rng)
+        w_qkv, w_o = glorot_weights(8, 2, rng)
         with pytest.raises(ConfigError):
-            multi_head(Tensor(rng.standard_normal((5, 8))), w, [scaled_dot_attention] * 3)
+            multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, w_o, [softmax_window] * 3, 5)
 
     def test_inconsistent_config_rejected(self):
         with pytest.raises(ConfigError, match="d_model = 8 not divisible by h = 3"):
@@ -189,23 +185,23 @@ class TestAttentionGradients:
         q, k, v = rand_qkv(rng, length=5, d_k=3, d_v=3)
         check_gradients(self._loss(kernel), [q, k, v], tol=1e-6)
 
-    @pytest.mark.parametrize("kernel", [scaled_dot_attention, favor_bidirectional,
-                                        favor_unidirectional],
+    @pytest.mark.parametrize("causal", [None, False, True],
                              ids=["softmax", "favor_bidirectional", "favor_unidirectional"])
-    def test_multi_head_gradients(self, kernel, rng):
-        w = glorot_weights(4, 2, rng)
+    def test_multi_head_gradients(self, causal, rng):
+        w_qkv, w_o = glorot_weights(4, 2, rng)
         x = rng.standard_normal((4, 4)) * 0.5
-        kernels = [kernel] * 2
-        if kernel is not scaled_dot_attention:  # each FAVOR+ head has its own features
-            kernels = [functools.partial(kernel,
+        kernels = [softmax_window] * 2
+        if causal is not None:  # each FAVOR+ head has its own features
+            kernels = [functools.partial(favor_window, causal=causal,
                                          omega=draw_features(FavorConfig(r=8, d_k=2, seed=j)))
                        for j in range(2)]
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
-            weights = AttentionWeights([wq0, wq1], [wk0, wk1], [wv0, wv1], wo)
-            out = multi_head(xt, weights, kernels)
+            w = T.concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)
+            out = multi_head(xt, w, wo, kernels, 4)
             return T.tsum(T.mul(out, out))
 
-        arrays = [x, w.w_q[0].data, w.w_q[1].data, w.w_k[0].data, w.w_k[1].data,
-                  w.w_v[0].data, w.w_v[1].data, w.w_o.data]
+        heads = [np.split(w_qkv.data[:, 6 * j:6 * (j + 1)], 3, axis=1) for j in range(2)]
+        arrays = [x, heads[0][0], heads[1][0], heads[0][1], heads[1][1],
+                  heads[0][2], heads[1][2], w_o.data]
         check_gradients(build, arrays, tol=1e-6)

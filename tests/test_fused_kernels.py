@@ -1,25 +1,31 @@
 """The encoder block's fused kernels against their compositions of primitives.
 
-``attention.scaled_dot_attention``, ``Model._layer_norm`` and
+Exact attention (``attention.softmax_window``, one tape node as
+``conftest.scaled_dot_attention``), ``Model._layer_norm`` and
 ``Model._feed_forward`` each record one tape node.  They do the
 floating-point operations of the compositions below in the same order, and
 their backward passes sum each gradient in the order the tape sums it, so
 forward values and every input gradient agree bit for bit.  Each node checks
 fewer intermediates than its composition, yet raises FiniteError on exactly
 the inputs the composition rejects: the ``TestFiniteChecks`` cases are
-inputs on which only one kept check can fire.
+inputs on which only one kept check can fire.  ``attention.multi_head``
+over B windows returns the rows of B single-window calls bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import fastforecast.tensor as T
-from fastforecast.attention import scaled_dot_attention
+from fastforecast.attention import multi_head, softmax_window
 from fastforecast.errors import FiniteError
+from fastforecast.favor import FavorConfig, draw_features, favor_window
 from fastforecast.model import LAYER_NORM_EPS, ModelSpec, build
 from fastforecast.tensor import GradTape, Tensor
+
+from conftest import scaled_dot_attention
 
 FFN_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -188,6 +194,52 @@ def test_feed_forward_dead_units_match_composition_bitwise():
     w1 = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
     arrays = [x, w1, np.array([[0.0, 0.0, -1.0]]), np.ones((3, 2)), np.zeros((1, 2))]
     assert_bitwise(fused_feed_forward, composed_feed_forward, arrays, [True] * 5, seed=5)
+
+
+# (length, d_model, heads, windows): a small case and the README widths at L=64
+MULTI_HEAD_SHAPES = [(8, 8, 2, 3), (64, 64, 4, 32)]
+
+
+def window_kernels(name, heads, d_k):
+    if name == "softmax":
+        return [softmax_window] * heads
+    return [functools.partial(favor_window, causal=name == "favor_causal",
+                              omega=draw_features(FavorConfig(r=32, d_k=d_k, seed=j)))
+            for j in range(heads)]
+
+
+@pytest.mark.parametrize("kernel", ["softmax", "favor", "favor_causal"])
+@pytest.mark.parametrize("shape", MULTI_HEAD_SHAPES, ids=shape_id)
+def test_multi_head_over_windows_matches_single_windows_bitwise(shape, kernel):
+    """One call over B windows returns the rows of B single-window calls byte
+    for byte, with a tape and without one.  The input gradients agree within
+    1e-12: the weight gradients sum over all B·L rows in one gemm."""
+    length, d_model, heads, windows = shape
+    rng = np.random.default_rng(length + heads)
+    kernels = window_kernels(kernel, heads, d_model // heads)
+    x = rng.standard_normal((windows * length, d_model))
+    w_qkv = rng.standard_normal((d_model, 3 * d_model)) / math.sqrt(d_model)
+    w_o = rng.standard_normal((d_model, d_model)) / math.sqrt(d_model)
+    weights = rng.standard_normal((windows * length, d_model))
+
+    def run(rows):
+        leaves = [Tensor(x[rows], requires_grad=True), Tensor(w_qkv, requires_grad=True),
+                  Tensor(w_o, requires_grad=True)]
+        no_tape = multi_head(*leaves, kernels, length).data
+        with GradTape() as tape:
+            out = multi_head(*leaves, kernels, length)
+            loss = T.tsum(T.mul(out, Tensor(weights[rows])))
+        tape.backward(loss)
+        assert no_tape.tobytes() == out.data.tobytes()
+        return out.data, [t.grad for t in leaves]
+
+    out, grads = run(slice(None))
+    singles = [run(slice(s * length, (s + 1) * length)) for s in range(windows)]
+    assert out.tobytes() == np.concatenate([o for o, _ in singles]).tobytes()
+    expected = [np.concatenate([g[0] for _, g in singles]),
+                sum(g[1] for _, g in singles), sum(g[2] for _, g in singles)]
+    for got, want in zip(grads, expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,24 +279,42 @@ class TestTrain:
         assert report.favor_generation == model.favor_generation
 
     def test_bilstm_tape_size_does_not_grow_with_window(self):
-        """The BiLSTM and causal FAVOR+ record whole-sequence nodes, not one
-        per step or row: a bilstm_only or causal performer training step tapes
-        as many nodes at window 8 as at 32."""
-        for variant, causal in (("bilstm_only", False), ("performer", True)):
+        """The BiLSTM, causal FAVOR+ and the multi-head attention node record
+        whole-sequence, whole-batch nodes, not one per step, row or window:
+        every variant's training step tapes as many nodes at window 8 as at
+        32, and at batch 4 as at 32."""
+        for variant, causal in [(v, False) for v in VARIANTS] + [("performer", True)]:
             sizes = []
-            for window in (8, 32):
+            for window, batch in ((8, 4), (32, 4), (8, 32)):
                 spec = tiny_spec(variant=variant, window=window, dropout=0.1)
                 if causal:
                     spec = dataclasses.replace(
                         spec, favor=dataclasses.replace(spec.favor, causal=True))
                 model = build(spec)
                 rng = np.random.default_rng(0)
-                windows = rng.standard_normal((4, window, spec.n_features))
+                windows = rng.standard_normal((batch, window, spec.n_features))
                 with GradTape() as tape:
-                    loss = _batch_loss(model, windows, rng.standard_normal(4), rng)
+                    loss = _batch_loss(model, windows, rng.standard_normal(batch), rng)
                 tape.backward(loss)
                 sizes.append(len(tape))
-            assert sizes[0] == sizes[1], (variant, sizes)
+            assert sizes[0] == sizes[1] == sizes[2], (variant, causal, sizes)
+
+    def test_forward_without_tape_holds_one_window_of_scores(self):
+        """With no tape recording, exact attention keeps no window's L×L
+        buffers after it returns: at L=256, B=8 and four heads, the peak
+        traced allocation of a forward pass stays below the B·H·L² float64
+        scores that keeping them all would hold (16 MB)."""
+        length, batch, heads = 256, 8, 4
+        model = build(ModelSpec(variant="transformer_mh", window=length, n_features=8,
+                                heads=heads))
+        windows = np.random.default_rng(0).standard_normal((batch, length, 8))
+        tracemalloc.start()
+        try:
+            model.forward_batch(windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch * heads * length ** 2 * 8, peak
 
     def test_training_is_deterministic(self):
         ds = tiny_dataset()

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fastforecast.tensor as T
-from fastforecast.attention import scaled_dot_attention
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.tensor import GradTape, Tensor
 
-from conftest import check_gradients
+from conftest import check_gradients, scaled_dot_attention
 from test_favor import masked
 from test_fused_kernels import softmax_rows, sqrt
 
