@@ -1,15 +1,15 @@
 """Softmax attention kernels and the multi-head node.
 
-  * ``softmax_window`` — softmax(Q Kᵀ / √d_k) V over one window, on numpy
-    arrays, with its hand-derived backward pass (a window function, as
-    ``favor.favor_window`` is); the scores are scaled, max-shifted,
-    exponentiated and normalised in one L×L buffer;
+  * ``softmax_window`` — softmax(Q Kᵀ / √d_k) V over one window, or a stack
+    of them, on numpy arrays, with its hand-derived backward pass (a window
+    function, as ``favor.favor_window`` is); the scores are scaled,
+    max-shifted, exponentiated and normalised in one L×L buffer per window;
   * ``exact_bidirectional`` — the same map composed from tensor primitives,
     through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the oracle the
     linear-attention kernel is checked against;
   * ``exact_unidirectional`` — the causal oracle: A is masked to its lower
     triangle before normalising, so row i attends only to positions <= i;
-  * ``multi_head`` — self-attention over a batch of windows.
+  * ``multi_head`` — self-attention over a batch of windows, all heads per call.
 
 All stabilise with a per-row max subtraction, which leaves the result
 unchanged (softmax shift invariance) while keeping exp() in range.  The max
@@ -40,30 +40,30 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
 
 
 def softmax_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
-    """softmax(Q Kᵀ / √d_k) V over one window: returns the output and its
-    backward pass, which maps the output gradient to those of Q, K and V.
+    """softmax(Q Kᵀ / √d_k) V over windows shaped (..., L, d): returns the output
+    and its backward pass, which maps the output gradient to those of Q, K and V.
 
     Besides the output, which the caller's tape node checks, only the scaled
     scores are checked: with the max shift the attention matrix lies in
     [0, 1], and an unscaled product that overflows overflows after scaling
     too (1/√d_k <= 1)."""
-    scale = 1.0 / math.sqrt(qd.shape[1])
-    attn = qd @ kd.T
+    scale = 1.0 / math.sqrt(qd.shape[-1])
+    attn = qd @ kd.swapaxes(-1, -2)
     attn *= scale
     T.check_finite(attn)
-    attn -= attn.max(axis=1, keepdims=True)
+    attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=1, keepdims=True)
+    attn /= attn.sum(axis=-1, keepdims=True)
     T.note_buffers(attn)
 
     def backward(g):
-        g_scores = g @ vd.T  # softmax adjoint: A ⊙ (g_A - rowsum(g_A ⊙ A))
-        g_scores -= (g_scores * attn).sum(axis=1, keepdims=True)
+        g_scores = g @ vd.swapaxes(-1, -2)  # softmax adjoint: A ⊙ (g_A - rowsum(g_A ⊙ A))
+        g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
         g_scores *= attn
         g_scores *= scale
         return (g_scores @ kd,
-                (qd.T @ g_scores).T,  # Kᵀ's gradient, transposed
-                attn.T @ g)
+                (qd.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2),  # Kᵀ's gradient, transposed
+                attn.swapaxes(-1, -2) @ g)
 
     return attn @ vd, backward
 
@@ -94,39 +94,40 @@ def exact_unidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 
 
-def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, kernels, length: int) -> Tensor:
+def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, window, heads: int, length: int) -> Tensor:
     """Self-attention over the (B·L, d_model) rows of B windows of ``length``
     rows each, as three tape nodes.
 
     ``w_qkv`` joins each head's query, key and value projections, head by
-    head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  Head j
-    applies the window function ``kernels[j]`` (``softmax_window`` or a
-    ``favor.favor_window``) to each window's projections, and the output
-    matrix mixes the heads.  Each window's backward pass is kept only while
-    a tape records, so a forward pass without one holds a single window's
-    buffers at a time."""
-    heads = len(kernels)
-    if not heads or w_qkv.shape[1] % (3 * heads):
+    head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  ``window``
+    (``softmax_window`` or a ``favor.favor_window``) runs once per window on
+    all heads, as (heads, L, d_k) views, and the output matrix mixes them.
+    Each window's backward pass is kept only while a tape records, so a
+    forward pass without one holds a single window's buffers at a time."""
+    if heads < 1 or w_qkv.shape[1] % (3 * heads):
         raise ConfigError("head count does not match weights")
+    if x.shape[0] % length:
+        raise ShapeError(f"{x.shape[0]} rows are not whole windows of length {length}")
     d_k = w_qkv.shape[1] // (3 * heads)
     qkv = T.matmul(x, w_qkv)
     qd = qkv.data
     out = np.empty((qd.shape[0], heads * d_k))
     keep = qkv.requires_grad and T._active_tape() is not None
     backwards = []
-    for lo in range(0, len(qd), length):
-        rows = slice(lo, lo + length)
-        for j, kernel in enumerate(kernels):
-            o, o_backward = kernel(*np.split(qd[rows, 3 * j * d_k:3 * (j + 1) * d_k], 3, axis=1))
-            out[rows, j * d_k:(j + 1) * d_k] = o
-            if keep:
-                backwards.append((rows, j, o_backward))
+
+    def by_head(a, parts):  # (B·L, heads·parts·d_k) rows -> (B, parts, heads, L, d_k) view
+        return a.reshape(-1, length, heads, parts, d_k).transpose(0, 3, 2, 1, 4)
+
+    for qkv_b, out_b in zip(by_head(qd, 3), by_head(out, 1)):
+        o, o_backward = window(*qkv_b)
+        out_b[0] = o
+        if keep:
+            backwards.append(o_backward)
 
     def backward(g):
         g_qkv = np.empty_like(qd)
-        for rows, j, o_backward in backwards:
-            g_qkv[rows, 3 * j * d_k:3 * (j + 1) * d_k] = np.hstack(
-                o_backward(g[rows, j * d_k:(j + 1) * d_k]))
+        for g_b, g_qkv_b, o_backward in zip(by_head(g, 1), by_head(g_qkv, 3), backwards):
+            g_qkv_b[...] = o_backward(g_b[0])
         return (g_qkv,)
 
     return T.matmul(T._make((qkv,), out, backward), w_o)

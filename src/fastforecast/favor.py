@@ -18,11 +18,12 @@ form contracts K̂ᵀV and K̂ᵀ1 first; the causal form takes prefix sums of
 ``favor_window`` runs both forms over one window in numpy, with the same
 arithmetic as the equivalent composition of tensor primitives (so the
 outputs agree bit for bit), and returns the output with its backward pass,
-derived by hand.  ``attention.multi_head`` calls it per window and head
-inside one tape node; ``favor_bidirectional`` and ``favor_unidirectional``
-record it as a tape node of its own.  The two forms share φ (``_phi`` and
-``_phi_grad``), the finiteness checks, the denominator floor and the
-division; only the three contractions and their adjoints differ.
+derived by hand.  ``attention.multi_head`` calls it once per window on a
+(heads, L, d_k) stack, one Ω per head, inside one tape node;
+``favor_bidirectional`` and ``favor_unidirectional`` record it as a tape
+node of its own.  The two forms share φ (``_phi`` and ``_phi_grad``), the
+finiteness checks, the denominator floor and the division; only the three
+contractions and their adjoints differ.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def draw_features(cfg: FavorConfig) -> np.ndarray:
 def _phi(x: np.ndarray, omega: np.ndarray):
     """φ of the rows of x: returns φ(x) and the mask of unclamped exponents
     (None when nothing was clamped)."""
-    phi = x @ np.ascontiguousarray(omega.T)  # one (L, r) buffer, from exponent to φ
-    phi -= 0.5 * (x * x).sum(axis=1, keepdims=True)
+    phi = x @ np.ascontiguousarray(omega.swapaxes(-1, -2))  # one (L, r) buffer, exponent to φ
+    phi -= 0.5 * (x * x).sum(axis=-1, keepdims=True)
     T.check_finite(phi)
     mask = None
     clamped = int(np.count_nonzero(phi >= EXP_CLAMP))
@@ -127,7 +128,7 @@ def _phi(x: np.ndarray, omega: np.ndarray):
         mask = phi < EXP_CLAMP
         np.minimum(phi, EXP_CLAMP, out=phi)
     np.exp(phi, out=phi)
-    phi *= 1.0 / math.sqrt(omega.shape[0])
+    phi *= 1.0 / math.sqrt(omega.shape[-2])
     return phi, mask
 
 
@@ -136,42 +137,42 @@ def _phi_grad(x: np.ndarray, omega: np.ndarray, phi: np.ndarray, mask, g: np.nda
     g_arg = g * phi  # φ = r^{-1/2} exp(arg); a clamped exponent passes nothing
     if mask is not None:
         g_arg *= mask
-    return g_arg @ omega - x * g_arg.sum(axis=1, keepdims=True)
+    return g_arg @ omega - x * g_arg.sum(axis=-1, keepdims=True)
 
 
-def _reverse_cumsum(x: np.ndarray) -> np.ndarray:
-    """Row i holds the sum of rows i.. of x (the adjoint of a prefix sum)."""
-    return np.cumsum(x[::-1], axis=0)[::-1]
+def _reverse_cumsum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Entry i along ``axis`` holds the sum of entries i.. (the adjoint of a prefix sum)."""
+    return np.flip(np.cumsum(np.flip(x, axis), axis=axis), axis)
 
 
 def favor_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarray,
                  causal: bool):
-    """Both FAVOR+ forms over one window: returns the output, unchecked, and
-    its backward pass, which maps the output gradient to those of Q, K and V.
-    Only the three contractions differ.
+    """Both FAVOR+ forms over windows shaped (..., L, d), with Ω (..., r, d_k):
+    returns the output, unchecked, and its backward pass, which maps the output
+    gradient to those of Q, K and V.  Only the three contractions differ.
 
     Bidirectional: K̂ᵀV (r, d_v), Q̂(K̂ᵀV) and K̂ᵀ1.  Causal: the prefix sums
     S_i = Σ_{j<=i} φ(k_j) v_jᵀ (stacked (L, r, d_v)) and z_i = Σ_{j<=i} φ(k_j),
     read by row i as φ(q_i)ᵀS_i and φ(q_i)ᵀz_i; their adjoints are reverse
     cumulative sums over i >= j.
     """
-    d_k = omega.shape[1]
-    if qd.shape[1] != d_k:
+    d_k = omega.shape[-1]
+    if qd.shape[-1] != d_k:
         raise ShapeError(f"FAVOR+ expects queries and keys of width {d_k}, got {qd.shape}")
     scale = d_k ** -0.25
     qs, ks = qd * scale, kd * scale
     q_hat, q_mask = _phi(qs, omega)
     k_hat, k_mask = _phi(ks, omega)
     if causal:
-        kv = np.cumsum(k_hat[:, :, None] * vd[:, None, :], axis=0)  # (L, r, d_v)
-        num = (q_hat[:, None, :] @ kv)[:, 0]  # (L, d_v)
-        z = np.cumsum(k_hat, axis=0)  # (L, r)
-        den = (q_hat[:, None, :] @ z[:, :, None])[:, 0]  # (L, 1)
+        kv = np.cumsum(k_hat[..., :, None] * vd[..., None, :], axis=-3)  # (L, r, d_v)
+        num = (q_hat[..., None, :] @ kv)[..., 0, :]  # (L, d_v)
+        z = np.cumsum(k_hat, axis=-2)  # (L, r)
+        den = (q_hat[..., None, :] @ z[..., None])[..., 0]  # (L, 1)
     else:
-        kv = k_hat.T @ vd  # (r, d_v)
+        kv = k_hat.swapaxes(-1, -2) @ vd  # (r, d_v)
         num = q_hat @ kv  # (L, d_v)
-        z = k_hat.sum(axis=0, keepdims=True)  # (1, r) = (K̂ᵀ·1)ᵀ
-        den = q_hat @ z.T  # (L, 1)
+        z = k_hat.sum(axis=-2, keepdims=True)  # (1, r) = (K̂ᵀ·1)ᵀ
+        den = q_hat @ z.swapaxes(-1, -2)  # (L, 1)
     T.check_finite(kv, num, z, den)
     T.note_buffers(q_hat, k_hat, kv, num, z, den)
     floored = int(np.count_nonzero(den <= DENOM_FLOOR))
@@ -180,18 +181,18 @@ def favor_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarr
 
     def backward(g):
         g_num = g * inv
-        g_den = -(g * num).sum(axis=1, keepdims=True) * inv * inv
+        g_den = -(g * num).sum(axis=-1, keepdims=True) * inv * inv
         if floored:
             g_den *= den > DENOM_FLOOR  # the floor passes no gradient
         if causal:
-            g_kv = _reverse_cumsum(q_hat[:, :, None] * g_num[:, None, :])  # (L, r, d_v)
-            g_q_hat = (kv @ g_num[:, :, None])[:, :, 0] + g_den * z
-            g_k_hat = (g_kv @ vd[:, :, None])[:, :, 0] + _reverse_cumsum(g_den * q_hat)
-            g_v = (k_hat[:, None, :] @ g_kv)[:, 0]
+            g_kv = _reverse_cumsum(q_hat[..., :, None] * g_num[..., None, :], -3)  # (L, r, d_v)
+            g_q_hat = (kv @ g_num[..., None])[..., 0] + g_den * z
+            g_k_hat = (g_kv @ vd[..., None])[..., 0] + _reverse_cumsum(g_den * q_hat, -2)
+            g_v = (k_hat[..., None, :] @ g_kv)[..., 0, :]
         else:
-            g_kv = q_hat.T @ g_num
-            g_q_hat = g_num @ kv.T + g_den * z
-            g_k_hat = vd @ g_kv.T + g_den.T @ q_hat
+            g_kv = q_hat.swapaxes(-1, -2) @ g_num
+            g_q_hat = g_num @ kv.swapaxes(-1, -2) + g_den * z
+            g_k_hat = vd @ g_kv.swapaxes(-1, -2) + g_den.swapaxes(-1, -2) @ q_hat
             g_v = k_hat @ g_kv
         return (_phi_grad(qs, omega, q_hat, q_mask, g_q_hat) * scale,
                 _phi_grad(ks, omega, k_hat, k_mask, g_k_hat) * scale,

@@ -163,7 +163,7 @@ class Model:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.params: dict[str, Tensor] = {}
-        self.feature_maps: list[list[np.ndarray]] = []
+        self.feature_maps: list[np.ndarray] = []  # per block, each head's Ω: (heads, r, d_k)
         self.favor_generation: int | None = None  # no Ω drawn yet
         rng = np.random.default_rng(spec.seed)
         d = spec.d_model
@@ -224,9 +224,9 @@ class Model:
         if spec.uses_favor:
             ss = np.random.SeedSequence([spec.favor.seed, generation])
             seeds = ss.generate_state(spec.blocks * spec.heads, dtype=np.uint64)
-            self.feature_maps = [[draw_features(dataclasses.replace(spec.favor, seed=seed))
-                                  for seed in row]
-                                 for row in seeds.reshape(spec.blocks, spec.heads).tolist()]
+            omegas = np.stack([draw_features(dataclasses.replace(spec.favor, seed=seed))
+                               for seed in seeds.tolist()])
+            self.feature_maps = list(omegas.reshape(spec.blocks, spec.heads, *omegas.shape[1:]))
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -330,16 +330,14 @@ class Model:
     def _attention_sublayer(self, x: Tensor, block: int) -> Tensor:
         spec = self.spec
         p = self.params
-        if spec.uses_favor:
-            kernels = [functools.partial(favor_window, omega=omega, causal=spec.favor.causal)
-                       for omega in self.feature_maps[block]]
-        else:
-            kernels = [softmax_window] * spec.heads
+        window = (functools.partial(favor_window, omega=self.feature_maps[block],
+                                    causal=spec.favor.causal)
+                  if spec.uses_favor else softmax_window)
         w_qkv = T.concat([p[f"block{block}.attn.{m}{j}"]
                           for j in range(spec.heads) for m in "qkv"], axis=1)
         # multi_head is looked up here, at call time, so a wrapper installed
         # on this module's name (a tracer) sees every call
-        return multi_head(x, w_qkv, p[f"block{block}.attn.o"], kernels, spec.window)
+        return multi_head(x, w_qkv, p[f"block{block}.attn.o"], window, spec.heads, spec.window)
 
     def _encoder_block(self, x: Tensor, block: int, rng) -> Tensor:
         p = self.params

@@ -4,8 +4,8 @@ Every differentiable operation in the package is a primitive registered
 through :func:`_make`: the elementwise, matrix and shape primitives in this
 module, plus five fused kernels elsewhere: the whole-sequence LSTM
 (``lstm.lstm_sequence``), the attention node of ``attention.multi_head``
-(a window function per window and head: ``attention.softmax_window`` or
-``favor.favor_window``), FAVOR+ on one window
+(one window-function call per window over all heads:
+``attention.softmax_window`` or ``favor.favor_window``), FAVOR+ on one window
 (``favor.favor_bidirectional`` and ``favor.favor_unidirectional``), and the
 encoder block's layer norm and feed-forward sublayer (``Model._layer_norm``
 and ``Model._feed_forward``).  A primitive computes its forward value with

@@ -137,14 +137,14 @@ class TestMultiHead:
         eye = np.eye(4)
         x = rng.standard_normal((6, 4))
         out = multi_head(Tensor(x), Tensor(np.hstack([eye] * 3)), Tensor(eye),
-                         [softmax_window], 6).data
+                         softmax_window, 1, 6).data
         direct = scaled_dot_attention(Tensor(x), Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(out, direct, atol=1e-12)
 
     def test_zero_output_matrix(self, rng):
         w_qkv, _ = glorot_weights(8, 2, rng)
         out = multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, Tensor(np.zeros((8, 8))),
-                         [softmax_window] * 2, 5)
+                         softmax_window, 2, 5)
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
     def test_two_heads_match_manual_concat(self, rng):
@@ -156,13 +156,19 @@ class TestMultiHead:
             q, k, v = np.split(x @ w_qkv.data[:, 12 * i:12 * (i + 1)], 3, axis=1)
             heads.append(scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data)
         expect = np.concatenate(heads, axis=1) @ w_o.data
-        np.testing.assert_allclose(multi_head(xt, w_qkv, w_o, [softmax_window] * 2, 7).data,
+        np.testing.assert_allclose(multi_head(xt, w_qkv, w_o, softmax_window, 2, 7).data,
                                    expect, atol=1e-12)
 
     def test_kernel_count_must_match_heads(self, rng):
         w_qkv, w_o = glorot_weights(8, 2, rng)
         with pytest.raises(ConfigError):
-            multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, w_o, [softmax_window] * 3, 5)
+            multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, w_o, softmax_window, 3, 5)
+
+    def test_rows_must_be_whole_windows(self, rng):
+        """Seven rows are not whole windows of five: no short last window."""
+        w_qkv, w_o = glorot_weights(8, 2, rng)
+        with pytest.raises(ShapeError, match="7 rows"):
+            multi_head(Tensor(rng.standard_normal((7, 8))), w_qkv, w_o, softmax_window, 2, 5)
 
     def test_inconsistent_config_rejected(self):
         with pytest.raises(ConfigError, match="d_model = 8 not divisible by h = 3"):
@@ -190,15 +196,14 @@ class TestAttentionGradients:
     def test_multi_head_gradients(self, causal, rng):
         w_qkv, w_o = glorot_weights(4, 2, rng)
         x = rng.standard_normal((4, 4)) * 0.5
-        kernels = [softmax_window] * 2
+        window = softmax_window
         if causal is not None:  # each FAVOR+ head has its own features
-            kernels = [functools.partial(favor_window, causal=causal,
-                                         omega=draw_features(FavorConfig(r=8, d_k=2, seed=j)))
-                       for j in range(2)]
+            omega = np.stack([draw_features(FavorConfig(r=8, d_k=2, seed=j)) for j in range(2)])
+            window = functools.partial(favor_window, causal=causal, omega=omega)
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
             w = T.concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)
-            out = multi_head(xt, w, wo, kernels, 4)
+            out = multi_head(xt, w, wo, window, 2, 4)
             return T.tsum(T.mul(out, out))
 
         heads = [np.split(w_qkv.data[:, 6 * j:6 * (j + 1)], 3, axis=1) for j in range(2)]

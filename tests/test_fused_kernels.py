@@ -9,7 +9,8 @@ forward values and every input gradient agree bit for bit.  Each node checks
 fewer intermediates than its composition, yet raises FiniteError on exactly
 the inputs the composition rejects: the ``TestFiniteChecks`` cases are
 inputs on which only one kept check can fire.  ``attention.multi_head``
-over B windows returns the rows of B single-window calls bit for bit.
+over B windows returns the rows of B single-window calls bit for bit, and
+one window-function call over all heads returns what one call per head does.
 """
 
 import functools
@@ -200,12 +201,16 @@ def test_feed_forward_dead_units_match_composition_bitwise():
 MULTI_HEAD_SHAPES = [(8, 8, 2, 3), (64, 64, 4, 32)]
 
 
-def window_kernels(name, heads, d_k):
+def window_function(name, omega):
+    """``softmax_window``, or ``favor_window`` of either form over ``omega``."""
     if name == "softmax":
-        return [softmax_window] * heads
-    return [functools.partial(favor_window, causal=name == "favor_causal",
-                              omega=draw_features(FavorConfig(r=32, d_k=d_k, seed=j)))
-            for j in range(heads)]
+        return softmax_window
+    return functools.partial(favor_window, causal=name == "favor_causal", omega=omega)
+
+
+def feature_stack(heads, d_k, r):
+    """One Ω per head, stacked (heads, r, d_k) as the model stacks a block's draws."""
+    return np.stack([draw_features(FavorConfig(r=r, d_k=d_k, seed=j)) for j in range(heads)])
 
 
 @pytest.mark.parametrize("kernel", ["softmax", "favor", "favor_causal"])
@@ -216,7 +221,7 @@ def test_multi_head_over_windows_matches_single_windows_bitwise(shape, kernel):
     1e-12: the weight gradients sum over all B·L rows in one gemm."""
     length, d_model, heads, windows = shape
     rng = np.random.default_rng(length + heads)
-    kernels = window_kernels(kernel, heads, d_model // heads)
+    window = window_function(kernel, feature_stack(heads, d_model // heads, 32))
     x = rng.standard_normal((windows * length, d_model))
     w_qkv = rng.standard_normal((d_model, 3 * d_model)) / math.sqrt(d_model)
     w_o = rng.standard_normal((d_model, d_model)) / math.sqrt(d_model)
@@ -225,9 +230,9 @@ def test_multi_head_over_windows_matches_single_windows_bitwise(shape, kernel):
     def run(rows):
         leaves = [Tensor(x[rows], requires_grad=True), Tensor(w_qkv, requires_grad=True),
                   Tensor(w_o, requires_grad=True)]
-        no_tape = multi_head(*leaves, kernels, length).data
+        no_tape = multi_head(*leaves, window, heads, length).data
         with GradTape() as tape:
-            out = multi_head(*leaves, kernels, length)
+            out = multi_head(*leaves, window, heads, length)
             loss = T.tsum(T.mul(out, Tensor(weights[rows])))
         tape.backward(loss)
         assert no_tape.tobytes() == out.data.tobytes()
@@ -240,6 +245,33 @@ def test_multi_head_over_windows_matches_single_windows_bitwise(shape, kernel):
                 sum(g[1] for _, g in singles), sum(g[2] for _, g in singles)]
     for got, want in zip(grads, expected):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# (length, d_k, heads, r): a small case and the README widths at L=64
+STACK_SHAPES = [(8, 2, 2, 8), (64, 16, 4, 128)]
+
+
+@pytest.mark.parametrize("kernel", ["softmax", "favor", "favor_causal"])
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=shape_id)
+def test_window_over_stacked_heads_matches_single_heads_bitwise(shape, kernel):
+    """One window-function call on the strided (heads, L, d_k) views that
+    ``multi_head`` passes returns, byte for byte, the output and the Q, K and
+    V gradients of one 2D call per head on that head's column slices."""
+    length, d_k, heads, r = shape
+    rng = np.random.default_rng(length + heads)
+    qkv = rng.standard_normal((length, 3 * heads * d_k))
+    g = rng.standard_normal((length, heads * d_k))
+    omega = feature_stack(heads, d_k, r)
+    out, backward = window_function(kernel, omega)(
+        *qkv.reshape(length, heads, 3, d_k).transpose(2, 1, 0, 3))
+    grads = backward(g.reshape(length, heads, d_k).transpose(1, 0, 2))
+    for j in range(heads):
+        out_j, backward_j = window_function(kernel, omega[j])(
+            *np.split(qkv[:, 3 * j * d_k:3 * (j + 1) * d_k], 3, axis=1))
+        assert out[j].tobytes() == out_j.tobytes()
+        grads_j = backward_j(g[:, j * d_k:(j + 1) * d_k])
+        for got, want in zip(grads, grads_j, strict=True):
+            assert got[j].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,15 @@ class TestBuild:
 
     def test_feature_draw_changes_only_with_the_generation(self):
         model = build(tiny_spec(blocks=2))
-        drawn = [omega for row in model.feature_maps for omega in row]
+        drawn = list(model.feature_maps)  # one (heads, r, d_k) stack per block
         model.set_favor_generation(0)
-        kept = [omega for row in model.feature_maps for omega in row]
-        assert len(kept) == 4 and all(a is b for a, b in zip(drawn, kept))
+        kept = list(model.feature_maps)
+        assert len(kept) == 2 and all(a is b for a, b in zip(drawn, kept))
+        assert all(stack.shape[0] == 2 for stack in kept)
         model.set_favor_generation(1)
-        redrawn = [omega for row in model.feature_maps for omega in row]
-        assert not any(np.array_equal(a, b) for a, b in zip(drawn, redrawn))
+        redrawn = list(model.feature_maps)
+        assert not any(np.array_equal(a, b) for stack, new in zip(drawn, redrawn)
+                       for a, b in zip(stack, new))
 
     @pytest.mark.parametrize("generation", [True, 1.0, "1", -1])
     def test_feature_generation_must_be_a_natural_number(self, generation):
