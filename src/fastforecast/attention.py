@@ -1,20 +1,18 @@
-"""Softmax attention kernels and the multi-head node.
+"""Softmax attention: the exact window function and the multi-head node.
 
   * ``softmax_window`` — softmax(Q Kᵀ / √d_k) V over one window, or a stack
     of them, on numpy arrays, with its hand-derived backward pass (a window
     function, as ``favor.favor_window`` is); the scores are scaled,
-    max-shifted, exponentiated and normalised in one L×L buffer per window;
-  * ``exact_bidirectional`` — the same map composed from tensor primitives,
-    through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the oracle the
-    linear-attention kernel is checked against;
-  * ``exact_unidirectional`` — the causal oracle: A is masked to its lower
-    triangle before normalising, so row i attends only to positions <= i;
+    max-shifted, exponentiated and normalised in one L×L buffer per window.
+    It is ``transformer_mh``'s kernel and the exact side of ``bench``; the
+    composed softmax oracles it is checked against are in
+    ``tests/reference.py``;
   * ``multi_head`` — self-attention over a batch of windows, all heads per call.
 
-All stabilise with a per-row max subtraction, which leaves the result
-unchanged (softmax shift invariance) while keeping exp() in range.  The max
-is treated as a constant in the backward pass; the shift invariance makes
-that exact, not an approximation.
+The per-row max subtraction leaves the result unchanged (softmax shift
+invariance) while keeping exp() in range.  The max is treated as a constant
+in the backward pass; the shift invariance makes that exact, not an
+approximation.
 """
 
 from __future__ import annotations
@@ -66,32 +64,6 @@ def softmax_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
                 attn.swapaxes(-1, -2) @ g)
 
     return attn @ vd, backward
-
-
-def exact_bidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """D⁻¹ A V with A = exp(Q Kᵀ / √d_k), D = diag(A·1)."""
-    _check_qkv(q, k, v)
-    d_k = q.shape[1]
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
-    row_max = Tensor(scores.data.max(axis=1, keepdims=True))  # constant shift
-    a = T.exp(T.sub(scores, row_max))
-    return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
-
-
-def exact_unidirectional(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Causal form: A is masked below the diagonal (inclusive) before normalising."""
-    _check_qkv(q, k, v)
-    length, d_k = q.shape
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
-    mask = np.tril(np.ones((length, length)))
-    # stabilise with the max over the *visible* entries of each row; masked
-    # entries are pushed to exp(-800) = 0 exactly, so they never overflow
-    # and contribute nothing to the row sums
-    visible = np.where(mask > 0, scores.data, -np.inf)
-    row_max = Tensor(visible.max(axis=1, keepdims=True))
-    shifted = T.sub(scores, row_max)
-    a = T.exp(T.sub(T.mul(shifted, Tensor(mask)), Tensor((1.0 - mask) * 800.0)))
-    return T.mul(T.matmul(a, v), T.recip(T.tsum(a, axis=1)))
 
 
 def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, window, heads: int, length: int) -> Tensor:

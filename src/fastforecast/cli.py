@@ -130,15 +130,17 @@ def load_config(path, seed_override=None) -> dict:
     from .data import SPLIT_FRACTIONS
     from .errors import ConfigError
     from .favor import FavorConfig
-    from .model import VARIANTS, ModelSpec, TrainHyperparams
+    from .model import VARIANTS, ModelSpec, TrainHyperparams, reject_non_finite
 
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     # JSON Schema's "integer" admits 16.0, which would reach range() and crash
     base = jsonschema.Draft202012Validator
     strict = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(

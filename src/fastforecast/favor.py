@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .attention import _check_qkv, exact_bidirectional
+from .attention import _check_qkv, softmax_window
 from .errors import ConfigError, ShapeError
 from .tensor import EXP_CLAMP, Tensor
 
@@ -236,10 +236,12 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
                      seed: int = 0) -> list[ProbeRow]:
     """Time one attention forward pass per (L, rep) and log allocations.
 
-    ``mode`` selects the exact or the random-feature bidirectional kernel.
-    The byte figure sums every intermediate tensor the kernel creates — for
-    the exact kernel that includes the L×L attention matrix, for FAVOR+ it
-    stays linear in L by construction.
+    ``mode`` selects the window function a model runs: ``"exact"`` is
+    ``attention.softmax_window`` (``transformer_mh``'s kernel) and ``"favor"``
+    is the bidirectional ``favor_window``.  Each is called on numpy arrays,
+    with no tape.  The byte figure sums the buffers the kernel notes plus its
+    output: for the exact kernel the L×L attention matrix, for FAVOR+ only
+    buffers linear in L.
     """
     if mode not in ("exact", "favor"):
         raise ConfigError(f"unknown probe mode '{mode}'")
@@ -251,14 +253,14 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
     rng = np.random.default_rng(seed)
     rows = []
     for length in lengths:
-        q = Tensor(rng.standard_normal((length, d_k)))
-        k = Tensor(rng.standard_normal((length, d_k)))
-        v = Tensor(rng.standard_normal((length, d_k)))
+        q, k, v = (rng.standard_normal((length, d_k)) for _ in range(3))
 
         def run():
             if mode == "exact":
-                return exact_bidirectional(q, k, v)
-            return favor_bidirectional(q, k, v, omega)
+                out, _ = softmax_window(q, k, v)
+            else:
+                out, _ = favor_window(q, k, v, omega, causal=False)
+            T.note_buffers(out)
 
         run()  # warm-up: page in buffers, trigger lazy BLAS init
         for rep in range(reps):

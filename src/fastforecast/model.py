@@ -583,6 +583,13 @@ CHECKPOINT_MAGIC = b"FFCK"
 CHECKPOINT_VERSION = 1
 
 
+def reject_non_finite(literal: str):
+    """``parse_constant`` for ``json``, which otherwise reads ``NaN``,
+    ``Infinity`` and ``-Infinity`` as floats: a config or checkpoint header
+    holding one is rejected before any field is read."""
+    raise ConfigError(f"non-finite number {literal} is not allowed")
+
+
 def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
     """Binary layout: magic, version, header length, JSON header, flat
     little-endian float64 parameter buffers in header order.
@@ -618,7 +625,8 @@ def load_checkpoint(path) -> tuple[Model, ColumnStats]:
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
         offset = 12 + header_len
-        header = json.loads(blob[12:offset].decode("utf-8"))
+        header = json.loads(blob[12:offset].decode("utf-8"),
+                            parse_constant=reject_non_finite)
         spec = ModelSpec.from_dict(header["spec"])
         # the header repeats the binary version and spec.seed; each copy must agree
         for field, expected in (("version", version), ("seed", spec.seed)):

@@ -1,18 +1,20 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
 Every differentiable operation in the package is a primitive registered
-through :func:`_make`: the elementwise, matrix and shape primitives in this
-module, plus five fused kernels elsewhere: the whole-sequence LSTM
-(``lstm.lstm_sequence``), the attention node of ``attention.multi_head``
-(one window-function call per window over all heads:
-``attention.softmax_window`` or ``favor.favor_window``), FAVOR+ on one window
-(``favor.favor_bidirectional`` and ``favor.favor_unidirectional``), and the
-encoder block's layer norm and feed-forward sublayer (``Model._layer_norm``
-and ``Model._feed_forward``).  A primitive computes its forward value with
-numpy and, when a :class:`GradTape` is active and an input requires
-gradients, records one node whose closure maps the output gradient to
-per-input gradients; a fused kernel's closure is its hand-derived backward
-pass.
+through :func:`_make`: the primitives in this module (``add``, ``sub``,
+``mul``, ``relu``, ``matmul``, ``tsum``, ``concat`` and ``take_rows``, which
+the model calls, and ``sigmoid``, ``tanh`` and ``transpose``, which only
+``lstm.lstm_cell`` calls), plus five fused kernels elsewhere: the
+whole-sequence LSTM (``lstm.lstm_sequence``), the attention node of
+``attention.multi_head`` (one window-function call per window over all
+heads: ``attention.softmax_window`` or ``favor.favor_window``), FAVOR+ on
+one window (``favor.favor_bidirectional`` and ``favor.favor_unidirectional``),
+and the encoder block's layer norm and feed-forward sublayer
+(``Model._layer_norm`` and ``Model._feed_forward``).  A primitive computes
+its forward value with numpy and, when a :class:`GradTape` is active and an
+input requires gradients, records one node whose closure maps the output
+gradient to per-input gradients; a fused kernel's closure is its
+hand-derived backward pass.
 Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
 every leaf.  Ops are module functions, called as ``T.add(a, b)``,
 ``T.matmul(a, b)`` and so on; ``Tensor`` has no operator methods.
@@ -298,20 +300,9 @@ def tanh(x: Tensor) -> Tensor:
     return _make((x,), t, lambda g: (g * (1.0 - t * t),))
 
 
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        e = np.exp(x.data)
-    return _make((x,), e, lambda g: (g * e,))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _make((x,), np.maximum(x.data, 0.0), lambda g: (g * mask,))
-
-
-def recip(x: Tensor) -> Tensor:
-    r = 1.0 / x.data
-    return _make((x,), r, lambda g: (-g * r * r,))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fastforecast").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-ALLOWED = {
-    # the causal exact-attention oracle that favor_unidirectional is checked
-    # against; it stays in src/ as the correctness oracle for causal FAVOR+
-    "exact_unidirectional",
-}
-
-
 def public_definitions(path):
     """(name, first line, last line) of each public top-level definition."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -68,11 +61,5 @@ def unreferenced():
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    unused = [name for name in unreferenced() if name.split(".", 1)[1] not in ALLOWED]
+    unused = unreferenced()
     assert not unused, f"public names only the tests use: {unused}"
-
-
-def test_allowlist_is_current():
-    """Each allowed name still exists and is still referenced nowhere else."""
-    unused = {name.split(".", 1)[1] for name in unreferenced()}
-    assert ALLOWED <= unused

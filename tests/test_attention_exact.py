@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 import fastforecast.tensor as T
-from fastforecast.attention import (
-    exact_bidirectional,
-    exact_unidirectional,
-    multi_head,
-    softmax_window,
-)
+from fastforecast.attention import multi_head, softmax_window
 from fastforecast.errors import ConfigError, ShapeError
 from fastforecast.favor import FavorConfig, draw_features, favor_window
 from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
 from conftest import check_gradients, scaled_dot_attention
+from reference import exact_bidirectional, exact_unidirectional
 
 
 def glorot_weights(d_model, h, rng):

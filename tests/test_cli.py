@@ -12,6 +12,7 @@ import pytest
 
 import fastforecast
 from fastforecast.cli import (
+    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
@@ -159,6 +160,83 @@ def test_integral_float_for_integer_exits_four(tmp_path, fixture_csv, command, k
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")
+
+
+NON_FINITE = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+
+
+def config_leaves(node, keys=()):
+    """The key path of every scalar in a parsed config; list items by index."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield keys
+        return
+    for key, child in items:
+        yield from config_leaves(child, keys + (key,))
+
+
+def schema_leaves(schema, keys=()):
+    """The key path of every property of CONFIG_SCHEMA that holds no object."""
+    properties = schema.get("properties")
+    if not properties:
+        yield keys
+        return
+    for key, child in properties.items():
+        yield from schema_leaves(child, keys + (key,))
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_literal_in_any_config_leaf_is_config_error(tmp_path, fixture_csv, literal):
+    """Python's json reads NaN, Infinity and -Infinity; the config load does not.
+    The config sets every key of the schema, and each leaf is edited in turn."""
+    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm",
+                         favor={"r": 16, "seed": 9, "causal": False, "redraw_interval": 2})
+    raw = json.loads(config.read_text())
+    raw["indicators"] = {"sma_n": 14, "ema_n": 14, "bb_n": 20, "bb_k": 2.0,
+                         "rsi_n": 14, "cci_n": 20}
+    raw["split"] = [0.7, 0.15, 0.15]
+    leaves = list(config_leaves(raw))
+    assert {keys[:-1] if isinstance(keys[-1], int) else keys
+            for keys in leaves} == set(schema_leaves(CONFIG_SCHEMA))
+    for keys in leaves:
+        edited = json.loads(json.dumps(raw))
+        section = edited
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = NON_FINITE[literal]
+        config.write_text(json.dumps(edited))
+        with pytest.raises(ConfigError, match=f"non-finite number {literal} "):
+            load_config(config)
+
+
+# before the check, each of these exited 3, 0 (clipping silently off) or 2
+NON_FINITE_CONFIGS = [
+    ("train", ("indicators", "bb_k"), float("nan")),
+    ("train", ("train", "lr"), float("inf")),
+    ("train", ("train", "grad_clip"), float("nan")),
+    ("prepare", ("split",), [float("nan"), 0.15, 0.15]),
+]
+
+
+@pytest.mark.parametrize("command,keys,value", NON_FINITE_CONFIGS,
+                         ids=[f"{c}-{'.'.join(k)}" for c, k, _ in NON_FINITE_CONFIGS])
+def test_non_finite_config_value_exits_four(tmp_path, fixture_csv, command, keys, value):
+    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm")
+    raw = json.loads(config.read_text())
+    section = raw
+    for key in keys[:-1]:
+        section = section.setdefault(key, {})
+    section[keys[-1]] = value
+    config.write_text(json.dumps(raw))
+    proc = run_cli("-m", "fastforecast.cli", command, "--config", str(config),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def len_windows_oracle(rows, warmup, window):
@@ -354,6 +432,20 @@ def test_malformed_checkpoint_exits_four(trained_run, corrupt, tmp_path):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("field", ["n_features", "bilstm_hidden"])
+def test_non_finite_spec_width_exits_four(trained_run, field, tmp_path):
+    """A NaN width reached rng.uniform and died with an OverflowError traceback."""
+    config, blob = trained_run
+    bad = tmp_path / "bad.ffck"
+    bad.write_bytes(set_header_field(("spec", field), float("nan"))(blob))
+    proc = run_cli("-m", "fastforecast.cli", "evaluate", "--config", str(config),
+                   "--checkpoint", str(bad), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert "non-finite number NaN" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 class TestBench:

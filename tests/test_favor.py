@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import fastforecast.tensor as T
-from fastforecast.attention import exact_bidirectional
 from fastforecast.data import write_csv
 from fastforecast.errors import ConfigError, FiniteError, ShapeError
 from fastforecast.favor import (
@@ -23,7 +22,8 @@ from fastforecast.favor import (
 )
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
-from conftest import check_gradients, rel_err
+from conftest import check_gradients, rel_err, scaled_dot_attention
+from reference import exact_bidirectional, exact_unidirectional, exp, recip
 
 
 def unit_rows(a):
@@ -40,7 +40,7 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
     omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))
     with T.track_allocations() as log:
         if mode == "exact":
-            exact_bidirectional(q, k, v)
+            scaled_dot_attention(q, k, v)
         elif mode == "causal":
             favor_unidirectional(q, k, v, omega)
         else:
@@ -62,7 +62,7 @@ def composed_phi(x, omega):
     sq_half = T.mul(T.tsum(T.mul(x, x), axis=1), 0.5)
     arg = T.sub(proj, sq_half)
     clamped = masked(arg, arg.data < EXP_CLAMP, EXP_CLAMP)
-    return T.mul(T.exp(clamped), 1.0 / np.sqrt(omega.shape[0]))
+    return T.mul(exp(clamped), 1.0 / np.sqrt(omega.shape[0]))
 
 
 def composed_favor(q, k, v, omega):
@@ -72,7 +72,7 @@ def composed_favor(q, k, v, omega):
     k_hat = composed_phi(T.mul(k, scale), omega)
     num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
     den = T.matmul(q_hat, T.transpose(T.tsum(k_hat, axis=0)))
-    return T.mul(num, T.recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
+    return T.mul(num, recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
 
 
 def composed_causal_favor(q, k, v, omega):
@@ -93,7 +93,7 @@ def composed_causal_favor(q, k, v, omega):
         z_state = k_col if z_state is None else T.add(z_state, k_col)
         den = T.matmul(q_row, z_state)  # (1, 1)
         den = masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)
-        rows.append(T.mul(T.matmul(q_row, s_state), T.recip(den)))
+        rows.append(T.mul(T.matmul(q_row, s_state), recip(den)))
     return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
@@ -354,7 +354,6 @@ class TestFavorUnidirectional:
             assert np.array_equal(full[:t], prefix)
 
     def test_tracks_exact_causal_attention(self):
-        from fastforecast.attention import exact_unidirectional
         errs = []
         for seed in range(10):
             rng = np.random.default_rng(3000 + seed)
@@ -433,6 +432,18 @@ class TestComplexityProbe:
     def test_exact_does_allocate_lxl(self):
         shapes = kernel_shapes("exact", 64, 8, 16)
         assert (64, 64) in shapes
+
+    @pytest.mark.parametrize("mode,expected", [
+        # softmax_window's L×L scores plus the (L, d_k) output: 8·(L² + L·d_k)
+        ("exact", {256: 589_824, 2048: 34_078_720}),
+        # favor_window's φ(Q), φ(K), K̂ᵀV, numerator, K̂ᵀ1, denominator and output
+        ("favor", {256: 691_200, 512: 1_348_608, 1024: 2_663_424, 2048: 5_293_056}),
+    ], ids=["exact", "favor"])
+    def test_bytes_are_the_model_kernels(self, mode, expected):
+        """The probe runs the window functions the model runs, at d_k 32 and
+        r 128 (bench's defaults), and logs exactly their buffers."""
+        rows = complexity_probe(mode, list(expected), d_k=32, r=128, reps=1)
+        assert {row.L: row.peak_bytes_estimate for row in rows} == expected
 
     def test_favor_memory_linear_in_length(self):
         rows_small = complexity_probe("favor", [128], d_k=8, r=16, reps=1)

@@ -27,32 +27,14 @@ from fastforecast.model import LAYER_NORM_EPS, ModelSpec, build
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import scaled_dot_attention
+from reference import recip, softmax_rows, sqrt
 
 FFN_NAMES = ("w1", "b1", "w2", "b2")
 
 
 # ---------------------------------------------------------------------------
-# reference primitives and compositions
+# compositions of primitives
 # ---------------------------------------------------------------------------
-
-def softmax_rows(x):
-    """Row-wise softmax with per-row max subtraction, as one primitive."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return T._make((x,), out, backward)
-
-
-def sqrt(x):
-    """Elementwise square root, as one primitive."""
-    r = np.sqrt(x.data)
-    return T._make((x,), r, lambda g: (g * (0.5 / r),))
-
 
 def composed_scaled_dot_attention(q, k, v):
     scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
@@ -64,7 +46,7 @@ def composed_layer_norm(x, gain, bias):
     mean = T.mul(T.tsum(x, axis=1), 1.0 / n)
     centered = T.sub(x, mean)
     var = T.mul(T.tsum(T.mul(centered, centered), axis=1), 1.0 / n)
-    inv = T.recip(sqrt(T.add(var, LAYER_NORM_EPS)))
+    inv = recip(sqrt(T.add(var, LAYER_NORM_EPS)))
     return T.add(T.mul(T.mul(centered, inv), gain), bias)
 
 

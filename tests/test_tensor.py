@@ -11,7 +11,7 @@ from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, scaled_dot_attention
 from test_favor import masked
-from test_fused_kernels import softmax_rows, sqrt
+from reference import exp, recip, softmax_rows, sqrt
 
 
 class TestTensorBasics:
@@ -28,7 +28,7 @@ class TestTensorBasics:
     def test_inf_rejected_from_op(self):
         x = Tensor([[800.0]])
         with pytest.raises(FiniteError):
-            T.exp(x)
+            exp(x)
 
     def test_item_requires_single_element(self):
         with pytest.raises(ShapeError):
@@ -210,8 +210,9 @@ class TestBackward:
 # scale_colwise) check the same cases through broadcasting and tsum(axis).
 # The rows exp_clamped and clip_min check the mask form (``masked``) that the
 # FAVOR+ references use for the exp clamp and the denominator floor.  The rows
-# sqrt and softmax_rows check the reference primitives that the compositions
-# of the fused layer norm and attention kernels are built from.
+# exp, sqrt, recip and softmax_rows check the reference primitives of
+# reference.py, which the compositions of the fused kernels and the composed
+# exact-attention oracles are built from.
 
 def _r(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape) * 0.8
@@ -224,12 +225,12 @@ PRIMITIVE_CASES = [
     ("scale", lambda x: T.tsum(T.mul(x, -2.5)), [_r((3, 4), 6)]),
     ("sigmoid", lambda x: T.tsum(T.sigmoid(x)), [_r((3, 4), 7)]),
     ("tanh", lambda x: T.tsum(T.tanh(x)), [_r((3, 4), 8)]),
-    ("exp", lambda x: T.tsum(T.exp(x)), [_r((3, 4), 9)]),
-    ("exp_clamped", lambda x: T.tsum(T.exp(masked(x, x.data < T.EXP_CLAMP, T.EXP_CLAMP))),
+    ("exp", lambda x: T.tsum(exp(x)), [_r((3, 4), 9)]),
+    ("exp_clamped", lambda x: T.tsum(exp(masked(x, x.data < T.EXP_CLAMP, T.EXP_CLAMP))),
      [_r((3, 4), 10)]),
     ("relu", lambda x: T.tsum(T.relu(x)), [_r((3, 4), 12) + 0.05]),
     ("sqrt", lambda x: T.tsum(sqrt(x)), [np.abs(_r((3, 4), 13)) + 0.5]),
-    ("recip", lambda x: T.tsum(T.recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
+    ("recip", lambda x: T.tsum(recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
     ("clip_min", lambda x: T.tsum(masked(x, x.data > 0.1, 0.1)), [np.abs(_r((3, 4), 15)) + 0.3]),
     ("matmul", lambda x, y: T.tsum(T.matmul(x, y)), [_r((3, 4), 16), _r((4, 2), 17)]),
     ("transpose", lambda x: T.tsum(T.mul(T.transpose(x), T.transpose(x))), [_r((3, 4), 18)]),
@@ -261,7 +262,7 @@ class TestComposedGraphGradients:
     def _random_graph(self, seed):
         rng = np.random.default_rng(seed)
         unary = [T.tanh, T.sigmoid, lambda t: T.mul(t, 0.7), T.relu,
-                 lambda t: T.exp(T.mul(t, 0.3)), softmax_rows]
+                 lambda t: exp(T.mul(t, 0.3)), softmax_rows]
         depth = int(rng.integers(2, 9))
         chain = [unary[int(rng.integers(0, len(unary)))] for _ in range(depth - 1)]
 
