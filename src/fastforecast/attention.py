@@ -70,8 +70,10 @@ def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, window, heads: int, length
     """Self-attention over the (B·L, d_model) rows of B windows of ``length``
     rows each, as three tape nodes.
 
-    ``w_qkv`` joins each head's query, key and value projections, head by
-    head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  ``window``
+    ``w_qkv`` holds each head's query, key and value projections, head by
+    head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  The model
+    stores each block's matrix in this layout, so nothing is joined per
+    call.  ``window``
     (``softmax_window`` or a ``favor.favor_window``) runs once per window on
     all heads, as (heads, L, d_k) views, and the output matrix mixes them.
     Each window's backward pass is kept only while a tape records, so a

@@ -221,6 +221,9 @@ class ColumnStats:
 
     @staticmethod
     def from_dict(d: dict) -> "ColumnStats":
+        unknown = set(d) - {"columns", "mean", "std", "target_index"}
+        if unknown:
+            raise DataError(f"unknown statistics fields {sorted(unknown)}")
         columns, target = tuple(d["columns"]), d["target_index"]
         if "close" not in columns or type(target) is not int or target != columns.index("close"):
             raise DataError(f"target_index {target!r} is not the index of 'close' in {columns}")

@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError, DivergenceError, FiniteError
 # (perfbench/tracing.py) still finds them
 from .favor import (FavorConfig, draw_features, favor_bidirectional, favor_unidirectional,
                     favor_window)
-from .lstm import LstmWeights, bilstm_forward_steps, init_lstm_weights
+from .lstm import bilstm_forward_steps, init_lstm_weights
 from .tensor import GradTape, Tensor
 
 
@@ -152,9 +152,11 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return a if a.shape[1] == 1 else a.sum(axis=1, keepdims=True)
 
 
-def _glorot(rng, fan_in, fan_out):
+def _glorot(rng, fan_in, fan_out, parts=1):
+    """``parts`` Glorot-uniform (fan_in, fan_out) draws, side by side."""
     lim = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)), requires_grad=True)
+    return Tensor(np.hstack([rng.uniform(-lim, lim, size=(fan_in, fan_out))
+                             for _ in range(parts)]), requires_grad=True)
 
 
 class Model:
@@ -175,10 +177,8 @@ class Model:
         if spec.uses_attention:
             d_k = d // spec.heads
             for i in range(spec.blocks):
-                for j in range(spec.heads):
-                    self.params[f"block{i}.attn.q{j}"] = _glorot(rng, d, d_k)
-                    self.params[f"block{i}.attn.k{j}"] = _glorot(rng, d, d_k)
-                    self.params[f"block{i}.attn.v{j}"] = _glorot(rng, d, d_k)
+                # head by head, each head's q, k and v, as multi_head reads them
+                self.params[f"block{i}.attn.qkv"] = _glorot(rng, d, d_k, 3 * spec.heads)
                 self.params[f"block{i}.attn.o"] = _glorot(rng, spec.heads * d_k, d)
                 self.params[f"block{i}.ln1.g"] = Tensor(np.ones((1, d)), requires_grad=True)
                 self.params[f"block{i}.ln1.b"] = Tensor(np.zeros((1, d)), requires_grad=True)
@@ -196,9 +196,9 @@ class Model:
             hidden = spec.bilstm_hidden
             for layer in (1, 2):
                 for direction in ("fwd", "bwd"):
-                    w = init_lstm_weights(width_in, hidden, rng)
-                    for f in dataclasses.fields(w):
-                        self.params[f"bilstm{layer}.{direction}.{f.name}"] = getattr(w, f.name)
+                    base = f"bilstm{layer}.{direction}"
+                    self.params[f"{base}.w"], self.params[f"{base}.b"] = init_lstm_weights(
+                        width_in, hidden, rng)
                 width_in = 2 * hidden
             head_in = 2 * hidden
         else:
@@ -240,11 +240,6 @@ class Model:
             if arr.shape != t.data.shape:
                 raise ConfigError(f"parameter '{name}' shape {arr.shape} != {t.data.shape}")
             t.data = np.ascontiguousarray(arr, dtype=np.float64)
-
-    def _lstm_weights(self, layer: int, direction: str) -> LstmWeights:
-        base = f"bilstm{layer}.{direction}"
-        return LstmWeights(**{f.name: self.params[f"{base}.{f.name}"]
-                              for f in dataclasses.fields(LstmWeights)})
 
     # -- forward pass ----------------------------------------------------------
 
@@ -333,11 +328,10 @@ class Model:
         window = (functools.partial(favor_window, omega=self.feature_maps[block],
                                     causal=spec.favor.causal)
                   if spec.uses_favor else softmax_window)
-        w_qkv = T.concat([p[f"block{block}.attn.{m}{j}"]
-                          for j in range(spec.heads) for m in "qkv"], axis=1)
         # multi_head is looked up here, at call time, so a wrapper installed
         # on this module's name (a tracer) sees every call
-        return multi_head(x, w_qkv, p[f"block{block}.attn.o"], window, spec.heads, spec.window)
+        return multi_head(x, p[f"block{block}.attn.qkv"], p[f"block{block}.attn.o"], window,
+                          spec.heads, spec.window)
 
     def _encoder_block(self, x: Tensor, block: int, rng) -> Tensor:
         p = self.params
@@ -369,9 +363,11 @@ class Model:
             # time-major rows: row t·B + b is window b at step t
             seq = T.take_rows(x, (np.arange(length)[:, None]
                                   + np.arange(batch) * length).reshape(-1))
+            p = self.params
             for layer in (1, 2):
-                seq = bilstm_forward_steps(seq, batch, self._lstm_weights(layer, "fwd"),
-                                           self._lstm_weights(layer, "bwd"))
+                fwd, bwd = ((p[f"bilstm{layer}.{d}.w"], p[f"bilstm{layer}.{d}.b"])
+                            for d in ("fwd", "bwd"))
+                seq = bilstm_forward_steps(seq, batch, fwd, bwd)
                 seq = self._dropout(seq, rng)
             rep = T.take_rows(seq, np.arange((length - 1) * batch, length * batch))
         else:
@@ -580,7 +576,8 @@ def predict_series(model: Model, dataset: Dataset, split: str,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"FFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+HEADER_FIELDS = {"spec", "favor_generation", "norm", "params"}
 
 
 def reject_non_finite(literal: str):
@@ -597,9 +594,7 @@ def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
     Written through :func:`data.atomic_write`: a save that fails leaves any
     earlier file at ``path`` as it was."""
     header = {
-        "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
-        "seed": model.spec.seed,
         "favor_generation": model.favor_generation,
         "norm": norm.to_dict(),
         "params": [{"name": name, "shape": list(t.data.shape)}
@@ -614,45 +609,67 @@ def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
             fh.write(t.data.astype("<f8", copy=False).tobytes())
 
 
+def _v1_parts(name: str, shape: tuple, heads: int) -> tuple[list, tuple, int]:
+    """The version 1 parameters that parameter ``name`` of ``shape`` joins:
+    their names in file order, the shape of each and the axis they join on.
+    Version 1 stored each head's q, k and v projection, and each LSTM gate's
+    matrix and bias, as parameters of their own."""
+    base, _, leaf = name.rpartition(".")
+    rows, cols = shape
+    if leaf == "qkv":
+        heads_qkv = [f"{base}.{m}{j}" for j in range(heads) for m in "qkv"]
+        return heads_qkv, (rows, cols // (3 * heads)), 1
+    if base.startswith("bilstm"):
+        gates = [f"{name}_{gate}" for gate in "fico"]
+        return (gates, (rows // 4, cols), 0) if leaf == "w" else (gates, (1, cols // 4), 1)
+    return [name], shape, 0
+
+
 def load_checkpoint(path) -> tuple[Model, ColumnStats]:
-    """Inverse of :func:`save_checkpoint`; a malformed file raises ConfigError."""
+    """Inverse of :func:`save_checkpoint`, which also reads version 1 files;
+    a malformed file raises ConfigError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:  # every check below raises a ValueError (ConfigError) without the path
         if blob[:4] != CHECKPOINT_MAGIC:
             raise ConfigError(f"not a checkpoint (magic {blob[:4]!r})")
         version, header_len = struct.unpack_from("<II", blob, 4)
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ConfigError(f"unsupported checkpoint version {version}")
         offset = 12 + header_len
         header = json.loads(blob[12:offset].decode("utf-8"),
                             parse_constant=reject_non_finite)
+        # version 1 headers also repeat the binary version and spec.seed
+        fields = HEADER_FIELDS | ({"version", "seed"} if version == 1 else set())
+        if not isinstance(header, dict) or header.keys() != fields:
+            raise ConfigError(f"header fields {sorted(header)} != {sorted(fields)}")
         spec = ModelSpec.from_dict(header["spec"])
-        # the header repeats the binary version and spec.seed; each copy must agree
-        for field, expected in (("version", version), ("seed", spec.seed)):
-            value = header[field]
-            if type(value) is not int or value != expected:
-                raise ConfigError(f"header {field} {value!r} != {expected}")
+        if version == 1:  # each copy must agree with what it repeats
+            for field, expected in (("version", version), ("seed", spec.seed)):
+                value = header[field]
+                if type(value) is not int or value != expected:
+                    raise ConfigError(f"header {field} {value!r} != {expected}")
         model = build(spec)
         model.set_favor_generation(header["favor_generation"])
         norm = ColumnStats.from_dict(header["norm"])
-        state = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = blob[offset:offset + count * 8]
-            if len(buf) != count * 8:
-                raise ConfigError("truncated parameter buffer")
-            arr = np.frombuffer(buf, dtype="<f8")
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"parameter '{entry['name']}' is not finite")
-            state[entry["name"]] = arr.reshape(shape).copy()
-            offset += count * 8
-        if offset != len(blob):
-            raise ConfigError(f"{len(blob) - offset} bytes after the last parameter buffer")
-        if set(state) != set(model.params):
-            raise ConfigError("parameter names do not match the architecture")
-        model.load_state_arrays(state)
+        parts = {name: _v1_parts(name, t.data.shape, spec.heads) if version == 1
+                 else ([name], t.data.shape, 0) for name, t in model.params.items()}
+        layout = [{"name": part, "shape": list(shape)}
+                  for names, shape, _ in parts.values() for part in names]
+        # compared as JSON, so that a bool or a float does not pass for an int
+        if json.dumps(header["params"], sort_keys=True) != json.dumps(layout, sort_keys=True):
+            raise ConfigError("parameter names and shapes do not match the architecture")
+        counts = [math.prod(entry["shape"]) for entry in layout]
+        if len(blob) - offset != 8 * sum(counts):
+            raise ConfigError(f"{len(blob) - offset} bytes of parameters, expected "
+                              f"{8 * sum(counts)}")
+        flat = np.frombuffer(blob, dtype="<f8", offset=offset)
+        if not np.isfinite(flat).all():
+            raise ConfigError("a parameter is not finite")
+        arrays = iter(np.split(flat, np.cumsum(counts)[:-1]))
+        model.load_state_arrays({
+            name: np.concatenate([next(arrays).reshape(shape) for _ in names], axis=axis)
+            for name, (names, shape, axis) in parts.items()})
     except KeyError as exc:
         raise ConfigError(f"{path}: header field {exc} missing") from None
     except (struct.error, ValueError, TypeError) as exc:

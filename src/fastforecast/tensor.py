@@ -3,8 +3,9 @@
 Every differentiable operation in the package is a primitive registered
 through :func:`_make`: the primitives in this module (``add``, ``sub``,
 ``mul``, ``relu``, ``matmul``, ``tsum``, ``concat`` and ``take_rows``, which
-the model calls, and ``sigmoid``, ``tanh`` and ``transpose``, which only
-``lstm.lstm_cell`` calls), plus five fused kernels elsewhere: the
+the model calls, ``concat`` only to join the BiLSTM's two directions in
+``lstm.bilstm_forward_steps``, and ``sigmoid``, ``tanh`` and ``transpose``,
+which only ``lstm.lstm_cell`` calls), plus five fused kernels elsewhere: the
 whole-sequence LSTM (``lstm.lstm_sequence``), the attention node of
 ``attention.multi_head`` (one window-function call per window over all
 heads: ``attention.softmax_window`` or ``favor.favor_window``), FAVOR+ on

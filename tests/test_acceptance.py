@@ -29,7 +29,6 @@ from fastforecast.favor import (
     loglog_slope,
 )
 from fastforecast.indicators import IndicatorParams, bollinger, cci, ema, rsi, sma
-from fastforecast.lstm import LstmWeights
 from fastforecast.model import (
     ModelSpec,
     TrainHyperparams,
@@ -141,15 +140,13 @@ class TestCriterion3GradientIntegrity:
         w1, w2 = random_weights(2, 3, seed=2), random_weights(2, 3, seed=3)
 
         def lstm_loss(xs_t, *flat):
-            return sq(lstm_forward(xs_t, LstmWeights(*flat)))
+            return sq(lstm_forward(xs_t, flat))
 
         def bilstm_loss(xs_t, *flat):
-            return sq(bilstm_forward(xs_t, LstmWeights(*flat[:8]), LstmWeights(*flat[8:])))
+            return sq(bilstm_forward(xs_t, flat[:2], flat[2:]))
 
-        flat1 = [w1.w_f.data, w1.w_i.data, w1.w_c.data, w1.w_o.data,
-                 w1.b_f.data, w1.b_i.data, w1.b_c.data, w1.b_o.data]
-        flat2 = [w2.w_f.data, w2.w_i.data, w2.w_c.data, w2.w_o.data,
-                 w2.b_f.data, w2.b_i.data, w2.b_c.data, w2.b_o.data]
+        flat1 = [t.data for t in w1]  # each a direction's (W, b) arrays
+        flat2 = [t.data for t in w2]
         check_gradients(lstm_loss, [xs] + flat1, tol=1e-5)
         check_gradients(bilstm_loss, [xs] + flat1 + flat2, tol=1e-5)
 

@@ -356,10 +356,22 @@ class TestTrainEvaluate:
         assert min(report["train_losses"]) <= 1e-6
 
 
+# a version 1 checkpoint, the untrained performer_bilstm of make_config over
+# candle_rows(140, seed=21), and its test-split metrics and predictions, as
+# version 1 code wrote them
+V1_DIR = Path(__file__).parent / "data" / "v1"
+
+
+def read_header(blob):
+    """A checkpoint's binary version and its JSON header."""
+    version, length = struct.unpack_from("<II", blob, 4)
+    return version, json.loads(blob[12:12 + length])
+
+
 def edit_header(blob, edit):
     """A checkpoint whose JSON header is passed through ``edit``."""
     length = struct.unpack_from("<I", blob, 8)[0]
-    header = json.loads(blob[12:12 + length])
+    _, header = read_header(blob)
     edit(header)
     new = json.dumps(header).encode()
     return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
@@ -374,6 +386,11 @@ def set_header_field(path, value):
             section = section[key]
         section[path[-1]] = value
     return lambda blob: edit_header(blob, edit)
+
+
+def on_v1(corrupt):
+    """The corruption applied to the version 1 fixture instead."""
+    return lambda blob: corrupt((V1_DIR / "checkpoint.ffck").read_bytes())
 
 
 MALFORMED_CHECKPOINTS = {
@@ -405,9 +422,21 @@ MALFORMED_CHECKPOINTS = {
     "spec_seed_null": set_header_field(("spec", "seed"), None),
     "spec_seed_bool": set_header_field(("spec", "seed"), True),
     "dropout_bool": set_header_field(("spec", "dropout"), False),
-    # the header's copies of the binary version and of spec.seed were never read
-    "header_version_other": set_header_field(("version",), 7),
-    "header_seed_other": set_header_field(("seed",), 99),
+    # the copies of the binary version and of spec.seed that version 1 headers
+    # carry were never read
+    "header_version_other": on_v1(set_header_field(("version",), 7)),
+    "header_seed_other": on_v1(set_header_field(("seed",), 99)),
+    # each of these loaded at exit 0; the reversed list read each buffer under
+    # another parameter's name and gave other predictions
+    "unknown_header_field": set_header_field(("colour",), 1),
+    "unknown_norm_field": set_header_field(("norm", "colour"), 1),
+    "unknown_params_entry_field": set_header_field(("params", 0, "colour"), 1),
+    "params_reversed": lambda b: edit_header(b, lambda h: h["params"].reverse()),
+    "v1_unknown_header_field": on_v1(set_header_field(("colour",), 1)),
+    "v1_unknown_norm_field": on_v1(set_header_field(("norm", "colour"), 1)),
+    "v1_unknown_params_entry_field": on_v1(set_header_field(("params", 0, "colour"), 1)),
+    # version 2 says each fact once: the version 1 copies are unknown fields
+    "v2_header_seed": set_header_field(("seed",), 5),
 }
 
 
@@ -432,6 +461,17 @@ def test_malformed_checkpoint_exits_four(trained_run, corrupt, tmp_path):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")
+
+
+def test_version_1_checkpoint_evaluates_as_before(tmp_path, fixture_csv):
+    """``evaluate`` on the version 1 fixture writes the metrics and
+    predictions that version 1 code wrote from it, byte for byte."""
+    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(config), "--checkpoint",
+                 str(V1_DIR / "checkpoint.ffck"), "--split", "test", "--out", str(out)]) == EXIT_OK
+    for name in ("metrics_test.json", "predictions_test.csv"):
+        assert (out / name).read_bytes() == (V1_DIR / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("field", ["n_features", "bilstm_hidden"])

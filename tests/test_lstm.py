@@ -7,7 +7,6 @@ import pytest
 import fastforecast.tensor as T
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.lstm import (
-    LstmWeights,
     bilstm_forward_steps,
     init_lstm_weights,
     lstm_cell,
@@ -34,17 +33,31 @@ def cell_oracle(x, h_prev, c_prev, w):
     return h, c
 
 
+GATE_NAMES = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
+
+
+def gates(w, b):
+    """A direction's joined (4·hidden, ·) matrix and (1, 4·hidden) bias
+    arrays split per gate, keyed by GATE_NAMES."""
+    return dict(zip(GATE_NAMES, np.split(w, 4) + np.split(b, 4, axis=1)))
+
+
 def random_weights(input_size, hidden, seed, forget_bias=None):
+    """A direction's (W, b) pair, as the model draws it."""
     rng = np.random.default_rng(seed)
-    w = init_lstm_weights(input_size, hidden, rng)
+    w, b = init_lstm_weights(input_size, hidden, rng)
     if forget_bias is not None:
-        w.b_f = Tensor(np.full((1, hidden), forget_bias), requires_grad=True)
-    return w
+        b.data[:, :hidden] = forget_bias
+    return w, b
+
+
+def zero_weights(input_size, hidden):
+    return Tensor(np.zeros((4 * hidden, hidden + input_size))), Tensor(np.zeros((1, 4 * hidden)))
 
 
 def lstm_forward(xs, w):
     """An (L, input) sequence through lstm_sequence: (L, hidden) states."""
-    return lstm_sequence(xs, 1, w)
+    return lstm_sequence(xs, 1, *w)
 
 
 def bilstm_forward(xs, w_fwd, w_bwd):
@@ -58,35 +71,29 @@ def zero_state(batch, hidden):
     return Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden)))
 
 
-def lstm_fold(xs, batch, w, reverse=False):
+def lstm_fold(xs, batch, w, b, reverse=False):
     """Reference for lstm_sequence: a fold over lstm_cell, one step of
     ``batch`` time-major rows at a time."""
     length = xs.shape[0] // batch
     order = range(length - 1, -1, -1) if reverse else range(length)
-    h, c = zero_state(batch, w.hidden_size)
+    h, c = zero_state(batch, b.shape[1] // 4)
     outs = [None] * length
     for t in order:
-        h, c = lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)), h, c, w)
+        h, c = lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)), h, c, w, b)
         outs[t] = h
     return T.concat(outs, axis=0) if length > 1 else outs[0]
 
 
 def as_dict(w):
-    return {
-        "w_f": w.w_f.data, "w_i": w.w_i.data, "w_c": w.w_c.data, "w_o": w.w_o.data,
-        "b_f": w.b_f.data[0], "b_i": w.b_i.data[0], "b_c": w.b_c.data[0], "b_o": w.b_o.data[0],
-    }
+    return {name: a[0] if name[0] == "b" else a
+            for name, a in gates(w[0].data, w[1].data).items()}
 
 
 class TestLstmCell:
     def test_all_zero_weights_and_state(self):
         hidden, inp = 3, 2
-        zeros = lambda shape: Tensor(np.zeros(shape))
-        w = LstmWeights(zeros((hidden, hidden + inp)), zeros((hidden, hidden + inp)),
-                        zeros((hidden, hidden + inp)), zeros((hidden, hidden + inp)),
-                        zeros((1, hidden)), zeros((1, hidden)), zeros((1, hidden)),
-                        zeros((1, hidden)))
-        h, c = lstm_cell(Tensor(np.zeros((1, inp))), *zero_state(1, hidden), w)
+        w = zero_weights(inp, hidden)
+        h, c = lstm_cell(Tensor(np.zeros((1, inp))), *zero_state(1, hidden), *w)
         # gates sit at sigmoid(0)=0.5, candidate tanh(0)=0 => c=0, h=0
         np.testing.assert_array_equal(c.data, np.zeros((1, hidden)))
         np.testing.assert_array_equal(h.data, np.zeros((1, hidden)))
@@ -98,7 +105,7 @@ class TestLstmCell:
         x = rng.standard_normal((1, 2))
         h_prev = rng.standard_normal((1, 4)) * 0.3
         c_prev = rng.standard_normal((1, 4))
-        _, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), w)
+        _, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), *w)
         d = as_dict(w)
         z = np.concatenate([h_prev[0], x[0]])
         i = sigmoid(d["w_i"] @ z + d["b_i"])
@@ -110,7 +117,7 @@ class TestLstmCell:
         x = rng.standard_normal((1, 3))
         h_prev = rng.standard_normal((1, 5)) * 0.5
         c_prev = rng.standard_normal((1, 5))
-        h, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), w)
+        h, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), *w)
         h_ref, c_ref = cell_oracle(x[0], h_prev[0], c_prev[0], as_dict(w))
         np.testing.assert_allclose(h.data[0], h_ref, atol=1e-12)
         np.testing.assert_allclose(c.data[0], c_ref, atol=1e-12)
@@ -119,13 +126,13 @@ class TestLstmCell:
         w = random_weights(2, 4, seed=3)
         h, c = zero_state(1, 4)
         for t in range(10):
-            h, c = lstm_cell(Tensor(rng.standard_normal((1, 2)) * 3), h, c, w)
+            h, c = lstm_cell(Tensor(rng.standard_normal((1, 2)) * 3), h, c, *w)
             assert np.all(np.abs(h.data) < 1.0)
 
     def test_dimension_mismatch(self, rng):
         w = random_weights(2, 4, seed=4)
         with pytest.raises(ShapeError):
-            lstm_cell(Tensor(np.ones((1, 3))), *zero_state(1, 4), w)
+            lstm_cell(Tensor(np.ones((1, 3))), *zero_state(1, 4), *w)
 
 
 class TestLstmForward:
@@ -133,16 +140,12 @@ class TestLstmForward:
         w = random_weights(3, 4, seed=5)
         x = rng.standard_normal((1, 3))
         seq_out = lstm_forward(Tensor(x), w)
-        cell_h, _ = lstm_cell(Tensor(x), *zero_state(1, 4), w)
+        cell_h, _ = lstm_cell(Tensor(x), *zero_state(1, 4), *w)
         np.testing.assert_array_equal(seq_out.data, cell_h.data)
 
     def test_zero_weights_zero_outputs(self, rng):
         hidden, inp = 3, 2
-        zeros = lambda shape: Tensor(np.zeros(shape))
-        w = LstmWeights(zeros((hidden, hidden + inp)), zeros((hidden, hidden + inp)),
-                        zeros((hidden, hidden + inp)), zeros((hidden, hidden + inp)),
-                        zeros((1, hidden)), zeros((1, hidden)), zeros((1, hidden)),
-                        zeros((1, hidden)))
+        w = zero_weights(inp, hidden)
         out = lstm_forward(Tensor(rng.standard_normal((6, inp))), w)
         np.testing.assert_array_equal(out.data, np.zeros((6, hidden)))
 
@@ -187,8 +190,8 @@ class TestBilstmForward:
         wb = random_weights(2, 3, seed=13)
         x = rng.standard_normal((1, 2))
         out = bilstm_forward(Tensor(x), wf, wb).data
-        f = lstm_cell(Tensor(x), *zero_state(1, 3), wf)[0].data
-        b = lstm_cell(Tensor(x), *zero_state(1, 3), wb)[0].data
+        f = lstm_cell(Tensor(x), *zero_state(1, 3), *wf)[0].data
+        b = lstm_cell(Tensor(x), *zero_state(1, 3), *wb)[0].data
         np.testing.assert_array_equal(out, np.concatenate([f, b], axis=1))
 
     def test_forward_half_ignores_future_backward_half_ignores_past(self, rng):
@@ -214,13 +217,11 @@ class TestLstmGradients:
         xs = rng.standard_normal((5, 2)) * 0.5
         w0 = random_weights(2, 3, seed=16)
 
-        def build(xs_t, wf, wi, wc, wo, bf, bi, bc, bo):
-            w = LstmWeights(wf, wi, wc, wo, bf, bi, bc, bo)
-            out = lstm_forward(xs_t, w)
+        def build(xs_t, w, b):
+            out = lstm_forward(xs_t, (w, b))
             return T.tsum(T.mul(out, out))
 
-        arrays = [xs, w0.w_f.data, w0.w_i.data, w0.w_c.data, w0.w_o.data,
-                  w0.b_f.data, w0.b_i.data, w0.b_c.data, w0.b_o.data]
+        arrays = [xs] + [t.data for t in w0]
         check_gradients(build, arrays, tol=1e-5)
 
     def test_bilstm_forward_gradients(self, rng):
@@ -229,19 +230,11 @@ class TestLstmGradients:
         wb0 = random_weights(2, 2, seed=18)
 
         def build(xs_t, *flat):
-            wf = LstmWeights(*flat[:8])
-            wb = LstmWeights(*flat[8:])
-            out = bilstm_forward(xs_t, wf, wb)
+            out = bilstm_forward(xs_t, flat[:2], flat[2:])
             return T.tsum(T.mul(out, out))
 
-        arrays = [xs]
-        for w in (wf0, wb0):
-            arrays += [w.w_f.data, w.w_i.data, w.w_c.data, w.w_o.data,
-                       w.b_f.data, w.b_i.data, w.b_c.data, w.b_o.data]
+        arrays = [xs] + [t.data for w in (wf0, wb0) for t in w]
         check_gradients(build, arrays, tol=1e-5)
-
-
-GATE_NAMES = ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")
 
 
 class TestLstmSequence:
@@ -256,27 +249,26 @@ class TestLstmSequence:
         grads, outs = [], []
         for run in (lstm_sequence, lstm_fold):
             with GradTape() as tape:
-                out = run(xs, batch, w, reverse)
+                out = run(xs, batch, *w, reverse)
                 loss = T.tsum(T.mul(out, out))
             tape.backward(loss)
             outs.append(out.data)
-            grads.append([xs.grad] + [getattr(w, n).grad for n in GATE_NAMES])
+            grads.append([xs.grad] + list(gates(w[0].grad, w[1].grad).values()))
         np.testing.assert_array_equal(outs[0], outs[1])
         for fused, folded in zip(*grads):
             assert rel_err(fused, folded) <= 1e-12
 
     def test_overflow_raises(self):
         """Inputs of 1e308 with gate weights of 10 overflow the gate matmul."""
-        w = random_weights(2, 3, seed=20)
-        for name in GATE_NAMES[:4]:
-            setattr(w, name, Tensor(np.full((3, 5), 10.0)))
+        _, b = random_weights(2, 3, seed=20)
+        w = Tensor(np.full((12, 5), 10.0))  # every gate's matrix
         xs = Tensor(np.full((4, 2), 1e308))
         with pytest.raises(FiniteError):
-            lstm_sequence(xs, 2, w)
+            lstm_sequence(xs, 2, w, b)
         with pytest.raises(FiniteError):
-            lstm_fold(xs, 2, w)
+            lstm_fold(xs, 2, w, b)
 
     def test_partial_step_rejected(self, rng):
         w = random_weights(2, 3, seed=21)
         with pytest.raises(ShapeError):
-            lstm_sequence(Tensor(rng.standard_normal((5, 2))), 2, w)
+            lstm_sequence(Tensor(rng.standard_normal((5, 2))), 2, *w)

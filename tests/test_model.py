@@ -442,15 +442,44 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ffck"]
 
+    def test_header_holds_each_fact_once(self, tmp_path):
+        """A version 2 header holds the spec, the feature generation, the
+        statistics and the parameters' names and shapes, in order; nothing
+        else."""
+        from test_cli import read_header
+        ds = tiny_dataset()
+        model = build(tiny_spec(n_features=ds.n_features))
+        path = tmp_path / "model.ffck"
+        save_checkpoint(model, ds.norm, path)
+        version, header = read_header(path.read_bytes())
+        assert version == 2
+        assert sorted(header) == ["favor_generation", "norm", "params", "spec"]
+        assert header["params"] == [{"name": name, "shape": list(t.data.shape)}
+                                    for name, t in model.params.items()]
+
+    def test_version_1_file_loads_the_joined_initial_weights(self):
+        """The version 1 fixture was saved untrained, so it holds the initial
+        draws, per head and per gate: joined, they are build's draws bit for
+        bit."""
+        from test_cli import V1_DIR
+        model, _ = load_checkpoint(V1_DIR / "checkpoint.ffck")
+        loaded, built = model.state_arrays(), build(model.spec).state_arrays()
+        assert list(loaded) == list(built)
+        for name, arr in built.items():
+            assert loaded[name].tobytes() == arr.tobytes(), name
+
     @pytest.mark.parametrize("field,value", [("seed", True), ("seed", 1.0),
                                              ("version", True), ("version", 1.0)])
     def test_header_copy_equal_only_in_value_rejected(self, tmp_path, field, value):
-        """The header's ``seed`` and ``version`` must be ints, not merely equal
-        to spec.seed and the binary version (both 1 here)."""
-        from test_cli import edit_header
-        ds = tiny_dataset()
+        """A version 1 header's ``seed`` and ``version`` must be ints, not
+        merely equal to spec.seed and the binary version (both 1 here)."""
+        from test_cli import V1_DIR, edit_header
+
+        def seed_one(header):
+            header["spec"]["seed"] = header["seed"] = 1
+
         path = tmp_path / "model.ffck"
-        save_checkpoint(build(tiny_spec(n_features=ds.n_features, seed=1)), ds.norm, path)
+        path.write_bytes(edit_header((V1_DIR / "checkpoint.ffck").read_bytes(), seed_one))
         load_checkpoint(path)
         path.write_bytes(edit_header(path.read_bytes(), lambda h: h.update({field: value})))
         with pytest.raises(ConfigError, match=f"header {field}"):
