@@ -1,13 +1,15 @@
 """Command-line front end: prepare, train, evaluate, bench.
 
-Every command is driven by a JSON config checked against CONFIG_SCHEMA
-(unknown keys are rejected).  Outputs are reproducible: re-running a
+Every command but ``bench`` is driven by a JSON config.  ``load_config``
+rejects unknown keys and builds each section's dataclass, which checks the
+type and range of every field it holds, so ``prepare`` and ``evaluate``
+reject what ``train`` rejects.  Outputs are reproducible: re-running a
 command with the same config and seed overwrites its artifacts with
 byte-identical content.
 
 Exit codes: 0 success, 2 input error (a missing, unreadable or undecodable
 input, or an output that cannot be written), 3 numeric divergence, 4 config
-error.
+error (also a model too large for the machine's memory).
 
 The FF_THREADS environment variable caps BLAS/OpenMP worker threads; it is
 applied before numpy is imported, which is why all numeric imports here
@@ -21,82 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["data", "model"],
-    "properties": {
-        "data": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["path", "interval"],
-            "properties": {
-                "path": {"type": "string"},
-                "interval": {
-                    "oneOf": [{"enum": ["hourly", "daily"]},
-                              {"type": "integer", "minimum": 1}],
-                },
-            },
-        },
-        "indicators": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sma_n": {"type": "integer", "minimum": 1},
-                "ema_n": {"type": "integer", "minimum": 1},
-                "bb_n": {"type": "integer", "minimum": 2},
-                "bb_k": {"type": "number", "exclusiveMinimum": 0},
-                "rsi_n": {"type": "integer", "minimum": 1},
-                "cci_n": {"type": "integer", "minimum": 2},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["variant", "window"],
-            "properties": {
-                "variant": {"type": "string"},
-                "window": {"type": "integer", "minimum": 1},
-                "d_model": {"type": "integer", "minimum": 1},
-                "blocks": {"type": "integer", "minimum": 1},
-                "heads": {"type": "integer", "minimum": 1},
-                "favor": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "r": {"type": "integer", "minimum": 1},
-                        "seed": {"type": "integer", "minimum": 0},
-                        "causal": {"type": "boolean"},
-                        "redraw_interval": {"type": ["integer", "null"], "minimum": 1},
-                    },
-                },
-                "bilstm_hidden": {"type": "integer", "minimum": 1},
-                "fc_widths": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                              "minItems": 1},
-                "dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "epochs": {"type": "integer", "minimum": 0},
-                "batch": {"type": "integer", "minimum": 1},
-                "lr": {"type": "number", "minimum": 0},
-                "grad_clip": {"type": "number", "minimum": 0},
-            },
-        },
-        "split": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,21 +42,33 @@ def _cap_threads() -> None:
         os.environ.setdefault(var, cap)
 
 
-def _defaults(cls) -> dict:
-    """The field defaults a dataclass declares."""
-    return {f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
+def _fields(cls, *derived) -> list:
+    """The fields of dataclass ``cls`` other than the ``derived`` ones."""
+    return [f.name for f in dataclasses.fields(cls) if f.name not in derived]
+
+
+def _checked(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ConfigError it raises starts with a field
+    name, and gets the key path of that field's ``section`` in front."""
+    from .errors import ConfigError
+
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def load_config(path, seed_override=None) -> dict:
-    """Parse, schema-check and default-fill an experiment config from the
-    dataclass defaults (ModelSpec, FavorConfig, TrainHyperparams)."""
-    import jsonschema
-
-    from .data import SPLIT_FRACTIONS
-    from .errors import ConfigError
+    """Parse an experiment config and build each section's dataclass, which
+    holds every rule on its fields and every default.  This function checks
+    the keys, ``data``, ``split`` and ``seed``, and derives what a config may
+    not set: ``model.n_features`` from the variant's columns, ``model.seed``
+    from ``seed``, and ``model.favor.d_k`` from ``d_model`` and ``heads``."""
+    from .data import INTERVALS, SPLIT_FRACTIONS
+    from .errors import ConfigError, check_field, check_keys
     from .favor import FavorConfig
-    from .model import VARIANTS, ModelSpec, TrainHyperparams, reject_non_finite
+    from .indicators import FEATURE_COLUMNS, RAW_COLUMNS, IndicatorParams
+    from .model import ModelSpec, TrainHyperparams, reject_non_finite, stages_of
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -141,60 +79,62 @@ def load_config(path, seed_override=None) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    # JSON Schema's "integer" admits 16.0, which would reach range() and crash
-    base = jsonschema.Draft202012Validator
-    strict = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+    if seed_override is not None and seed_override < 0:  # the config's minimum
+        raise ConfigError(f"--seed {seed_override}: must be >= 0")
     try:
-        jsonschema.validate(raw, CONFIG_SCHEMA, cls=strict)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"{path}: {exc.message}") from None
+        check_keys("config", raw, ("data", "indicators", "model", "train", "split", "seed"),
+                   ("data", "model"))
+        data = check_keys("data", raw["data"], ("path", "interval"), ("path", "interval"))
+        if not isinstance(data["path"], str):
+            raise ConfigError(f"data.path must be a string, got {data['path']!r}")
+        interval = data["interval"]
+        if not (isinstance(interval, str) and interval in INTERVALS):
+            check_field(f"data.interval (or one of {', '.join(INTERVALS)})", interval, int, 1)
+        split = raw.get("split", list(SPLIT_FRACTIONS))
+        if not isinstance(split, list) or len(split) != 3:
+            raise ConfigError(f"split must be a list of three numbers, got {split!r}")
+        for i, fraction in enumerate(split):
+            check_field(f"split[{i}]", fraction, float, above=0)
+        if abs(sum(split) - 1.0) > 1e-9:
+            raise ConfigError(f"split fractions sum to {sum(split)}, expected 1")
+        seed = raw.get("seed", ModelSpec.seed)
+        check_field("seed", seed, int, 0)
+        seed = seed if seed_override is None else seed_override
 
-    variant = raw["model"]["variant"]
-    if variant not in VARIANTS:
-        raise ConfigError(f"{path}: unknown variant '{variant}' (one of {', '.join(VARIANTS)})")
-    model = {**_defaults(ModelSpec), **raw["model"]}
-    seed = model.pop("seed")  # the config sets it at the top level
-    cfg = {"data": dict(raw["data"]),
-           "indicators": dict(raw.get("indicators", {})),
-           "model": model,
-           "train": {**_defaults(TrainHyperparams), **raw.get("train", {})},
-           "split": list(raw.get("split", SPLIT_FRACTIONS)),
-           "seed": int(raw.get("seed", seed))}
-    if seed_override is not None:
-        if seed_override < 0:  # the schema's minimum, which an override bypasses
-            raise ConfigError(f"--seed {seed_override}: must be >= 0")
-        cfg["seed"] = int(seed_override)
-    if VARIANTS[variant].attention == "favor":
-        model["favor"] = {**_defaults(FavorConfig), "seed": cfg["seed"] + 1,
-                          **(model["favor"] or {}), "d_k": model["d_model"] // model["heads"]}
-    elif model["favor"] is not None:
-        raise ConfigError(f"variant '{variant}' does not take a favor config")
-    total = sum(cfg["split"])
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions sum to {total}, expected 1")
-    return cfg
+        model = dict(check_keys("model", raw["model"], _fields(ModelSpec, "n_features", "seed"),
+                                ("variant", "window")))
+        stages = _checked("model", stages_of, model["variant"])
+        if stages.attention == "favor":
+            favor = check_keys("model.favor", model.get("favor", {}), _fields(FavorConfig, "d_k"))
+            sizes = {k: model.get(k, getattr(ModelSpec, k)) for k in ("d_model", "heads")}
+            for name, value in sizes.items():  # d_k derives from them, so they are checked first
+                check_field(f"model.{name}", value, int, 1)
+            model["favor"] = _checked("model.favor", FavorConfig, **{
+                "seed": seed + 1, **favor, "d_k": sizes["d_model"] // sizes["heads"]})
+        elif "favor" in model:
+            raise ConfigError(f"model.variant '{model['variant']}' does not take a favor config")
+        columns = FEATURE_COLUMNS if stages.indicators else RAW_COLUMNS
+        return {
+            "data": data,
+            "indicators": _checked("indicators", IndicatorParams, **check_keys(
+                "indicators", raw.get("indicators", {}), _fields(IndicatorParams))),
+            "model": _checked("model", ModelSpec, **model, n_features=len(columns), seed=seed),
+            "train": _checked("train", TrainHyperparams, **check_keys(
+                "train", raw.get("train", {}), _fields(TrainHyperparams))),
+            "split": tuple(split),
+        }
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _build_dataset(cfg, norm=None):
     from .data import load_csv, make_dataset
-    from .indicators import IndicatorParams
     from .model import VARIANTS
 
-    params = IndicatorParams(**cfg["indicators"])  # checked for every variant
-    indicators = VARIANTS[cfg["model"]["variant"]].indicators
+    params = cfg["indicators"] if VARIANTS[cfg["model"].variant].indicators else None
     series = load_csv(cfg["data"]["path"], cfg["data"]["interval"])
-    dataset = make_dataset(series, params if indicators else None, cfg["model"]["window"],
-                           tuple(cfg["split"]), norm=norm)
+    dataset = make_dataset(series, params, cfg["model"].window, cfg["split"], norm=norm)
     return series, dataset
-
-
-def _model_spec(cfg, dataset):
-    """The ModelSpec that ``train`` builds; an invalid one raises ConfigError."""
-    from .model import ModelSpec
-
-    return ModelSpec.from_dict({**cfg["model"], "n_features": dataset.n_features,
-                                "seed": cfg["seed"]})
 
 
 def _write_json(path, payload, sort: bool = True) -> None:
@@ -208,7 +148,6 @@ def _write_json(path, payload, sort: bool = True) -> None:
 def cmd_prepare(args) -> int:
     cfg = load_config(args.config, args.seed)
     series, dataset = _build_dataset(cfg)
-    _model_spec(cfg, dataset)  # reject a model that train would reject
     os.makedirs(args.out, exist_ok=True)
     warmup = len(series) - (len(dataset.windows) + dataset.window_length)
     manifest = {
@@ -230,12 +169,12 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     from .data import write_csv
-    from .model import TrainHyperparams, build, save_checkpoint, train
+    from .model import build, save_checkpoint, train
 
     cfg = load_config(args.config, args.seed)
     _, dataset = _build_dataset(cfg)
-    model = build(_model_spec(cfg, dataset))
-    report = train(model, dataset, TrainHyperparams(**cfg["train"]))
+    model = build(cfg["model"])
+    report = train(model, dataset, cfg["train"])
 
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, dataset.norm, os.path.join(args.out, "checkpoint.ffck"))
@@ -349,6 +288,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

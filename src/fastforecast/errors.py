@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks on config and
+checkpoint fields that raise them."""
+
+import numpy as np
+
+# numpy rejects an array extent at or above this: a width must stay below it
+MAX_EXTENT = int(np.iinfo(np.intp).max)
 
 
 class ShapeError(ValueError):
@@ -19,3 +25,41 @@ class ConfigError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss and was aborted."""
+
+
+_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+          bool: ("true or false", bool)}
+
+
+def check_field(name: str, value, kind: type, low=None, *, above=None, below=None,
+                nullable: bool = False) -> None:
+    """Raise ConfigError, naming ``name``, unless ``value`` is a ``kind`` in range.
+
+    ``kind`` is ``int`` (an int that is not a bool), ``float`` (an int or a
+    float, not a bool) or ``bool``.  Where given, the value must be at least
+    ``low``, greater than ``above`` and less than ``below``; ``nullable``
+    also admits None."""
+    noun, types = _KINDS[kind]
+    ok = (nullable and value is None) or (
+        isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+        and (low is None or value >= low) and (above is None or value > above)
+        and (below is None or value < below))
+    if not ok:
+        limits = " and ".join(f"{op} {bound}" for op, bound in
+                              ((">=", low), (">", above), ("<", below)) if bound is not None)
+        raise ConfigError(f"{name} must be {noun}{' ' + limits if limits else ''}"
+                          f"{' or null' if nullable else ''}, got {value!r}")
+
+
+def check_keys(name: str, section, allowed, required=()) -> dict:
+    """``section`` after checking that it is a dict holding only ``allowed``
+    keys and every ``required`` one; ``name`` says where it is."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    unknown = sorted(section.keys() - set(allowed))
+    if unknown:
+        raise ConfigError(f"{name} has unknown key '{unknown[0]}'")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigError(f"{name} is missing key '{missing[0]}'")
+    return section

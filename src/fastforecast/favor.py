@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import _check_qkv, softmax_window
-from .errors import ConfigError, ShapeError
+from .errors import MAX_EXTENT, ConfigError, ShapeError, check_field
 from .tensor import EXP_CLAMP, Tensor
 
 # denominators φ(q)ᵀz are mathematically positive; this floor only guards
@@ -66,17 +66,11 @@ class FavorConfig:
     redraw_interval: int | None = None
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ConfigError("random-feature count r must be >= 1")
-        if self.d_k < 1:
-            raise ConfigError("d_k must be >= 1")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not isinstance(self.causal, bool):
-            raise ConfigError(f"causal must be true or false, got {self.causal!r}")
-        interval = self.redraw_interval
-        if interval is not None and (type(interval) is not int or interval < 1):
-            raise ConfigError(f"redraw_interval must be an integer >= 1 or null, got {interval!r}")
+        for name in ("r", "d_k"):
+            check_field(name, getattr(self, name), int, 1, below=MAX_EXTENT)
+        check_field("seed", self.seed, int, 0)
+        check_field("causal", self.causal, bool)
+        check_field("redraw_interval", self.redraw_interval, int, 1, nullable=True)
 
 
 def _gram_schmidt(block: np.ndarray) -> np.ndarray:

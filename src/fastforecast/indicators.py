@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, check_field
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,11 @@ class IndicatorParams:
     cci_n: int = 20
 
     def __post_init__(self):
-        for name in ("sma_n", "ema_n", "bb_n", "rsi_n", "cci_n"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
-        if self.bb_k <= 0:
-            raise DataError("bb_k must be positive")
-        if self.bb_n < 2 or self.cci_n < 2:
-            raise DataError("bb_n and cci_n need at least a 2-point window")
+        for name in ("sma_n", "ema_n", "rsi_n"):
+            check_field(name, getattr(self, name), int, 1)
+        for name in ("bb_n", "cci_n"):  # a deviation needs at least 2 points
+            check_field(name, getattr(self, name), int, 2)
+        check_field("bb_k", self.bb_k, float, above=0)
 
     @property
     def warmup(self) -> int:

@@ -24,6 +24,8 @@ fold over ``lstm_cell``, so the two agree bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -44,7 +46,7 @@ def _sizes(w: Tensor, b: Tensor) -> tuple[int, int]:
 def init_lstm_weights(input_size: int, hidden_size: int,
                       rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """(W, b) uniform in [-1/sqrt(hidden), 1/sqrt(hidden)]; forget bias 1.0."""
-    lim = 1.0 / np.sqrt(hidden_size)
+    lim = 1.0 / math.sqrt(hidden_size)
     w = rng.uniform(-lim, lim, size=(4 * hidden_size, hidden_size + input_size))
     b = np.zeros((1, 4 * hidden_size))
     b[:, :hidden_size] = 1.0

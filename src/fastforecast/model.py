@@ -36,7 +36,8 @@ import numpy as np
 from . import tensor as T
 from .attention import multi_head, softmax_window
 from .data import ColumnStats, Dataset, MetricSet, atomic_write, evaluate_metrics
-from .errors import ConfigError, DataError, DivergenceError, FiniteError
+from .errors import (MAX_EXTENT, ConfigError, DataError, DivergenceError, FiniteError,
+                     check_field, check_keys)
 # favor_bidirectional and favor_unidirectional are not called here: they are
 # imported so that a tracer wrapping the kernels under this module's names
 # (perfbench/tracing.py) still finds them
@@ -66,6 +67,13 @@ FAVOR_VARIANTS = tuple(name for name, s in VARIANTS.items() if s.attention == "f
 LAYER_NORM_EPS = 1e-5
 
 
+def stages_of(variant) -> Stages:
+    """The stages ``variant`` runs; a name outside VARIANTS raises ConfigError."""
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}, got {variant!r}")
+    return VARIANTS[variant]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture plus every knob needed to rebuild it bit-identically."""
@@ -83,19 +91,22 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        stages_of(self.variant)
+        for name in ("window", "blocks", "heads"):
+            check_field(name, getattr(self, name), int, 1)
+        for name in ("n_features", "d_model", "bilstm_hidden"):
+            check_field(name, getattr(self, name), int, 1, below=MAX_EXTENT)
+        if not isinstance(self.fc_widths, (list, tuple)) or not self.fc_widths:
+            raise ConfigError(f"fc_widths must be a non-empty list, got {self.fc_widths!r}")
         object.__setattr__(self, "fc_widths", tuple(self.fc_widths))
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant '{self.variant}'")
-        if min(self.window, self.n_features, self.d_model, self.heads, self.blocks,
-               self.bilstm_hidden, *self.fc_widths) < 1:
-            raise ConfigError("window, n_features, d_model, heads, blocks, bilstm_hidden "
-                              "and fc_widths must be positive")
-        if not self.fc_widths or self.fc_widths[-1] != 1:
+        for i, width in enumerate(self.fc_widths):
+            check_field(f"fc_widths[{i}]", width, int, 1, below=MAX_EXTENT)
+        if self.fc_widths[-1] != 1:
             raise ConfigError("fc_widths must end in 1 (scalar close output)")
-        if isinstance(self.dropout, bool) or not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_field("dropout", self.dropout, float, 0, below=1)
+        check_field("seed", self.seed, int, 0)
+        if not isinstance(self.favor, (FavorConfig, type(None))):
+            raise ConfigError(f"favor must be a FavorConfig or None, got {self.favor!r}")
         if self.uses_attention and self.d_model % self.heads:
             raise ConfigError(f"d_model = {self.d_model} not divisible by h = {self.heads}")
         if self.uses_favor:
@@ -129,10 +140,14 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        """Inverse of :meth:`to_dict`; an unknown field raises TypeError."""
-        d = dict(d)
+        """Inverse of :meth:`to_dict`: every field must be given (``favor``
+        only for a FAVOR+ variant), and a missing or unknown one raises
+        ConfigError."""
+        names = [f.name for f in dataclasses.fields(ModelSpec)]
+        d = dict(check_keys("spec", d, names, [name for name in names if name != "favor"]))
         if d.get("favor") is not None:
-            d["favor"] = FavorConfig(**d["favor"])
+            names = [f.name for f in dataclasses.fields(FavorConfig)]
+            d["favor"] = FavorConfig(**check_keys("spec.favor", d["favor"], names, names))
         return ModelSpec(**d)
 
 
@@ -215,8 +230,7 @@ class Model:
         """Draw one projection Ω per (block, head) from the favor seed and the
         redraw generation, so redraws stay reproducible.  Ω depends on nothing
         else, so the generation already drawn is kept as it is."""
-        if type(generation) is not int or generation < 0:
-            raise ConfigError(f"favor_generation must be an integer >= 0, got {generation!r}")
+        check_field("favor_generation", generation, int, 0)
         if generation == self.favor_generation:
             return
         self.favor_generation = generation
@@ -399,8 +413,10 @@ class TrainHyperparams:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.lr < 0 or self.grad_clip < 0:
-            raise ConfigError("hyperparameters must be nonnegative (batch >= 1)")
+        check_field("epochs", self.epochs, int, 0)
+        check_field("batch", self.batch, int, 1)
+        for name in ("lr", "grad_clip"):
+            check_field(name, getattr(self, name), float, 0)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """End-to-end CLI tests on a small synthetic fixture."""
 
 import csv
+import dataclasses
 import json
 import os
+import resource
 import struct
 import subprocess
 from pathlib import Path
@@ -11,15 +13,11 @@ import numpy as np
 import pytest
 
 import fastforecast
-from fastforecast.cli import (
-    CONFIG_SCHEMA,
-    EXIT_CONFIG,
-    EXIT_INPUT,
-    EXIT_OK,
-    load_config,
-    main,
-)
+from fastforecast.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, load_config, main
 from fastforecast.errors import ConfigError
+from fastforecast.favor import FavorConfig
+from fastforecast.indicators import IndicatorParams
+from fastforecast.model import ModelSpec, TrainHyperparams
 
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
@@ -33,11 +31,11 @@ def fixture_csv(tmp_path):
     return path
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     """The CLI in a fresh interpreter that imports this checkout's package."""
     src = str(Path(fastforecast.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, **kwargs)
 
 
 def make_config(tmp_path, csv_path, variant="bilstm_only", **model_kw):
@@ -79,12 +77,12 @@ class TestConfig:
         cfg1 = load_config(path)
         cfg2 = load_config(path)
         assert cfg1 == cfg2
-        assert cfg1["train"]["epochs"] == 2
-        assert cfg1["split"] == [0.70, 0.15, 0.15]
+        assert cfg1["train"].epochs == 2
+        assert cfg1["split"] == (0.70, 0.15, 0.15)
 
     def test_seed_override(self, tmp_path, fixture_csv):
         path = make_config(tmp_path, fixture_csv)
-        assert load_config(path, seed_override=99)["seed"] == 99
+        assert load_config(path, seed_override=99)["model"].seed == 99
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -178,38 +176,144 @@ def config_leaves(node, keys=()):
         yield from config_leaves(child, keys + (key,))
 
 
-def schema_leaves(schema, keys=()):
-    """The key path of every property of CONFIG_SCHEMA that holds no object."""
-    properties = schema.get("properties")
-    if not properties:
-        yield keys
-        return
-    for key, child in properties.items():
-        yield from schema_leaves(child, keys + (key,))
+# the dataclass fields that load_config derives, so a config may not set them
+DERIVED_KEYS = [("model", "n_features"), ("model", "seed"), ("model", "favor", "d_k")]
 
 
-@pytest.mark.parametrize("literal", NON_FINITE)
-def test_non_finite_literal_in_any_config_leaf_is_config_error(tmp_path, fixture_csv, literal):
-    """Python's json reads NaN, Infinity and -Infinity; the config load does not.
-    The config sets every key of the schema, and each leaf is edited in turn."""
-    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm",
+def config_keys():
+    """The key path of every config key that holds no object: data's two
+    keys, split, seed, and each field of a section's dataclass that
+    load_config does not derive."""
+    sections = {("indicators",): IndicatorParams, ("model",): ModelSpec,
+                ("model", "favor"): FavorConfig, ("train",): TrainHyperparams}
+    keys = {("data", "path"), ("data", "interval"), ("split",), ("seed",)}
+    for section, cls in sections.items():
+        keys |= {section + (field.name,) for field in dataclasses.fields(cls)}
+    return keys - set(DERIVED_KEYS) - {("model", "favor")}
+
+
+def full_config(tmp_path, csv_path):
+    """A performer_bilstm config that sets every key, and its path."""
+    config = make_config(tmp_path, csv_path, variant="performer_bilstm",
                          favor={"r": 16, "seed": 9, "causal": False, "redraw_interval": 2})
     raw = json.loads(config.read_text())
     raw["indicators"] = {"sma_n": 14, "ema_n": 14, "bb_n": 20, "bb_k": 2.0,
                          "rsi_n": 14, "cci_n": 20}
     raw["split"] = [0.7, 0.15, 0.15]
+    return config, raw
+
+
+DELETE = object()
+
+
+def edited(raw, keys, value):
+    """A copy of config ``raw`` with the entry at ``keys`` set to ``value``,
+    or deleted when ``value`` is DELETE."""
+    edit = json.loads(json.dumps(raw))
+    section = edit
+    for key in keys[:-1]:
+        section = section[key]
+    if value is DELETE:
+        del section[keys[-1]]
+    else:
+        section[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_literal_in_any_config_leaf_is_config_error(tmp_path, fixture_csv, literal):
+    """Python's json reads NaN, Infinity and -Infinity; the config load does not.
+    The config sets every key, and each leaf is edited in turn."""
+    config, raw = full_config(tmp_path, fixture_csv)
     leaves = list(config_leaves(raw))
     assert {keys[:-1] if isinstance(keys[-1], int) else keys
-            for keys in leaves} == set(schema_leaves(CONFIG_SCHEMA))
+            for keys in leaves} == config_keys()
     for keys in leaves:
-        edited = json.loads(json.dumps(raw))
-        section = edited
-        for key in keys[:-1]:
-            section = section[key]
-        section[keys[-1]] = NON_FINITE[literal]
-        config.write_text(json.dumps(edited))
+        config.write_text(json.dumps(edited(raw, keys, NON_FINITE[literal])))
         with pytest.raises(ConfigError, match=f"non-finite number {literal} "):
             load_config(config)
+
+
+PROBES = [True, False, None, -1, 0, 2, 1.5, "x", [], {}]
+SECTIONS = [(), ("data",), ("indicators",), ("model",), ("model", "favor"), ("train",)]
+
+
+def sweep_edits(raw):
+    """(name, config) for each edit of the config sweep: each leaf (a scalar,
+    a list item or a whole list) set to each probe value, each key deleted,
+    an unknown key added to each section, and each derived key set."""
+    leaves = list(config_leaves(raw))
+    leaves += sorted({keys[:-1] for keys in leaves if isinstance(keys[-1], int)})
+    for keys in leaves:
+        name = ".".join(map(str, keys))
+        for value in PROBES:
+            yield f"{name}={json.dumps(value)}", edited(raw, keys, value)
+        if not isinstance(keys[-1], int):
+            yield f"del {name}", edited(raw, keys, DELETE)
+    for section in SECTIONS:
+        yield ".".join(section + ("zzz",)), edited(raw, section + ("zzz",), 1)
+    for keys in DERIVED_KEYS:
+        yield ".".join(keys), edited(raw, keys, 8)
+
+
+def test_config_sweep_loads_or_is_config_error(tmp_path, fixture_csv):
+    """Every edit of the sweep either loads or raises ConfigError; a derived
+    key is always rejected."""
+    config, raw = full_config(tmp_path, fixture_csv)
+    outcomes = {}
+    for name, edit in sweep_edits(raw):
+        config.write_text(json.dumps(edit))
+        try:
+            load_config(config)
+            outcomes[name] = "ok"
+        except ConfigError:
+            outcomes[name] = "ConfigError"
+        except Exception as exc:  # noqa: BLE001 - any other type is the failure
+            outcomes[name] = type(exc).__name__
+    # 31 leaves (29 scalars, five of them list items, and the two lists), of
+    # which 26 are keys that can be deleted: the 342 edits, plus 3 derived keys
+    assert len(outcomes) == 31 * len(PROBES) + 26 + len(SECTIONS) + len(DERIVED_KEYS)
+    assert {k: v for k, v in outcomes.items() if v not in ("ok", "ConfigError")} == {}
+    assert all(outcomes[".".join(keys)] == "ConfigError" for keys in DERIVED_KEYS)
+    assert all(outcomes[".".join(s + ("zzz",))] == "ConfigError" for s in SECTIONS)
+
+
+def test_config_sweep_through_prepare(tmp_path, fixture_csv, capsys):
+    """A sample of the sweep through ``prepare``: a documented exit code
+    and at most one line on stderr."""
+    config, raw = full_config(tmp_path, fixture_csv)
+    for name, edit in list(sweep_edits(raw))[::17]:
+        config.write_text(json.dumps(edit))
+        code = main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG), name
+        assert len(err.splitlines()) == (code != EXIT_OK), (name, err)
+
+
+def limit_memory():
+    """Cap the address space at 4 GiB, so that a huge allocation fails fast."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+# each ended ``train`` with a traceback: a MemoryError for the first two, numpy's
+# "Maximum allowed dimension exceeded" for the next two, and a TypeError from
+# np.sqrt on a Python int for the last
+HUGE_WIDTHS = [(("model", "d_model"), 10**6), (("model", "bilstm_hidden"), 10**6),
+               (("model", "d_model"), 10**20), (("model", "fc_widths", 0), 10**20),
+               (("model", "bilstm_hidden"), 10**20)]
+
+
+@pytest.mark.parametrize("keys,value", HUGE_WIDTHS,
+                         ids=[f"{'.'.join(map(str, k[1:]))}-{v:.0e}" for k, v in HUGE_WIDTHS])
+def test_width_too_large_for_memory_exits_four(tmp_path, fixture_csv, keys, value):
+    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm")
+    config.write_text(json.dumps(edited(json.loads(config.read_text()), keys, value)))
+    proc = run_cli("-m", "fastforecast.cli", "train", "--config", str(config),
+                   "--out", str(tmp_path / "out"), preexec_fn=limit_memory)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # before the check, each of these exited 3, 0 (clipping silently off) or 2
@@ -437,6 +541,11 @@ MALFORMED_CHECKPOINTS = {
     "v1_unknown_params_entry_field": on_v1(set_header_field(("params", 0, "colour"), 1)),
     # version 2 says each fact once: the version 1 copies are unknown fields
     "v2_header_seed": set_header_field(("seed",), 5),
+    # each of these loaded at exit 0 with the field's default: a missing
+    # favor.r read as 128 instead of 16 and gave other predictions
+    "spec_favor_r_missing": lambda b: edit_header(b, lambda h: h["spec"]["favor"].pop("r")),
+    "spec_dropout_missing": lambda b: edit_header(b, lambda h: h["spec"].pop("dropout")),
+    "spec_seed_missing": lambda b: edit_header(b, lambda h: h["spec"].pop("seed")),
 }
 
 
@@ -461,6 +570,25 @@ def test_malformed_checkpoint_exits_four(trained_run, corrupt, tmp_path):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("model_kw", [{"heads": 3}, {"fc_widths": [4, 2]}],
+                         ids=["heads-3", "fc_widths-4-2"])
+def test_evaluate_rejects_model_section_train_rejects(trained_run, tmp_path, model_kw):
+    """``evaluate`` builds the config's model section as ``train`` does."""
+    config, blob = trained_run
+    raw = json.loads(config.read_text())
+    raw["model"].update(model_kw)
+    bad_config = tmp_path / "config.json"
+    bad_config.write_text(json.dumps(raw))
+    checkpoint = tmp_path / "checkpoint.ffck"
+    checkpoint.write_bytes(blob)
+    proc = run_cli("-m", "fastforecast.cli", "evaluate", "--config", str(bad_config),
+                   "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_1_checkpoint_evaluates_as_before(tmp_path, fixture_csv):

@@ -70,6 +70,17 @@ class TestSpecValidation:
             ModelSpec(variant="performer", window=8, n_features=8, d_model=8,
                       heads=2, favor=FavorConfig(r=8, d_k=3, seed=0))
 
+    @pytest.mark.parametrize("make,field", [
+        (lambda: ModelSpec(variant="bilstm_only", window=True, n_features=8), "window"),
+        (lambda: ModelSpec(variant="bilstm_only", window=8.0, n_features=8), "window"),
+        (lambda: TrainHyperparams(epochs=2.5), "epochs"),
+        (lambda: IndicatorParams(sma_n=True), "sma_n"),
+        (lambda: FavorConfig(r=16.0, d_k=4, seed=1), "r"),
+    ], ids=["window-bool", "window-float", "epochs-float", "sma_n-bool", "r-float"])
+    def test_wrong_type_raises_naming_the_field(self, make, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            make()
+
     def test_roundtrip_through_dict(self):
         spec = tiny_spec()
         again = ModelSpec.from_dict(spec.to_dict())
