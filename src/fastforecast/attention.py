@@ -2,11 +2,12 @@
 
   * ``softmax_window`` — softmax(Q Kᵀ / √d_k) V over one window, or a stack
     of them, on numpy arrays, with its hand-derived backward pass (a window
-    function, as ``favor.favor_window`` is); the scores are scaled,
-    max-shifted, exponentiated and normalised in one L×L buffer per window.
-    It is ``transformer_mh``'s kernel and the exact side of ``bench``; the
-    composed softmax oracles it is checked against are in
-    ``tests/reference.py``;
+    function, as ``favor.favor_bidirectional`` and
+    ``favor.favor_unidirectional`` are); the scores are scaled, max-shifted,
+    exponentiated and normalised in one L×L buffer per window.  It is
+    ``transformer_mh``'s kernel and the exact side of ``bench``; the composed
+    softmax oracles it is checked against, and the helper that records any
+    window function as a tape node of its own, are in ``tests/reference.py``;
   * ``multi_head`` — self-attention over a batch of windows, all heads per call.
 
 The per-row max subtraction leaves the result unchanged (softmax shift
@@ -24,17 +25,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-
-
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("attention expects rank-2 Q, K, V")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query width {q.shape[1]} != key width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key count {k.shape[0]} != value count {v.shape[0]}")
-    if q.shape[0] != k.shape[0]:
-        raise ShapeError("self-attention requires equal sequence lengths")
 
 
 def softmax_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
@@ -73,8 +63,8 @@ def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, window, heads: int, length
     ``w_qkv`` holds each head's query, key and value projections, head by
     head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  The model
     stores each block's matrix in this layout, so nothing is joined per
-    call.  ``window``
-    (``softmax_window`` or a ``favor.favor_window``) runs once per window on
+    call.  ``window`` (``softmax_window``, or ``favor.favor_bidirectional`` or
+    ``favor.favor_unidirectional`` with its Ω bound) runs once per window on
     all heads, as (heads, L, d_k) views, and the output matrix mixes them.
     Each window's backward pass is kept only while a tape records, so a
     forward pass without one holds a single window's buffers at a time."""

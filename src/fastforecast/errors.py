@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the checks on config and
 checkpoint fields that raise them."""
 
+import sys
+
 import numpy as np
 
 # numpy rejects an array extent at or above this: a width must stay below it
@@ -27,7 +29,7 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss and was aborted."""
 
 
-_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+_KINDS = {int: ("an integer", int), float: ("a finite number", (int, float)),
           bool: ("true or false", bool)}
 
 
@@ -36,12 +38,14 @@ def check_field(name: str, value, kind: type, low=None, *, above=None, below=Non
     """Raise ConfigError, naming ``name``, unless ``value`` is a ``kind`` in range.
 
     ``kind`` is ``int`` (an int that is not a bool), ``float`` (an int or a
-    float, not a bool) or ``bool``.  Where given, the value must be at least
-    ``low``, greater than ``above`` and less than ``below``; ``nullable``
-    also admits None."""
+    float that is not a bool, with a finite float value: json reads ``1e400``
+    as infinity, and a 400-digit integer as an int no float can hold) or
+    ``bool``.  Where given, the value must be at least ``low``, greater than
+    ``above`` and less than ``below``; ``nullable`` also admits None."""
     noun, types = _KINDS[kind]
     ok = (nullable and value is None) or (
         isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+        and (kind is not float or abs(value) <= sys.float_info.max)  # False for NaN
         and (low is None or value >= low) and (above is None or value > above)
         and (below is None or value < below))
     if not ok:

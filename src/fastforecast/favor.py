@@ -15,15 +15,15 @@ Both attention variants stay linear in sequence length: the bidirectional
 form contracts K̂ᵀV and K̂ᵀ1 first; the causal form takes prefix sums of
 φ(k_j)v_jᵀ and φ(k_j).  No L×L buffer is ever materialised.
 
-``favor_window`` runs both forms over one window in numpy, with the same
-arithmetic as the equivalent composition of tensor primitives (so the
+``favor_bidirectional`` and ``favor_unidirectional`` are the model's
+FAVOR+ window functions: each runs one form over a window in numpy, with the
+same arithmetic as the equivalent composition of tensor primitives (so the
 outputs agree bit for bit), and returns the output with its backward pass,
-derived by hand.  ``attention.multi_head`` calls it once per window on a
-(heads, L, d_k) stack, one Ω per head, inside one tape node;
-``favor_bidirectional`` and ``favor_unidirectional`` record it as a tape
-node of its own.  The two forms share φ (``_phi`` and ``_phi_grad``), the
-finiteness checks, the denominator floor and the division; only the three
-contractions and their adjoints differ.
+derived by hand.  ``attention.multi_head`` calls one of them once per window
+on a (heads, L, d_k) stack, one Ω per head, inside one tape node.  The two
+forms share one body (``_favor_window``): φ (``_phi`` and ``_phi_grad``),
+the finiteness checks, the denominator floor and the division; only the
+three contractions and their adjoints differ.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .attention import _check_qkv, softmax_window
+from .attention import softmax_window
 from .errors import MAX_EXTENT, ConfigError, ShapeError, check_field
-from .tensor import EXP_CLAMP, Tensor
+from .tensor import EXP_CLAMP
 
 # denominators φ(q)ᵀz are mathematically positive; this floor only guards
 # against float underflow, and trips the diagnostics counter when hit
@@ -139,8 +139,8 @@ def _reverse_cumsum(x: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(x, axis), axis=axis), axis)
 
 
-def favor_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarray,
-                 causal: bool):
+def _favor_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarray,
+                  causal: bool):
     """Both FAVOR+ forms over windows shaped (..., L, d), with Ω (..., r, d_k):
     returns the output, unchecked, and its backward pass, which maps the output
     gradient to those of Q, K and V.  Only the three contractions differ.
@@ -195,17 +195,17 @@ def favor_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarr
     return num * inv, backward
 
 
-def favor_bidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> Tensor:
-    """D̂⁻¹ (Q̂ (K̂ᵀ V)); O(L·r·d) time, no L×L intermediate.  One tape node."""
-    _check_qkv(q, k, v)
-    return T._make((q, k, v), *favor_window(q.data, k.data, v.data, omega, causal=False))
+def favor_bidirectional(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarray):
+    """D̂⁻¹ (Q̂ (K̂ᵀ V)) over windows shaped (..., L, d): the output and its
+    backward pass; O(L·r·d) time, no L×L intermediate."""
+    return _favor_window(qd, kd, vd, omega, causal=False)
 
 
-def favor_unidirectional(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray) -> Tensor:
-    """Causal linear attention: row i is (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i) over the
-    prefix sums S_i and z_i; O(L·r·d) time, no L×L intermediate.  One tape node."""
-    _check_qkv(q, k, v)
-    return T._make((q, k, v), *favor_window(q.data, k.data, v.data, omega, causal=True))
+def favor_unidirectional(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, omega: np.ndarray):
+    """Causal linear attention over windows shaped (..., L, d): row i is
+    (φ(q_i)ᵀ S_i) / (φ(q_i)ᵀ z_i) over the prefix sums S_i and z_i.  Returns
+    the output and its backward pass; O(L·r·d) time, no L×L intermediate."""
+    return _favor_window(qd, kd, vd, omega, causal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
 
     ``mode`` selects the window function a model runs: ``"exact"`` is
     ``attention.softmax_window`` (``transformer_mh``'s kernel) and ``"favor"``
-    is the bidirectional ``favor_window``.  Each is called on numpy arrays,
+    is ``favor_bidirectional``.  Each is called on numpy arrays,
     with no tape.  The byte figure sums the buffers the kernel notes plus its
     output: for the exact kernel the L×L attention matrix, for FAVOR+ only
     buffers linear in L.
@@ -253,7 +253,7 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
             if mode == "exact":
                 out, _ = softmax_window(q, k, v)
             else:
-                out, _ = favor_window(q, k, v, omega, causal=False)
+                out, _ = favor_bidirectional(q, k, v, omega)
             T.note_buffers(out)
 
         run()  # warm-up: page in buffers, trigger lazy BLAS init

@@ -1,6 +1,6 @@
-"""LSTM cell and bidirectional LSTM layer.
+"""LSTM step and bidirectional LSTM layer.
 
-The cell applies the four-gate recurrence: forget, input and output gates
+The step applies the four-gate recurrence: forget, input and output gates
 through sigmoids, candidate cell state through tanh,
 
     C_t = f ⊙ C_{t-1} + i ⊙ C̃,    h_t = o ⊙ tanh(C_t),
@@ -13,13 +13,14 @@ A direction's weights are a pair (W, b), stored as the kernel reads them: W
 is (4·hidden, hidden+input) with the gates' row blocks in the order f, i,
 C̃, o, and b is (1, 4·hidden) with its columns in the same order.
 
-``lstm_cell`` is one step built from tensor primitives: it reads gate k's
-rows of W and columns of b, takes the previous states h and c and returns
-the new pair ``(h, c)``.  ``lstm_sequence`` runs the whole recurrence over a
-time-major sequence as one fused tape node: each step computes all four
-gates with one matmul, [h_{t-1}, x_t] @ Wᵀ + b, and the backward pass is
-backpropagation through time in numpy.  It does the same arithmetic as a
-fold over ``lstm_cell``, so the two agree bit for bit.
+``lstm_cell`` is one step in numpy: all four gates with one matmul,
+[h_{t-1}, x_t] @ Wᵀ + b, then the new cell and hidden states.
+``lstm_sequence`` runs the whole recurrence over a time-major sequence as
+one fused tape node, calling ``lstm_cell`` once per step; its backward pass
+is backpropagation through time in numpy.  The step does the same
+arithmetic as the cell composed from tensor primitives in
+``tests/reference.py``, so the sequence agrees with a fold over that cell
+bit for bit.
 """
 
 from __future__ import annotations
@@ -53,28 +54,27 @@ def init_lstm_weights(input_size: int, hidden_size: int,
     return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One step of the recurrence for a (batch, input) slice, from the
-    (batch, hidden) previous states h and c; returns the new (h, c)."""
-    hidden, input_size = _sizes(w, b)
-    if x.data.ndim != 2 or x.shape[1] != input_size:
-        raise ShapeError(f"cell input width {x.shape} != {input_size}")
-    if h.shape != (x.shape[0], hidden):
-        raise ShapeError("previous state does not match batch/hidden sizes")
-    z = T.concat([h, x], axis=1)  # (batch, hidden+input)
-    b_rows = T.transpose(b)
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
-    def gate(k, squash):
-        rows = np.arange(k * hidden, (k + 1) * hidden)
-        return squash(T.add(T.matmul(z, T.transpose(T.take_rows(w, rows))),
-                            T.transpose(T.take_rows(b_rows, rows))))
 
-    f = gate(0, T.sigmoid)
-    i = gate(1, T.sigmoid)
-    c_tilde = gate(2, T.tanh)
-    o = gate(3, T.sigmoid)
-    c = T.add(T.mul(f, c), T.mul(i, c_tilde))
-    return T.mul(o, T.tanh(c)), c
+def lstm_cell(z: np.ndarray, w: np.ndarray, b: np.ndarray, c_prev: np.ndarray):
+    """One step for a batch, from the (batch, hidden+input) cell input
+    z = [h_{t-1}, x_t], a direction's W and b arrays and the (batch, hidden)
+    C_{t-1}: returns the activations f, i, C̃, o side by side, C_t, tanh(C_t)
+    and h_t."""
+    hid = c_prev.shape[1]
+    a = z @ w.T + b
+    T.check_finite(a)  # the composed matmul and bias add reject the same
+    act = _stable_sigmoid(a)
+    act[:, 2 * hid:3 * hid] = np.tanh(a[:, 2 * hid:3 * hid])
+    f, i, c_tilde, o = np.split(act, 4, axis=1)
+    c = f * c_prev + i * c_tilde
+    tanh_c = np.tanh(c)
+    return act, c, tanh_c, o * tanh_c
 
 
 def lstm_sequence(xs: Tensor, batch: int, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
@@ -104,17 +104,11 @@ def lstm_sequence(xs: Tensor, batch: int, w: Tensor, b: Tensor, reverse: bool = 
     out = np.empty_like(c)
     h = out[::-1] if reverse else out
     h_prev = c_prev = np.zeros((batch, hid))
+    # lstm_cell is looked up at call time, so a wrapper installed on this
+    # module's name (a tracer) sees every step
     for t in range(length):
         z[t, :, :hid] = h_prev
-        a = z[t] @ wd.T + bd
-        T.check_finite(a)  # the composed matmul and bias add reject the same
-        gates = act[t]
-        gates[:] = T._stable_sigmoid(a)
-        gates[:, 2 * hid:3 * hid] = np.tanh(a[:, 2 * hid:3 * hid])
-        f, i, c_tilde, o = np.split(gates, 4, axis=1)
-        c[t] = f * c_prev + i * c_tilde
-        tanh_c[t] = np.tanh(c[t])
-        h[t] = o * tanh_c[t]
+        act[t], c[t], tanh_c[t], h[t] = lstm_cell(z[t], wd, bd, c_prev)
         h_prev, c_prev = h[t], c[t]
     T.note_buffers(z, act, c, tanh_c)
 

@@ -38,11 +38,7 @@ from .attention import multi_head, softmax_window
 from .data import ColumnStats, Dataset, MetricSet, atomic_write, evaluate_metrics
 from .errors import (MAX_EXTENT, ConfigError, DataError, DivergenceError, FiniteError,
                      check_field, check_keys)
-# favor_bidirectional and favor_unidirectional are not called here: they are
-# imported so that a tracer wrapping the kernels under this module's names
-# (perfbench/tracing.py) still finds them
-from .favor import (FavorConfig, draw_features, favor_bidirectional, favor_unidirectional,
-                    favor_window)
+from .favor import FavorConfig, draw_features, favor_bidirectional, favor_unidirectional
 from .lstm import bilstm_forward_steps, init_lstm_weights
 from .tensor import GradTape, Tensor
 
@@ -339,11 +335,13 @@ class Model:
     def _attention_sublayer(self, x: Tensor, block: int) -> Tensor:
         spec = self.spec
         p = self.params
-        window = (functools.partial(favor_window, omega=self.feature_maps[block],
-                                    causal=spec.favor.causal)
-                  if spec.uses_favor else softmax_window)
-        # multi_head is looked up here, at call time, so a wrapper installed
-        # on this module's name (a tracer) sees every call
+        # multi_head and the FAVOR+ window functions are looked up here, at
+        # call time, so a wrapper installed on this module's names (a tracer)
+        # sees every call
+        window = softmax_window
+        if spec.uses_favor:
+            kernel = favor_unidirectional if spec.favor.causal else favor_bidirectional
+            window = functools.partial(kernel, omega=self.feature_maps[block])
         return multi_head(x, p[f"block{block}.attn.qkv"], p[f"block{block}.attn.o"], window,
                           spec.heads, spec.window)
 

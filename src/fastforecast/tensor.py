@@ -1,21 +1,19 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
 Every differentiable operation in the package is a primitive registered
-through :func:`_make`: the primitives in this module (``add``, ``sub``,
-``mul``, ``relu``, ``matmul``, ``tsum``, ``concat`` and ``take_rows``, which
-the model calls, ``concat`` only to join the BiLSTM's two directions in
-``lstm.bilstm_forward_steps``, and ``sigmoid``, ``tanh`` and ``transpose``,
-which only ``lstm.lstm_cell`` calls), plus five fused kernels elsewhere: the
-whole-sequence LSTM (``lstm.lstm_sequence``), the attention node of
-``attention.multi_head`` (one window-function call per window over all
-heads: ``attention.softmax_window`` or ``favor.favor_window``), FAVOR+ on
-one window (``favor.favor_bidirectional`` and ``favor.favor_unidirectional``),
-and the encoder block's layer norm and feed-forward sublayer
-(``Model._layer_norm`` and ``Model._feed_forward``).  A primitive computes
-its forward value with numpy and, when a :class:`GradTape` is active and an
-input requires gradients, records one node whose closure maps the output
-gradient to per-input gradients; a fused kernel's closure is its
-hand-derived backward pass.
+through :func:`_make`: the eight primitives in this module (``add``,
+``sub``, ``mul``, ``relu``, ``matmul``, ``tsum``, ``concat`` and
+``take_rows``; the model calls ``concat`` only to join the BiLSTM's two
+directions in ``lstm.bilstm_forward_steps``), plus four fused kernels
+elsewhere: the whole-sequence LSTM (``lstm.lstm_sequence``), the attention
+node of ``attention.multi_head`` (one window-function call per window over
+all heads: ``attention.softmax_window``, or ``favor.favor_bidirectional``
+or ``favor.favor_unidirectional``), and the encoder block's layer norm and
+feed-forward sublayer (``Model._layer_norm`` and ``Model._feed_forward``).
+A primitive computes its forward value with numpy and, when a
+:class:`GradTape` is active and an input requires gradients, records one
+node whose closure maps the output gradient to per-input gradients; a fused
+kernel's closure is its hand-derived backward pass.
 Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
 every leaf.  Ops are module functions, called as ``T.add(a, b)``,
 ``T.matmul(a, b)`` and so on; ``Tensor`` has no operator methods.
@@ -86,7 +84,7 @@ class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
     Only the constructor guarantees that ``data`` is a C-contiguous ndarray;
-    a primitive's result may be a view (``transpose`` returns one).
+    a primitive keeps the array its numpy expression returns.
     ``grad`` is filled by ``GradTape.backward`` and has the same shape as
     ``data``.
     """
@@ -284,23 +282,6 @@ def mul(a, b) -> Tensor:
 # unary elementwise
 # ---------------------------------------------------------------------------
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp never overflows."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _stable_sigmoid(x.data)
-    return _make((x,), s, lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return _make((x,), t, lambda g: (g * (1.0 - t * t),))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _make((x,), np.maximum(x.data, 0.0), lambda g: (g * mask,))
@@ -322,11 +303,6 @@ def matmul(a, b) -> Tensor:
                 ad.T @ g if b.requires_grad else None)
 
     return _make((a, b), ad @ bd, backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    _require_2d("transpose", x)
-    return _make((x,), x.data.T, lambda g: (g.T,), check=False)
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:

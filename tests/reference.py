@@ -1,4 +1,4 @@
-"""Reference primitives and composed oracles that only the tests run.
+"""Reference primitives, composed oracles and helpers that only the tests run.
 
 Each primitive is one tape node built with ``T._make``, as the package's own
 primitives are, and passes the same finite-difference checks
@@ -9,6 +9,9 @@ oracles the fused kernels are held to:
     in ``test_fused_kernels.py``;
   * ``exp`` and ``recip`` compose φ and the FAVOR+ division in
     ``test_favor.py``, and the layer norm's inverse standard deviation;
+  * ``sigmoid``, ``tanh`` and ``transpose`` compose ``composed_lstm_cell``,
+    one LSTM step on tensors: the cell ``test_lstm.py`` folds over as the
+    reference for ``fastforecast.lstm.lstm_sequence``;
   * ``exact_bidirectional`` and ``exact_unidirectional`` are softmax attention
     composed through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the
     oracles FAVOR+ is measured against, and the model's
@@ -16,6 +19,10 @@ oracles the fused kernels are held to:
 
 Both oracles stabilise with a per-row max subtraction, treated as a constant
 in the backward pass (softmax shift invariance makes that exact).
+
+``window_node`` records any of the model's window functions
+(``softmax_window``, ``favor_bidirectional``, ``favor_unidirectional``),
+which run on numpy arrays, as one tape node on rank-2 Q, K and V tensors.
 """
 
 import math
@@ -23,8 +30,29 @@ import math
 import numpy as np
 
 import fastforecast.tensor as T
-from fastforecast.attention import _check_qkv
+from fastforecast.errors import ShapeError
+from fastforecast.lstm import _sizes, _stable_sigmoid
 from fastforecast.tensor import Tensor
+
+
+def check_qkv(q, k, v):
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError("attention expects rank-2 Q, K, V")
+    if q.shape[1] != k.shape[1]:
+        raise ShapeError(f"query width {q.shape[1]} != key width {k.shape[1]}")
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"key count {k.shape[0]} != value count {v.shape[0]}")
+    if q.shape[0] != k.shape[0]:
+        raise ShapeError("self-attention requires equal sequence lengths")
+
+
+def window_node(window):
+    """``window(qd, kd, vd, *args)`` as a function of tensors q, k and v (and
+    the same trailing arguments) that records one tape node."""
+    def node(q, k, v, *args):
+        check_qkv(q, k, v)
+        return T._make((q, k, v), *window(q.data, k.data, v.data, *args))
+    return node
 
 
 def softmax_rows(x):
@@ -59,11 +87,50 @@ def recip(x):
     return T._make((x,), r, lambda g: (-g * r * r,))
 
 
+def sigmoid(x):
+    s = _stable_sigmoid(x.data)
+    return T._make((x,), s, lambda g: (g * s * (1.0 - s),))
+
+
+def tanh(x):
+    t = np.tanh(x.data)
+    return T._make((x,), t, lambda g: (g * (1.0 - t * t),))
+
+
+def transpose(x):
+    T._require_2d("transpose", x)
+    return T._make((x,), x.data.T, lambda g: (g.T,), check=False)
+
+
+def composed_lstm_cell(x, h, c, w, b):
+    """One step of the recurrence for a (batch, input) slice, from the
+    (batch, hidden) previous states h and c; returns the new (h, c)."""
+    hidden, input_size = _sizes(w, b)
+    if x.data.ndim != 2 or x.shape[1] != input_size:
+        raise ShapeError(f"cell input width {x.shape} != {input_size}")
+    if h.shape != (x.shape[0], hidden):
+        raise ShapeError("previous state does not match batch/hidden sizes")
+    z = T.concat([h, x], axis=1)  # (batch, hidden+input)
+    b_rows = transpose(b)
+
+    def gate(k, squash):
+        rows = np.arange(k * hidden, (k + 1) * hidden)
+        return squash(T.add(T.matmul(z, transpose(T.take_rows(w, rows))),
+                            transpose(T.take_rows(b_rows, rows))))
+
+    f = gate(0, sigmoid)
+    i = gate(1, sigmoid)
+    c_tilde = gate(2, tanh)
+    o = gate(3, sigmoid)
+    c = T.add(T.mul(f, c), T.mul(i, c_tilde))
+    return T.mul(o, tanh(c)), c
+
+
 def exact_bidirectional(q, k, v):
     """D⁻¹ A V with A = exp(Q Kᵀ / √d_k), D = diag(A·1)."""
-    _check_qkv(q, k, v)
+    check_qkv(q, k, v)
     d_k = q.shape[1]
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = T.mul(T.matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
     row_max = Tensor(scores.data.max(axis=1, keepdims=True))  # constant shift
     a = exp(T.sub(scores, row_max))
     return T.mul(T.matmul(a, v), recip(T.tsum(a, axis=1)))
@@ -71,9 +138,9 @@ def exact_bidirectional(q, k, v):
 
 def exact_unidirectional(q, k, v):
     """Causal form: A is masked below the diagonal (inclusive) before normalising."""
-    _check_qkv(q, k, v)
+    check_qkv(q, k, v)
     length, d_k = q.shape
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = T.mul(T.matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
     mask = np.tril(np.ones((length, length)))
     # stabilise with the max over the *visible* entries of each row; masked
     # entries are pushed to exp(-800) = 0 exactly, so they never overflow

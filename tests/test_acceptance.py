@@ -24,8 +24,6 @@ from fastforecast.favor import (
     FavorConfig,
     complexity_probe,
     draw_features,
-    favor_bidirectional,
-    favor_unidirectional,
     loglog_slope,
 )
 from fastforecast.indicators import IndicatorParams, bollinger, cci, ema, rsi, sma
@@ -42,7 +40,7 @@ import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from conftest import check_gradients, rel_err, scaled_dot_attention
 from reference import exact_bidirectional, exact_unidirectional
-from test_favor import kernel_shapes
+from test_favor import causal_favor_node, favor_node, kernel_shapes
 from test_fused_kernels import fused_feed_forward, fused_layer_norm
 from test_indicators import make_series, random_walk, valid
 from test_lstm import bilstm_forward, lstm_forward
@@ -70,7 +68,7 @@ class TestCriterion1KernelApproximation:
                 v = rng.standard_normal((64, 16))
                 exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
                 omega = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
-                approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+                approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
                 errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             medians[r] = float(np.median(errs))
         elapsed = time.monotonic() - start
@@ -117,7 +115,7 @@ class TestCriterion3GradientIntegrity:
         for kernel in (scaled_dot_attention, exact_bidirectional, exact_unidirectional):
             check_gradients(lambda a, b, c: sq(kernel(a, b, c)), [q, k, v], tol=1e-6)
         omega = draw_features(FavorConfig(r=8, d_k=3, seed=1))
-        for kernel in (favor_bidirectional, favor_unidirectional):
+        for kernel in (favor_node, causal_favor_node):
             check_gradients(lambda a, b, c: sq(kernel(a, b, c, omega)),
                             [unit_rows(q), unit_rows(k), v], tol=1e-5)
 

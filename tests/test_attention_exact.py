@@ -8,7 +8,8 @@ import pytest
 import fastforecast.tensor as T
 from fastforecast.attention import multi_head, softmax_window
 from fastforecast.errors import ConfigError, ShapeError
-from fastforecast.favor import FavorConfig, draw_features, favor_window
+from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
+                                favor_unidirectional)
 from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
@@ -195,7 +196,8 @@ class TestAttentionGradients:
         window = softmax_window
         if causal is not None:  # each FAVOR+ head has its own features
             omega = np.stack([draw_features(FavorConfig(r=8, d_k=2, seed=j)) for j in range(2)])
-            window = functools.partial(favor_window, causal=causal, omega=omega)
+            kernel = favor_unidirectional if causal else favor_bidirectional
+            window = functools.partial(kernel, omega=omega)
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
             w = T.concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)

@@ -343,6 +343,44 @@ def test_non_finite_config_value_exits_four(tmp_path, fixture_csv, command, keys
     assert not (tmp_path / "out").exists()
 
 
+# json reads 1e400 as infinity and a 400-digit integer as an int no float can
+# hold.  Before the check, with 1e400 each of these prepared at exit 0 (bb_k
+# with a numpy RuntimeWarning on stderr) and trained at exit 0 (grad_clip:
+# clipping silently off) or 3 (lr, bb_k); with the integer, grad_clip trained
+# at exit 0 and the others ended in an OverflowError traceback (exit 1)
+OVERFLOWING_NUMBERS = [("train", "grad_clip"), ("train", "lr"), ("indicators", "bb_k")]
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["1e400", "10**400"])
+@pytest.mark.parametrize("command", ["prepare", "train"])
+@pytest.mark.parametrize("section,key", OVERFLOWING_NUMBERS,
+                         ids=[f"{s}.{k}" for s, k in OVERFLOWING_NUMBERS])
+def test_number_too_large_for_a_float_exits_four(tmp_path, fixture_csv, command, section, key,
+                                                  literal):
+    config = make_config(tmp_path, fixture_csv, variant="performer_bilstm")
+    raw = json.loads(config.read_text())
+    raw.setdefault(section, {})[key] = "OVERFLOW"
+    config.write_text(json.dumps(raw).replace('"OVERFLOW"', literal))
+    proc = run_cli("-m", "fastforecast.cli", command, "--config", str(config),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert f"{key} must be a finite number" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make", [lambda v: TrainHyperparams(grad_clip=v),
+                                  lambda v: TrainHyperparams(lr=v),
+                                  lambda v: IndicatorParams(bb_k=v)],
+                         ids=["grad_clip", "lr", "bb_k"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400],
+                         ids=["inf", "-inf", "nan", "10**400"])
+def test_non_finite_float_field_is_config_error(make, value):
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        make(value)
+
+
 def len_windows_oracle(rows, warmup, window):
     return rows - warmup - window
 

@@ -23,7 +23,12 @@ from fastforecast.favor import (
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
 from conftest import check_gradients, rel_err, scaled_dot_attention
-from reference import exact_bidirectional, exact_unidirectional, exp, recip
+from reference import (exact_bidirectional, exact_unidirectional, exp, recip, transpose,
+                       window_node)
+
+# the model's window functions on tensors, each call one tape node
+favor_node = window_node(favor_bidirectional)
+causal_favor_node = window_node(favor_unidirectional)
 
 
 def unit_rows(a):
@@ -42,9 +47,9 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
         if mode == "exact":
             scaled_dot_attention(q, k, v)
         elif mode == "causal":
-            favor_unidirectional(q, k, v, omega)
+            causal_favor_node(q, k, v, omega)
         else:
-            favor_bidirectional(q, k, v, omega)
+            favor_node(q, k, v, omega)
     return log.shapes
 
 
@@ -70,8 +75,8 @@ def composed_favor(q, k, v, omega):
     scale = omega.shape[1] ** -0.25
     q_hat = composed_phi(T.mul(q, scale), omega)
     k_hat = composed_phi(T.mul(k, scale), omega)
-    num = T.matmul(q_hat, T.matmul(T.transpose(k_hat), v))
-    den = T.matmul(q_hat, T.transpose(T.tsum(k_hat, axis=0)))
+    num = T.matmul(q_hat, T.matmul(transpose(k_hat), v))
+    den = T.matmul(q_hat, transpose(T.tsum(k_hat, axis=0)))
     return T.mul(num, recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
 
 
@@ -87,8 +92,8 @@ def composed_causal_favor(q, k, v, omega):
     for i in range(q.shape[0]):
         k_row = T.take_rows(k_hat, [i])  # (1, r)
         q_row = T.take_rows(q_hat, [i])  # (1, r)
-        outer = T.matmul(T.transpose(k_row), T.take_rows(v, [i]))  # (r, d_v)
-        k_col = T.transpose(k_row)  # (r, 1)
+        outer = T.matmul(transpose(k_row), T.take_rows(v, [i]))  # (r, d_v)
+        k_col = transpose(k_row)  # (r, 1)
         s_state = outer if s_state is None else T.add(s_state, outer)
         z_state = k_col if z_state is None else T.add(z_state, k_col)
         den = T.matmul(q_row, z_state)  # (1, 1)
@@ -218,9 +223,9 @@ class TestPhiPositive:
         np.testing.assert_array_equal(mask, [[False, True, True, True]])
 
     def test_width_mismatch(self):
-        """φ takes rows of width d_k; both kernels reject wider q and k."""
+        """φ takes rows of width d_k; both window functions reject wider q and k."""
         omega = draw_features(FavorConfig(r=8, d_k=4, seed=0))
-        x = Tensor(np.ones((3, 5)))
+        x = np.ones((3, 5))
         for kernel in (favor_bidirectional, favor_unidirectional):
             with pytest.raises(ShapeError, match="width 4"):
                 kernel(x, x, x, omega)
@@ -230,13 +235,13 @@ class TestFavorBidirectional:
     def test_single_position_returns_value(self, rng):
         q, k, v = rand_inputs(rng, 1, 8)
         omega = draw_features(FavorConfig(r=32, d_k=8, seed=6))
-        out = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega)
+        out = favor_node(Tensor(q), Tensor(k), Tensor(v), omega)
         np.testing.assert_allclose(out.data, v, atol=1e-9)
 
     def test_output_in_value_hull(self, rng):
         q, k, v = rand_inputs(rng, 20, 8, d_v=3)
         omega = draw_features(FavorConfig(r=64, d_k=8, seed=7))
-        out = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+        out = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         assert np.all(out >= v.min(axis=0) - 1e-9)
         assert np.all(out <= v.max(axis=0) + 1e-9)
 
@@ -249,7 +254,7 @@ class TestFavorBidirectional:
             q, k, v = rand_inputs(rng, 64, 16)
             exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
             omega = draw_features(FavorConfig(r=256, d_k=16, seed=seed))
-            approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+            approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.05
 
@@ -264,7 +269,7 @@ class TestFavorBidirectional:
                 q, k, v = rand_inputs(rng, 48, 16)
                 exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
                 omega = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
-                approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+                approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
                 errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             medians.append(float(np.median(errs)))
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
@@ -280,7 +285,7 @@ class TestFavorBidirectional:
             q, k, v = rand_inputs(rng, 16, 2)
             exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
             omega = draw_features(FavorConfig(r=4096, d_k=2, seed=seed))
-            approx = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+            approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
             rows = np.linalg.norm(approx - exact, axis=1) / np.linalg.norm(exact, axis=1)
             row_errs.extend(rows.tolist())
         assert np.median(row_errs) <= 0.02
@@ -289,8 +294,8 @@ class TestFavorBidirectional:
         q, k, v = rand_inputs(rng, 10, 4)
         omega1 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
         omega2 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
-        a = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega1).data
-        b = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega2).data
+        a = favor_node(Tensor(q), Tensor(k), Tensor(v), omega1).data
+        b = favor_node(Tensor(q), Tensor(k), Tensor(v), omega2).data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("length,d_k,d_v,r", [(1, 3, 3, 8), (9, 4, 2, 16), (64, 16, 16, 128)])
@@ -299,20 +304,20 @@ class TestFavorBidirectional:
         forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
         omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=16))
-        assert_matches_composed(favor_bidirectional, composed_favor, q, k, v, omega)
+        assert_matches_composed(favor_node, composed_favor, q, k, v, omega)
 
     def test_overflowing_query_raises(self, rng):
         """q·1e200 overflows ‖q‖² inside φ; neither kernel may return zeros."""
         q, k, v = rand_inputs(rng, 6, 4)
         omega = draw_features(FavorConfig(r=16, d_k=4, seed=17))
-        for kernel in (favor_bidirectional, composed_favor,
-                       favor_unidirectional, composed_causal_favor):
+        for kernel in (favor_node, composed_favor,
+                       causal_favor_node, composed_causal_favor):
             with pytest.raises(FiniteError):
                 kernel(Tensor(q * 1e200), Tensor(k), Tensor(v), omega)
 
 
-@pytest.mark.parametrize("kernel,composed", [(favor_bidirectional, composed_favor),
-                                             (favor_unidirectional, composed_causal_favor)],
+@pytest.mark.parametrize("kernel,composed", [(favor_node, composed_favor),
+                                             (causal_favor_node, composed_causal_favor)],
                          ids=["bidirectional", "causal"])
 def test_vanishing_query_features_hit_the_denominator_floor(kernel, composed, rng):
     """Scaled, the query row (80, 0, 0, 0) has ‖q‖²/2 = 1600, so every feature
@@ -335,22 +340,22 @@ class TestFavorUnidirectional:
     def test_first_row_equals_first_value(self, rng):
         q, k, v = rand_inputs(rng, 6, 4)
         omega = draw_features(FavorConfig(r=16, d_k=4, seed=10))
-        out = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega)
+        out = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega)
         np.testing.assert_allclose(out.data[0], v[0], atol=1e-9)
 
     def test_length_one_matches_bidirectional(self, rng):
         q, k, v = rand_inputs(rng, 1, 4)
         omega = draw_features(FavorConfig(r=16, d_k=4, seed=11))
-        uni = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
-        bi = favor_bidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+        uni = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
+        bi = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         np.testing.assert_allclose(uni, bi, atol=1e-12)
 
     def test_prefix_recomputation_bitwise(self, rng):
         q, k, v = rand_inputs(rng, 12, 4)
         omega = draw_features(FavorConfig(r=16, d_k=4, seed=12))
-        full = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+        full = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         for t in (1, 4, 9):
-            prefix = favor_unidirectional(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t]), omega).data
+            prefix = causal_favor_node(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t]), omega).data
             assert np.array_equal(full[:t], prefix)
 
     def test_tracks_exact_causal_attention(self):
@@ -360,7 +365,7 @@ class TestFavorUnidirectional:
             q, k, v = rand_inputs(rng, 32, 8)
             exact = exact_unidirectional(Tensor(q), Tensor(k), Tensor(v)).data
             omega = draw_features(FavorConfig(r=512, d_k=8, seed=seed, causal=True))
-            approx = favor_unidirectional(Tensor(q), Tensor(k), Tensor(v), omega).data
+            approx = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.15
 
@@ -370,7 +375,7 @@ class TestFavorUnidirectional:
         bitwise forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
         omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=18))
-        assert_matches_composed(favor_unidirectional, composed_causal_favor, q, k, v, omega)
+        assert_matches_composed(causal_favor_node, composed_causal_favor, q, k, v, omega)
 
 
 class TestFavorGradients:
@@ -380,7 +385,7 @@ class TestFavorGradients:
         omega = draw_features(FavorConfig(r=8, d_k=3, seed=14))
 
         def build(q, k, v):
-            out = favor_bidirectional(q, k, v, omega)
+            out = favor_node(q, k, v, omega)
             return T.tsum(T.mul(out, out))
 
         q, k, v = rand_inputs(rng, 5, 3)
@@ -390,7 +395,7 @@ class TestFavorGradients:
         omega = draw_features(FavorConfig(r=8, d_k=3, seed=15))
 
         def build(q, k, v):
-            out = favor_unidirectional(q, k, v, omega)
+            out = causal_favor_node(q, k, v, omega)
             return T.tsum(T.mul(out, out))
 
         q, k, v = rand_inputs(rng, 5, 3)

@@ -22,12 +22,13 @@ import pytest
 import fastforecast.tensor as T
 from fastforecast.attention import multi_head, softmax_window
 from fastforecast.errors import FiniteError
-from fastforecast.favor import FavorConfig, draw_features, favor_window
+from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
+                                favor_unidirectional)
 from fastforecast.model import LAYER_NORM_EPS, ModelSpec, build
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import scaled_dot_attention
-from reference import recip, softmax_rows, sqrt
+from reference import recip, softmax_rows, sqrt, transpose
 
 FFN_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -37,7 +38,7 @@ FFN_NAMES = ("w1", "b1", "w2", "b2")
 # ---------------------------------------------------------------------------
 
 def composed_scaled_dot_attention(q, k, v):
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    scores = T.mul(T.matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
     return T.matmul(softmax_rows(scores), v)
 
 
@@ -184,10 +185,11 @@ MULTI_HEAD_SHAPES = [(8, 8, 2, 3), (64, 64, 4, 32)]
 
 
 def window_function(name, omega):
-    """``softmax_window``, or ``favor_window`` of either form over ``omega``."""
+    """``softmax_window``, or either FAVOR+ window function over ``omega``."""
     if name == "softmax":
         return softmax_window
-    return functools.partial(favor_window, causal=name == "favor_causal", omega=omega)
+    kernel = favor_unidirectional if name == "favor_causal" else favor_bidirectional
+    return functools.partial(kernel, omega=omega)
 
 
 def feature_stack(heads, d_k, r):

@@ -1,5 +1,6 @@
-"""LSTM tests: gate-by-gate oracle, saturation limits, BiLSTM composition,
-and the fused sequence kernel against a fold over the cell."""
+"""LSTM tests: the numpy step against a gate-by-gate oracle, saturation
+limits, BiLSTM composition, and the fused sequence kernel against a fold over
+the cell composed from tensor primitives (``reference.composed_lstm_cell``)."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fastforecast.lstm import (
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, rel_err
+from reference import composed_lstm_cell
 
 
 def sigmoid(x):
@@ -71,15 +73,22 @@ def zero_state(batch, hidden):
     return Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden)))
 
 
+def step(x, h_prev, c_prev, w):
+    """lstm_cell on the (batch, ·) arrays x, h_prev and c_prev with a
+    direction's (W, b): the activations, C_t, tanh(C_t) and h_t."""
+    return lstm_cell(np.concatenate([h_prev, x], axis=1), w[0].data, w[1].data, c_prev)
+
+
 def lstm_fold(xs, batch, w, b, reverse=False):
-    """Reference for lstm_sequence: a fold over lstm_cell, one step of
+    """Reference for lstm_sequence: a fold over the composed cell, one step of
     ``batch`` time-major rows at a time."""
     length = xs.shape[0] // batch
     order = range(length - 1, -1, -1) if reverse else range(length)
     h, c = zero_state(batch, b.shape[1] // 4)
     outs = [None] * length
     for t in order:
-        h, c = lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)), h, c, w, b)
+        h, c = composed_lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)),
+                                  h, c, w, b)
         outs[t] = h
     return T.concat(outs, axis=0) if length > 1 else outs[0]
 
@@ -90,13 +99,18 @@ def as_dict(w):
 
 
 class TestLstmCell:
+    """The numpy step that lstm_sequence runs once per timestep."""
+
     def test_all_zero_weights_and_state(self):
         hidden, inp = 3, 2
         w = zero_weights(inp, hidden)
-        h, c = lstm_cell(Tensor(np.zeros((1, inp))), *zero_state(1, hidden), *w)
+        act, c, tanh_c, h = step(np.zeros((1, inp)), np.zeros((1, hidden)),
+                                 np.zeros((1, hidden)), w)
         # gates sit at sigmoid(0)=0.5, candidate tanh(0)=0 => c=0, h=0
-        np.testing.assert_array_equal(c.data, np.zeros((1, hidden)))
-        np.testing.assert_array_equal(h.data, np.zeros((1, hidden)))
+        np.testing.assert_array_equal(act, [[0.5] * 6 + [0.0] * 3 + [0.5] * 3])
+        np.testing.assert_array_equal(c, np.zeros((1, hidden)))
+        np.testing.assert_array_equal(tanh_c, np.zeros((1, hidden)))
+        np.testing.assert_array_equal(h, np.zeros((1, hidden)))
 
     def test_saturated_forget_gate_remembers(self, rng):
         """With b_f = 50 the forget gate saturates at 1, so the new cell is
@@ -105,34 +119,41 @@ class TestLstmCell:
         x = rng.standard_normal((1, 2))
         h_prev = rng.standard_normal((1, 4)) * 0.3
         c_prev = rng.standard_normal((1, 4))
-        _, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), *w)
+        _, c, _, _ = step(x, h_prev, c_prev, w)
         d = as_dict(w)
         z = np.concatenate([h_prev[0], x[0]])
         i = sigmoid(d["w_i"] @ z + d["b_i"])
         c_tilde = np.tanh(d["w_c"] @ z + d["b_c"])
-        np.testing.assert_allclose(c.data[0] - i * c_tilde, c_prev[0], atol=1e-9)
+        np.testing.assert_allclose(c[0] - i * c_tilde, c_prev[0], atol=1e-9)
 
     def test_matches_gate_by_gate_oracle(self, rng):
+        """Batch 2: each row's new states against the oracle, and the
+        activations and tanh(C_t) the backward pass reads."""
         w = random_weights(3, 5, seed=2)
-        x = rng.standard_normal((1, 3))
-        h_prev = rng.standard_normal((1, 5)) * 0.5
-        c_prev = rng.standard_normal((1, 5))
-        h, c = lstm_cell(Tensor(x), Tensor(h_prev), Tensor(c_prev), *w)
-        h_ref, c_ref = cell_oracle(x[0], h_prev[0], c_prev[0], as_dict(w))
-        np.testing.assert_allclose(h.data[0], h_ref, atol=1e-12)
-        np.testing.assert_allclose(c.data[0], c_ref, atol=1e-12)
+        x = rng.standard_normal((2, 3))
+        h_prev = rng.standard_normal((2, 5)) * 0.5
+        c_prev = rng.standard_normal((2, 5))
+        act, c, tanh_c, h = step(x, h_prev, c_prev, w)
+        d = as_dict(w)
+        for row in range(2):
+            h_ref, c_ref = cell_oracle(x[row], h_prev[row], c_prev[row], d)
+            np.testing.assert_allclose(h[row], h_ref, atol=1e-12)
+            np.testing.assert_allclose(c[row], c_ref, atol=1e-12)
+            z = np.concatenate([h_prev[row], x[row]])
+            gates_ref = [sigmoid(d["w_f"] @ z + d["b_f"]), sigmoid(d["w_i"] @ z + d["b_i"]),
+                         np.tanh(d["w_c"] @ z + d["b_c"]), sigmoid(d["w_o"] @ z + d["b_o"])]
+            np.testing.assert_allclose(act[row], np.concatenate(gates_ref), atol=1e-12)
+        np.testing.assert_array_equal(tanh_c, np.tanh(c))
 
     def test_gate_ranges_and_hidden_bound(self, rng):
         w = random_weights(2, 4, seed=3)
-        h, c = zero_state(1, 4)
+        h, c = np.zeros((1, 4)), np.zeros((1, 4))
         for t in range(10):
-            h, c = lstm_cell(Tensor(rng.standard_normal((1, 2)) * 3), h, c, *w)
-            assert np.all(np.abs(h.data) < 1.0)
-
-    def test_dimension_mismatch(self, rng):
-        w = random_weights(2, 4, seed=4)
-        with pytest.raises(ShapeError):
-            lstm_cell(Tensor(np.ones((1, 3))), *zero_state(1, 4), *w)
+            act, c, _, h = step(rng.standard_normal((1, 2)) * 3, h, c, w)
+            f, i, c_tilde, o = np.split(act, 4, axis=1)
+            assert all(np.all((g >= 0.0) & (g <= 1.0)) for g in (f, i, o))
+            assert np.all(np.abs(c_tilde) <= 1.0)
+            assert np.all(np.abs(h) < 1.0)
 
 
 class TestLstmForward:
@@ -140,8 +161,8 @@ class TestLstmForward:
         w = random_weights(3, 4, seed=5)
         x = rng.standard_normal((1, 3))
         seq_out = lstm_forward(Tensor(x), w)
-        cell_h, _ = lstm_cell(Tensor(x), *zero_state(1, 4), *w)
-        np.testing.assert_array_equal(seq_out.data, cell_h.data)
+        cell_h = step(x, np.zeros((1, 4)), np.zeros((1, 4)), w)[3]
+        np.testing.assert_array_equal(seq_out.data, cell_h)
 
     def test_zero_weights_zero_outputs(self, rng):
         hidden, inp = 3, 2
@@ -190,8 +211,8 @@ class TestBilstmForward:
         wb = random_weights(2, 3, seed=13)
         x = rng.standard_normal((1, 2))
         out = bilstm_forward(Tensor(x), wf, wb).data
-        f = lstm_cell(Tensor(x), *zero_state(1, 3), *wf)[0].data
-        b = lstm_cell(Tensor(x), *zero_state(1, 3), *wb)[0].data
+        f = step(x, np.zeros((1, 3)), np.zeros((1, 3)), wf)[3]
+        b = step(x, np.zeros((1, 3)), np.zeros((1, 3)), wb)[3]
         np.testing.assert_array_equal(out, np.concatenate([f, b], axis=1))
 
     def test_forward_half_ignores_future_backward_half_ignores_past(self, rng):
@@ -238,7 +259,8 @@ class TestLstmGradients:
 
 
 class TestLstmSequence:
-    """The fused kernel against the fold over lstm_cell."""
+    """The fused kernel against the fold over the composed cell, and its
+    shape checks."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_equals_cell_fold(self, reverse, rng):
@@ -272,3 +294,17 @@ class TestLstmSequence:
         w = random_weights(2, 3, seed=21)
         with pytest.raises(ShapeError):
             lstm_sequence(Tensor(rng.standard_normal((5, 2))), 2, *w)
+
+    def test_input_width_mismatch(self, rng):
+        w = random_weights(2, 4, seed=4)
+        with pytest.raises(ShapeError, match="input width"):
+            lstm_sequence(Tensor(np.ones((3, 3))), 1, *w)
+
+    @pytest.mark.parametrize("w_shape,b_shape", [((16, 6), (1, 12)), ((10, 4), (1, 10))],
+                             ids=["short_bias", "partial_gate"])
+    def test_weight_shape_mismatch(self, w_shape, b_shape):
+        """A bias that does not match W's rows, and W rows that are not four
+        whole gates, are rejected before any step runs."""
+        with pytest.raises(ShapeError, match="are not"):
+            lstm_sequence(Tensor(np.ones((3, 2))), 1, Tensor(np.ones(w_shape)),
+                          Tensor(np.ones(b_shape)))

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fastforecast.lstm as ff_lstm
+import fastforecast.model as ff_model
 from fastforecast.data import make_dataset
 from fastforecast.errors import ConfigError, DataError
 from fastforecast.favor import FavorConfig
@@ -175,6 +177,30 @@ class TestForward:
         batched = model.forward_batch(windows).data[:, 0]
         singles = np.array([model.forward_batch(w[None]).item() for w in windows])
         np.testing.assert_allclose(batched, singles, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["performer_bilstm", "performer_causal"])
+    def test_forward_calls_the_kernels_under_their_module_names(self, causal, monkeypatch, rng):
+        """The model looks up its FAVOR+ window functions on fastforecast.model
+        and the LSTM step on fastforecast.lstm at call time, so a wrapper
+        installed there (as a tracer installs one) sees every call: one per
+        window and block, and one per step, direction and BiLSTM layer."""
+        calls = {}
+        for module, name in ((ff_model, "favor_bidirectional"),
+                             (ff_model, "favor_unidirectional"), (ff_lstm, "lstm_cell")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        spec = tiny_spec(blocks=2)
+        if causal:
+            spec = dataclasses.replace(spec, variant="performer",
+                                       favor=dataclasses.replace(spec.favor, causal=True))
+        windows, length = 3, spec.window
+        build(spec).forward_batch(rng.standard_normal((windows, length, 8)))
+        if causal:
+            assert calls == {"favor_unidirectional": windows * 2}
+        else:
+            assert calls == {"favor_bidirectional": windows * 2, "lstm_cell": length * 4}
 
     def test_wrong_feature_count_rejected(self, rng):
         model = build(tiny_spec())

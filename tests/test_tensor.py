@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import fastforecast.tensor as T
 from fastforecast.errors import FiniteError, ShapeError
+from fastforecast.lstm import _stable_sigmoid
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, scaled_dot_attention
 from test_favor import masked
-from reference import exp, recip, softmax_rows, sqrt
+from reference import exp, recip, sigmoid, softmax_rows, sqrt, tanh, transpose
 
 
 class TestTensorBasics:
@@ -99,13 +100,13 @@ class TestSoftmaxRows:
 
 class TestElementwiseValues:
     def test_sigmoid_at_zero(self):
-        assert T.sigmoid(Tensor(0.0)).item() == 0.5
+        assert sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_tanh_at_zero(self):
-        assert T.tanh(Tensor(0.0)).item() == 0.0
+        assert tanh(Tensor(0.0)).item() == 0.0
 
     def test_sigmoid_stable_at_extremes(self):
-        out = T.sigmoid(Tensor([[-800.0, 800.0]]))
+        out = sigmoid(Tensor([[-800.0, 800.0]]))
         np.testing.assert_allclose(out.data, [[0.0, 1.0]], atol=1e-12)
 
     def test_sigmoid_matches_two_branch_form_bitwise(self, rng):
@@ -118,7 +119,7 @@ class TestElementwiseValues:
         expect[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         expect[~pos] = ex / (1.0 + ex)
-        got = T._stable_sigmoid(x)
+        got = _stable_sigmoid(x)
         assert got.tobytes() == expect.tobytes()
 
     def test_scalar_broadcasting(self):
@@ -175,7 +176,7 @@ class TestBackward:
         h = 1e-5
         x = Tensor(np.array(0.7), requires_grad=True)
         with GradTape() as tape:
-            loss = T.sigmoid(x)
+            loss = sigmoid(x)
         tape.backward(loss)
         numeric = (1 / (1 + np.exp(-(0.7 + h))) - 1 / (1 + np.exp(-(0.7 - h)))) / (2 * h)
         assert abs(float(x.grad) - numeric) <= 1e-9
@@ -188,7 +189,7 @@ class TestBackward:
             x = Tensor(a.copy(), requires_grad=True)
             y = Tensor(b.copy(), requires_grad=True)
             with GradTape() as tape:
-                z = T.matmul(T.tanh(x), T.sigmoid(y))
+                z = T.matmul(tanh(x), sigmoid(y))
                 loss = T.tsum(T.mul(z, z))
             tape.backward(loss)
             return x.grad.copy(), y.grad.copy()
@@ -210,9 +211,10 @@ class TestBackward:
 # scale_colwise) check the same cases through broadcasting and tsum(axis).
 # The rows exp_clamped and clip_min check the mask form (``masked``) that the
 # FAVOR+ references use for the exp clamp and the denominator floor.  The rows
-# exp, sqrt, recip and softmax_rows check the reference primitives of
-# reference.py, which the compositions of the fused kernels and the composed
-# exact-attention oracles are built from.
+# sigmoid, tanh, exp, sqrt, recip, transpose and softmax_rows check the
+# reference primitives of reference.py, which the compositions of the fused
+# kernels, the composed LSTM cell and the composed exact-attention oracles
+# are built from.
 
 def _r(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape) * 0.8
@@ -223,8 +225,8 @@ PRIMITIVE_CASES = [
     ("sub", lambda x, y: T.tsum(T.mul(T.sub(x, y), T.sub(x, y))), [_r((3, 4), 2), _r((3, 4), 3)]),
     ("mul", lambda x, y: T.tsum(T.mul(x, y)), [_r((3, 4), 4), _r((3, 4), 5)]),
     ("scale", lambda x: T.tsum(T.mul(x, -2.5)), [_r((3, 4), 6)]),
-    ("sigmoid", lambda x: T.tsum(T.sigmoid(x)), [_r((3, 4), 7)]),
-    ("tanh", lambda x: T.tsum(T.tanh(x)), [_r((3, 4), 8)]),
+    ("sigmoid", lambda x: T.tsum(sigmoid(x)), [_r((3, 4), 7)]),
+    ("tanh", lambda x: T.tsum(tanh(x)), [_r((3, 4), 8)]),
     ("exp", lambda x: T.tsum(exp(x)), [_r((3, 4), 9)]),
     ("exp_clamped", lambda x: T.tsum(exp(masked(x, x.data < T.EXP_CLAMP, T.EXP_CLAMP))),
      [_r((3, 4), 10)]),
@@ -233,21 +235,21 @@ PRIMITIVE_CASES = [
     ("recip", lambda x: T.tsum(recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
     ("clip_min", lambda x: T.tsum(masked(x, x.data > 0.1, 0.1)), [np.abs(_r((3, 4), 15)) + 0.3]),
     ("matmul", lambda x, y: T.tsum(T.matmul(x, y)), [_r((3, 4), 16), _r((4, 2), 17)]),
-    ("transpose", lambda x: T.tsum(T.mul(T.transpose(x), T.transpose(x))), [_r((3, 4), 18)]),
+    ("transpose", lambda x: T.tsum(T.mul(transpose(x), transpose(x))), [_r((3, 4), 18)]),
     ("softmax_rows", lambda x: T.tsum(T.mul(softmax_rows(x), x)), [_r((3, 4), 19)]),
     ("tsum", lambda x: T.mul(T.tsum(x), T.tsum(x)), [_r((3, 4), 20)]),
     ("rowsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=1), T.tsum(x, axis=1))), [_r((3, 4), 21)]),
     ("colsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0), T.tsum(x, axis=0))), [_r((3, 4), 22)]),
-    ("add_rowwise", lambda x, v: T.tsum(T.tanh(T.add(x, v))), [_r((3, 4), 23), _r((3, 1), 24)]),
+    ("add_rowwise", lambda x, v: T.tsum(tanh(T.add(x, v))), [_r((3, 4), 23), _r((3, 1), 24)]),
     ("scale_rowwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 25), _r((3, 1), 26)]),
-    ("add_colwise", lambda x, v: T.tsum(T.tanh(T.add(x, v))), [_r((3, 4), 27), _r((1, 4), 28)]),
+    ("add_colwise", lambda x, v: T.tsum(tanh(T.add(x, v))), [_r((3, 4), 27), _r((1, 4), 28)]),
     ("scale_colwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 29), _r((1, 4), 30)]),
-    ("sub_row_vector", lambda x, v: T.tsum(T.tanh(T.sub(x, v))), [_r((3, 4), 38), _r((1, 4), 39)]),
-    ("sub_scalar_first", lambda x: T.tsum(T.tanh(T.sub(3.0, x))), [_r((3, 4), 40)]),
-    ("concat0", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
-    ("concat1", lambda x, y: T.tsum(T.tanh(T.concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
+    ("sub_row_vector", lambda x, v: T.tsum(tanh(T.sub(x, v))), [_r((3, 4), 38), _r((1, 4), 39)]),
+    ("sub_scalar_first", lambda x: T.tsum(tanh(T.sub(3.0, x))), [_r((3, 4), 40)]),
+    ("concat0", lambda x, y: T.tsum(tanh(T.concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
+    ("concat1", lambda x, y: T.tsum(tanh(T.concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
     ("take_rows_range", lambda x: T.tsum(T.mul(T.take_rows(x, [1, 2]), T.take_rows(x, [1, 2]))), [_r((4, 3), 35)]),
-    ("take_rows", lambda x: T.tsum(T.tanh(T.take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
+    ("take_rows", lambda x: T.tsum(tanh(T.take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
 ]
 
 
@@ -261,7 +263,7 @@ class TestComposedGraphGradients:
 
     def _random_graph(self, seed):
         rng = np.random.default_rng(seed)
-        unary = [T.tanh, T.sigmoid, lambda t: T.mul(t, 0.7), T.relu,
+        unary = [tanh, sigmoid, lambda t: T.mul(t, 0.7), T.relu,
                  lambda t: exp(T.mul(t, 0.3)), softmax_rows]
         depth = int(rng.integers(2, 9))
         chain = [unary[int(rng.integers(0, len(unary)))] for _ in range(depth - 1)]
