@@ -68,11 +68,11 @@ def load_config(path, seed_override=None) -> dict:
     from .errors import ConfigError, check_field, check_keys
     from .favor import FavorConfig
     from .indicators import FEATURE_COLUMNS, RAW_COLUMNS, IndicatorParams
-    from .model import ModelSpec, TrainHyperparams, reject_non_finite, stages_of
+    from .model import ModelSpec, TrainHyperparams, read_json, stages_of
 
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=reject_non_finite)
+            raw = read_json(fh.read())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:

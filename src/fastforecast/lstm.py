@@ -15,11 +15,14 @@ C̃, o, and b is (1, 4·hidden) with its columns in the same order.
 
 ``lstm_cell`` is one step in numpy: all four gates with one matmul,
 [h_{t-1}, x_t] @ Wᵀ + b, then the new cell and hidden states.
-``lstm_sequence`` runs the whole recurrence over a time-major sequence as
-one fused tape node, calling ``lstm_cell`` once per step; its backward pass
-is backpropagation through time in numpy.  The step does the same
+``lstm_sequence`` runs one direction's recurrence over a time-major
+(L, batch, input) array in numpy, calling ``lstm_cell`` once per step, and
+returns the states with their backward pass, backpropagation through time,
+as the attention window functions return theirs.  ``bilstm_forward_steps``
+runs it on the sequence and on its time-reversed view, and is the layer's one
+tape node.  The step does the same
 arithmetic as the cell composed from tensor primitives in
-``tests/reference.py``, so the sequence agrees with a fold over that cell
+``tests/reference.py``, so a direction agrees with a fold over that cell
 bit for bit.
 """
 
@@ -34,10 +37,10 @@ from .errors import ShapeError
 from .tensor import Tensor
 
 
-def _sizes(w: Tensor, b: Tensor) -> tuple[int, int]:
-    """(hidden, input) of a direction's (W, b); raises ShapeError unless W is
-    (4·hidden, hidden+input) and b is (1, 4·hidden)."""
-    if w.data.ndim != 2 or w.shape[0] % 4 or b.shape != (1, w.shape[0]):
+def _sizes(w: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """(hidden, input) of a direction's (W, b) arrays; raises ShapeError unless
+    W is (4·hidden, hidden+input) and b is (1, 4·hidden)."""
+    if w.ndim != 2 or w.shape[0] % 4 or b.shape != (1, w.shape[0]):
         raise ShapeError(f"gate weights {w.shape} and bias {b.shape} are not "
                          "(4·hidden, hidden+input) and (1, 4·hidden)")
     hidden = w.shape[0] // 4
@@ -77,45 +80,33 @@ def lstm_cell(z: np.ndarray, w: np.ndarray, b: np.ndarray, c_prev: np.ndarray):
     return act, c, tanh_c, o * tanh_c
 
 
-def lstm_sequence(xs: Tensor, batch: int, w: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """The recurrence over a time-major (L·batch, input) sequence, from a zero
-    state: rows t·batch .. t·batch + batch - 1 are step t.  Returns the
-    (L·batch, hidden) hidden states in the same row order; ``reverse`` runs
-    from the last step to the first.  One tape node."""
+def lstm_sequence(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The recurrence over a time-major (L, batch, input) sequence, from a zero
+    state at step 0, with a direction's W and b arrays.  Returns the
+    (L, batch, hidden) hidden states and the backward pass, which maps their
+    gradient to dx, dW and db."""
     hid, input_size = _sizes(w, b)
-    if xs.data.ndim != 2 or xs.shape[1] != input_size:
-        raise ShapeError(f"sequence input width {xs.shape} != {input_size}")
-    rows = xs.shape[0]
-    if batch < 1 or rows == 0 or rows % batch:
-        raise ShapeError(f"{rows} rows are not whole steps of batch {batch}")
-    length = rows // batch
-    wd, bd = w.data, b.data
-    x_seq = xs.data.reshape(length, batch, -1)
-    if reverse:
-        x_seq = x_seq[::-1]
-    # per step, in the order the steps run: the cell input [h_{t-1}, x_t],
-    # the activations f, i, C̃, o side by side, C_t and tanh(C_t); h_t goes
-    # straight into the output, which is in time order
-    z = np.empty((length, batch, wd.shape[1]))
-    z[:, :, hid:] = x_seq
+    if x.ndim != 3 or x.shape[2] != input_size:
+        raise ShapeError(f"sequence input width {x.shape} != {input_size}")
+    length, batch = x.shape[:2]
+    # per step: the cell input [h_{t-1}, x_t], the activations f, i, C̃, o
+    # side by side, C_t and tanh(C_t); h_t goes straight into the output
+    z = np.empty((length, batch, w.shape[1]))
+    z[:, :, hid:] = x
     act = np.empty((length, batch, 4 * hid))
     c = np.empty((length, batch, hid))
     tanh_c = np.empty_like(c)
-    out = np.empty_like(c)
-    h = out[::-1] if reverse else out
+    h = np.empty_like(c)
     h_prev = c_prev = np.zeros((batch, hid))
     # lstm_cell is looked up at call time, so a wrapper installed on this
     # module's name (a tracer) sees every step
     for t in range(length):
         z[t, :, :hid] = h_prev
-        act[t], c[t], tanh_c[t], h[t] = lstm_cell(z[t], wd, bd, c_prev)
+        act[t], c[t], tanh_c[t], h[t] = lstm_cell(z[t], w, b, c_prev)
         h_prev, c_prev = h[t], c[t]
     T.note_buffers(z, act, c, tanh_c)
 
     def backward(g):
-        g_seq = g.reshape(length, batch, hid)
-        if reverse:
-            g_seq = g_seq[::-1]
         f, i, c_tilde, o = np.split(act, 4, axis=2)
         c_before = np.concatenate([np.zeros((1, batch, hid)), c[:-1]])
         # d a_t = dC_t ⊙ [C_{t-1} σ'(f), C̃ σ'(i), i tanh'(C̃)] and dh_t ⊙ tanh(C_t) σ'(o)
@@ -123,32 +114,45 @@ def lstm_sequence(xs: Tensor, batch: int, w: Tensor, b: Tensor, reverse: bool = 
                                 i * (1.0 - c_tilde * c_tilde)], axis=2)
         via_h = tanh_c * o * (1.0 - o)
         h_to_c = o * (1.0 - tanh_c * tanh_c)
-        w_h = wd[:, :hid]
+        w_h = w[:, :hid]
         da = np.empty_like(act)
         dh_next = dc_next = np.zeros((batch, hid))
         for t in range(length - 1, -1, -1):
-            dh = g_seq[t] + dh_next
+            dh = g[t] + dh_next
             dc = dc_next + dh * h_to_c[t]
             da[t, :, :3 * hid] = np.tile(dc, 3) * via_c[t]
             da[t, :, 3 * hid:] = dh * via_h[t]
             dc_next = dc * f[t]
             dh_next = da[t] @ w_h
-        da = da.reshape(rows, 4 * hid)
-        dx = None
-        if xs.requires_grad:
-            dx = (da @ wd[:, hid:]).reshape(length, batch, -1)
-            dx = (dx[::-1] if reverse else dx).reshape(rows, -1)
-        return dx, da.T @ z.reshape(rows, -1), da.sum(axis=0, keepdims=True)
+        da = da.reshape(length * batch, 4 * hid)
+        return ((da @ w[:, hid:]).reshape(length, batch, -1),
+                da.T @ z.reshape(length * batch, -1), da.sum(axis=0, keepdims=True))
 
-    return T._make((xs, w, b), out.reshape(rows, hid), backward, check=False)
+    return h, backward
 
 
 def bilstm_forward_steps(xs: Tensor, batch: int, fwd: tuple[Tensor, Tensor],
                          bwd: tuple[Tensor, Tensor]) -> Tensor:
     """Both directions, each a (W, b) pair, over a time-major (L·batch, input)
-    sequence: the (L·batch, 2·hidden) states, the forward half first,
-    time-aligned."""
+    sequence, whose rows t·batch .. t·batch + batch - 1 are step t: the
+    (L·batch, 2·hidden) states, the forward half first, time-aligned.  One
+    tape node."""
+    T._require_2d("bilstm_forward_steps", xs)
+    rows = xs.shape[0]
+    if batch < 1 or rows == 0 or rows % batch:
+        raise ShapeError(f"{rows} rows are not whole steps of batch {batch}")
     if fwd[0].shape[0] != bwd[0].shape[0]:
         raise ShapeError("forward/backward hidden sizes differ")
-    return T.concat([lstm_sequence(xs, batch, *fwd),
-                     lstm_sequence(xs, batch, *bwd, reverse=True)], axis=1)
+    x = xs.data.reshape(rows // batch, batch, -1)
+    h_f, back_f = lstm_sequence(x, fwd[0].data, fwd[1].data)
+    h_b, back_b = lstm_sequence(x[::-1], bwd[0].data, bwd[1].data)  # last step first
+    hid = h_f.shape[2]
+
+    def backward(g):
+        g = g.reshape(rows // batch, batch, 2 * hid)
+        dx_f, dw_f, db_f = back_f(g[:, :, :hid])
+        dx_b, dw_b, db_b = back_b(g[::-1, :, hid:])
+        return (dx_f + dx_b[::-1]).reshape(rows, -1), dw_f, db_f, dw_b, db_b
+
+    return T._make((xs, *fwd, *bwd), np.concatenate([h_f, h_b[::-1]], axis=2).reshape(rows, -1),
+                   backward, check=False)

@@ -594,11 +594,18 @@ CHECKPOINT_VERSION = 2
 HEADER_FIELDS = {"spec", "favor_generation", "norm", "params"}
 
 
-def reject_non_finite(literal: str):
-    """``parse_constant`` for ``json``, which otherwise reads ``NaN``,
-    ``Infinity`` and ``-Infinity`` as floats: a config or checkpoint header
-    holding one is rejected before any field is read."""
+def _reject_non_finite(literal: str):
     raise ConfigError(f"non-finite number {literal} is not allowed")
+
+
+def read_json(text: str):
+    """A config file or checkpoint header parsed as JSON; a ``NaN`` or
+    ``Infinity`` literal (which ``json`` reads as a float) or nesting too deep
+    for the parser raises ConfigError."""
+    try:
+        return json.loads(text, parse_constant=_reject_non_finite)
+    except RecursionError:
+        raise ConfigError("JSON nested too deeply") from None
 
 
 def save_checkpoint(model: Model, norm: ColumnStats, path) -> None:
@@ -651,8 +658,7 @@ def load_checkpoint(path) -> tuple[Model, ColumnStats]:
         if version not in (1, CHECKPOINT_VERSION):
             raise ConfigError(f"unsupported checkpoint version {version}")
         offset = 12 + header_len
-        header = json.loads(blob[12:offset].decode("utf-8"),
-                            parse_constant=reject_non_finite)
+        header = read_json(blob[12:offset].decode("utf-8"))
         # version 1 headers also repeat the binary version and spec.seed
         fields = HEADER_FIELDS | ({"version", "seed"} if version == 1 else set())
         if not isinstance(header, dict) or header.keys() != fields:

@@ -1,15 +1,15 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
 Every differentiable operation in the package is a primitive registered
-through :func:`_make`: the eight primitives in this module (``add``,
-``sub``, ``mul``, ``relu``, ``matmul``, ``tsum``, ``concat`` and
-``take_rows``; the model calls ``concat`` only to join the BiLSTM's two
-directions in ``lstm.bilstm_forward_steps``), plus four fused kernels
-elsewhere: the whole-sequence LSTM (``lstm.lstm_sequence``), the attention
-node of ``attention.multi_head`` (one window-function call per window over
-all heads: ``attention.softmax_window``, or ``favor.favor_bidirectional``
-or ``favor.favor_unidirectional``), and the encoder block's layer norm and
-feed-forward sublayer (``Model._layer_norm`` and ``Model._feed_forward``).
+through :func:`_make`: the seven primitives in this module (``add``,
+``sub``, ``mul``, ``relu``, ``matmul``, ``tsum`` and ``take_rows``), plus
+four fused kernels elsewhere: the BiLSTM layer
+(``lstm.bilstm_forward_steps``, which runs ``lstm.lstm_sequence`` once per
+direction), the attention node of ``attention.multi_head`` (one
+window-function call per window over all heads: ``attention.softmax_window``,
+or ``favor.favor_bidirectional`` or ``favor.favor_unidirectional``), and the
+encoder block's layer norm and feed-forward sublayer (``Model._layer_norm``
+and ``Model._feed_forward``).
 A primitive computes its forward value with numpy and, when a
 :class:`GradTape` is active and an input requires gradients, records one
 node whose closure maps the output gradient to per-input gradients; a fused
@@ -318,20 +318,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape movement
 # ---------------------------------------------------------------------------
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if axis not in (0, 1):
-        raise ShapeError("concat supports axis 0 or 1")
-    parts = tuple(parts)
-    _require_2d("concat", *parts)
-    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-
-    def backward(g):
-        return np.split(g, splits, axis=axis)
-
-    return _make(parts, np.concatenate([p.data for p in parts], axis=axis),
-                 backward, check=False)
-
 
 def take_rows(x: Tensor, idx) -> Tensor:
     """Gather rows by index; gradient scatter-adds (handles repeats)."""

@@ -9,9 +9,13 @@ oracles the fused kernels are held to:
     in ``test_fused_kernels.py``;
   * ``exp`` and ``recip`` compose φ and the FAVOR+ division in
     ``test_favor.py``, and the layer norm's inverse standard deviation;
-  * ``sigmoid``, ``tanh`` and ``transpose`` compose ``composed_lstm_cell``,
-    one LSTM step on tensors: the cell ``test_lstm.py`` folds over as the
-    reference for ``fastforecast.lstm.lstm_sequence``;
+  * ``sigmoid``, ``tanh``, ``transpose`` and ``concat`` compose
+    ``composed_lstm_cell``, one LSTM step on tensors: the cell
+    ``test_lstm.py`` folds over as the reference for each direction of
+    ``fastforecast.lstm.bilstm_forward_steps``; ``concat`` also joins the
+    folds' steps and directions, the rows of the causal FAVOR+ reference in
+    ``test_favor.py`` and the per-head weights of a gradient check in
+    ``test_attention_exact.py``;
   * ``exact_bidirectional`` and ``exact_unidirectional`` are softmax attention
     composed through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the
     oracles FAVOR+ is measured against, and the model's
@@ -20,9 +24,12 @@ oracles the fused kernels are held to:
 Both oracles stabilise with a per-row max subtraction, treated as a constant
 in the backward pass (softmax shift invariance makes that exact).
 
-``window_node`` records any of the model's window functions
-(``softmax_window``, ``favor_bidirectional``, ``favor_unidirectional``),
-which run on numpy arrays, as one tape node on rank-2 Q, K and V tensors.
+``window_node`` records any numpy function of three arrays that returns
+``(out, backward)`` as one tape node on three tensors: the model's window
+functions (``softmax_window``, ``favor_bidirectional``,
+``favor_unidirectional``) on rank-2 Q, K and V, and the LSTM direction
+``lstm_sequence`` on a time-major (L, batch, input) sequence and a (W, b)
+pair.
 """
 
 import math
@@ -46,12 +53,15 @@ def check_qkv(q, k, v):
         raise ShapeError("self-attention requires equal sequence lengths")
 
 
-def window_node(window):
-    """``window(qd, kd, vd, *args)`` as a function of tensors q, k and v (and
-    the same trailing arguments) that records one tape node."""
-    def node(q, k, v, *args):
-        check_qkv(q, k, v)
-        return T._make((q, k, v), *window(q.data, k.data, v.data, *args))
+def window_node(window, check=check_qkv):
+    """``window(ad, bd, cd, *args)``, which returns ``(out, backward)``, as a
+    function of tensors a, b and c (and the same trailing arguments) that
+    records one tape node; ``check``, unless None, checks the three tensors
+    first."""
+    def node(a, b, c, *args):
+        if check is not None:
+            check(a, b, c)
+        return T._make((a, b, c), *window(a.data, b.data, c.data, *args))
     return node
 
 
@@ -102,15 +112,29 @@ def transpose(x):
     return T._make((x,), x.data.T, lambda g: (g.T,), check=False)
 
 
+def concat(parts, axis):
+    if axis not in (0, 1):
+        raise ShapeError("concat supports axis 0 or 1")
+    parts = tuple(parts)
+    T._require_2d("concat", *parts)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+
+    def backward(g):
+        return np.split(g, splits, axis=axis)
+
+    return T._make(parts, np.concatenate([p.data for p in parts], axis=axis),
+                   backward, check=False)
+
+
 def composed_lstm_cell(x, h, c, w, b):
     """One step of the recurrence for a (batch, input) slice, from the
     (batch, hidden) previous states h and c; returns the new (h, c)."""
-    hidden, input_size = _sizes(w, b)
+    hidden, input_size = _sizes(w.data, b.data)
     if x.data.ndim != 2 or x.shape[1] != input_size:
         raise ShapeError(f"cell input width {x.shape} != {input_size}")
     if h.shape != (x.shape[0], hidden):
         raise ShapeError("previous state does not match batch/hidden sizes")
-    z = T.concat([h, x], axis=1)  # (batch, hidden+input)
+    z = concat([h, x], axis=1)  # (batch, hidden+input)
     b_rows = transpose(b)
 
     def gate(k, squash):

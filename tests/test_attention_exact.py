@@ -14,7 +14,7 @@ from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
 from conftest import check_gradients, scaled_dot_attention
-from reference import exact_bidirectional, exact_unidirectional
+from reference import concat, exact_bidirectional, exact_unidirectional
 
 
 def glorot_weights(d_model, h, rng):
@@ -200,7 +200,7 @@ class TestAttentionGradients:
             window = functools.partial(kernel, omega=omega)
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
-            w = T.concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)
+            w = concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)
             out = multi_head(xt, w, wo, window, 2, 4)
             return T.tsum(T.mul(out, out))
 

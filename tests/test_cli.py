@@ -510,13 +510,22 @@ def read_header(blob):
     return version, json.loads(blob[12:12 + length])
 
 
+def replace_header(blob, new):
+    """A checkpoint whose JSON header is the bytes ``new``."""
+    length = struct.unpack_from("<I", blob, 8)[0]
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+
+
 def edit_header(blob, edit):
     """A checkpoint whose JSON header is passed through ``edit``."""
-    length = struct.unpack_from("<I", blob, 8)[0]
     _, header = read_header(blob)
     edit(header)
-    new = json.dumps(header).encode()
-    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+    return replace_header(blob, json.dumps(header).encode())
+
+
+# valid JSON nested past the parser's recursion limit: a config or header
+# holding it ended in a RecursionError traceback (exit 1)
+NESTED_TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
 
 
 def set_header_field(path, value):
@@ -542,6 +551,7 @@ MALFORMED_CHECKPOINTS = {
     "cut_in_header": lambda b: b[:20],
     "non_utf8_header": lambda b: b[:12] + b"\xff" + b[13:],
     "bad_json": lambda b: b[:12] + b"[" + b[13:],
+    "header_nested_too_deep": lambda b: replace_header(b, NESTED_TOO_DEEP),
     "missing_key": lambda b: edit_header(b, lambda h: h.pop("norm")),
     "unknown_spec_field": lambda b: edit_header(b, lambda h: h["spec"].update(colour=1)),
     "cut_in_parameters": lambda b: b[:-8],
@@ -703,6 +713,11 @@ def _not_utf8_config(tmp_path, config):
     return [], EXIT_CONFIG, "not UTF-8"
 
 
+def _config_nested_too_deep(tmp_path, config):
+    config.write_bytes(NESTED_TOO_DEEP)
+    return [], EXIT_CONFIG, f"{config}: JSON nested too deeply"
+
+
 def _not_utf8_csv(tmp_path, config):
     csv_path = Path(json.loads(config.read_text())["data"]["path"])
     csv_path.write_bytes(csv_path.read_bytes() + b"\xff\xfe\n")
@@ -727,7 +742,9 @@ def _csv_field_too_long(tmp_path, config):
     return [], EXIT_INPUT, f"{csv_path}:{lines}: field larger than field limit"
 
 
-UNREADABLE_INPUTS = {"config-not-utf8": _not_utf8_config, "csv-not-utf8": _not_utf8_csv,
+UNREADABLE_INPUTS = {"config-not-utf8": _not_utf8_config,
+                     "config-nested-too-deep": _config_nested_too_deep,
+                     "csv-not-utf8": _not_utf8_csv,
                      "csv-is-directory": _csv_is_directory, "out-below-file": _out_below_file,
                      "csv-field-too-long": _csv_field_too_long}
 

@@ -23,8 +23,8 @@ from fastforecast.favor import (
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
 from conftest import check_gradients, rel_err, scaled_dot_attention
-from reference import (exact_bidirectional, exact_unidirectional, exp, recip, transpose,
-                       window_node)
+from reference import (concat, exact_bidirectional, exact_unidirectional, exp, recip,
+                       transpose, window_node)
 
 # the model's window functions on tensors, each call one tape node
 favor_node = window_node(favor_bidirectional)
@@ -99,7 +99,7 @@ def composed_causal_favor(q, k, v, omega):
         den = T.matmul(q_row, z_state)  # (1, 1)
         den = masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)
         rows.append(T.mul(T.matmul(q_row, s_state), recip(den)))
-    return T.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    return concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
 def assert_matches_composed(kernel, composed, q, k, v, omega):

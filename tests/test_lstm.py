@@ -1,6 +1,7 @@
 """LSTM tests: the numpy step against a gate-by-gate oracle, saturation
-limits, BiLSTM composition, and the fused sequence kernel against a fold over
-the cell composed from tensor primitives (``reference.composed_lstm_cell``)."""
+limits, BiLSTM composition, and each direction and the fused BiLSTM layer
+against folds over the cell composed from tensor primitives
+(``reference.composed_lstm_cell``)."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,26 @@ from fastforecast.lstm import (
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, rel_err
-from reference import composed_lstm_cell
+from reference import composed_lstm_cell, concat, window_node
+
+
+def one_sequence(x, w, b):
+    """lstm_sequence on an (L, input) array, as a batch of one: the
+    (L, hidden) states and their backward pass."""
+    out, backward = lstm_sequence(x[:, None], w, b)
+
+    def back(g):
+        dx, dw, db = backward(g[:, None])
+        return dx[:, 0], dw, db
+
+    return out[:, 0], back
+
+
+# one LSTM direction on tensors, each call one tape node, over a time-major
+# (L, batch, input) sequence or a single (L, input) one; lstm_sequence checks
+# the shapes
+sequence_node = window_node(lstm_sequence, check=None)
+single_sequence_node = window_node(one_sequence, check=None)
 
 
 def sigmoid(x):
@@ -59,7 +79,7 @@ def zero_weights(input_size, hidden):
 
 def lstm_forward(xs, w):
     """An (L, input) sequence through lstm_sequence: (L, hidden) states."""
-    return lstm_sequence(xs, 1, *w)
+    return single_sequence_node(xs, *w)
 
 
 def bilstm_forward(xs, w_fwd, w_bwd):
@@ -90,7 +110,7 @@ def lstm_fold(xs, batch, w, b, reverse=False):
         h, c = composed_lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)),
                                   h, c, w, b)
         outs[t] = h
-    return T.concat(outs, axis=0) if length > 1 else outs[0]
+    return concat(outs, axis=0) if length > 1 else outs[0]
 
 
 def as_dict(w):
@@ -259,26 +279,62 @@ class TestLstmGradients:
 
 
 class TestLstmSequence:
-    """The fused kernel against the fold over the composed cell, and its
-    shape checks."""
+    """One direction and the fused layer against folds over the composed
+    cell, and their shape checks."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_equals_cell_fold(self, reverse, rng):
-        """Batch 3, L=7: outputs bitwise, gradients within 1e-12."""
+        """Batch 3, L=7: outputs bitwise, gradients within 1e-12.  The reverse
+        fold is held to lstm_sequence over the time-reversed sequence, as
+        bilstm_forward_steps runs its backward direction."""
         batch, length = 3, 7
         w = random_weights(2, 4, seed=19)
         xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
+        steps = xs.data.reshape(length, batch, 2)
+        seq = Tensor(steps[::-1] if reverse else steps, requires_grad=True)
         grads, outs = [], []
-        for run in (lstm_sequence, lstm_fold):
+        for leaf, run in ((seq, lambda: sequence_node(seq, *w)),
+                          (xs, lambda: lstm_fold(xs, batch, *w, reverse))):
             with GradTape() as tape:
-                out = run(xs, batch, *w, reverse)
+                out = run()
                 loss = T.tsum(T.mul(out, out))
             tape.backward(loss)
             outs.append(out.data)
-            grads.append([xs.grad] + list(gates(w[0].grad, w[1].grad).values()))
+            grads.append([leaf.grad] + list(gates(w[0].grad, w[1].grad).values()))
+        if reverse:  # back to time order
+            outs[0], grads[0][0] = outs[0][::-1], grads[0][0][::-1]
+        np.testing.assert_array_equal(outs[0].reshape(outs[1].shape), outs[1])
+        for fused, folded in zip(*grads):
+            assert rel_err(fused.reshape(folded.shape), folded) <= 1e-12
+
+    def test_layer_equals_cell_folds(self, rng):
+        """Batch 3, L=7: the layer's output bitwise equal to the forward fold
+        and the reverse fold joined, its gradients within 1e-12."""
+        batch, length = 3, 7
+        wf, wb = random_weights(2, 4, seed=22), random_weights(2, 4, seed=23)
+        xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
+
+        def folds(xs, batch, fwd, bwd):
+            return concat([lstm_fold(xs, batch, *fwd),
+                           lstm_fold(xs, batch, *bwd, reverse=True)], axis=1)
+
+        grads, outs = [], []
+        for run in (bilstm_forward_steps, folds):
+            with GradTape() as tape:
+                out = run(xs, batch, wf, wb)
+                loss = T.tsum(T.mul(out, out))
+            tape.backward(loss)
+            outs.append(out.data)
+            grads.append([xs.grad] + [t.grad for t in (*wf, *wb)])
         np.testing.assert_array_equal(outs[0], outs[1])
         for fused, folded in zip(*grads):
             assert rel_err(fused, folded) <= 1e-12
+
+    def test_layer_is_one_tape_node(self, rng):
+        wf, wb = random_weights(2, 3, seed=24), random_weights(2, 3, seed=25)
+        with GradTape() as tape:
+            bilstm_forward_steps(Tensor(rng.standard_normal((6, 2))), 2, wf, wb)
+        assert len(tape) == 1
 
     def test_overflow_raises(self):
         """Inputs of 1e308 with gate weights of 10 overflow the gate matmul."""
@@ -286,19 +342,19 @@ class TestLstmSequence:
         w = Tensor(np.full((12, 5), 10.0))  # every gate's matrix
         xs = Tensor(np.full((4, 2), 1e308))
         with pytest.raises(FiniteError):
-            lstm_sequence(xs, 2, w, b)
+            lstm_sequence(xs.data.reshape(2, 2, 2), w.data, b.data)
         with pytest.raises(FiniteError):
             lstm_fold(xs, 2, w, b)
 
     def test_partial_step_rejected(self, rng):
         w = random_weights(2, 3, seed=21)
         with pytest.raises(ShapeError):
-            lstm_sequence(Tensor(rng.standard_normal((5, 2))), 2, *w)
+            bilstm_forward_steps(Tensor(rng.standard_normal((5, 2))), 2, w, w)
 
     def test_input_width_mismatch(self, rng):
         w = random_weights(2, 4, seed=4)
         with pytest.raises(ShapeError, match="input width"):
-            lstm_sequence(Tensor(np.ones((3, 3))), 1, *w)
+            lstm_sequence(np.ones((3, 1, 3)), w[0].data, w[1].data)
 
     @pytest.mark.parametrize("w_shape,b_shape", [((16, 6), (1, 12)), ((10, 4), (1, 10))],
                              ids=["short_bias", "partial_gate"])
@@ -306,5 +362,4 @@ class TestLstmSequence:
         """A bias that does not match W's rows, and W rows that are not four
         whole gates, are rejected before any step runs."""
         with pytest.raises(ShapeError, match="are not"):
-            lstm_sequence(Tensor(np.ones((3, 2))), 1, Tensor(np.ones(w_shape)),
-                          Tensor(np.ones(b_shape)))
+            lstm_sequence(np.ones((3, 1, 2)), np.ones(w_shape), np.ones(b_shape))

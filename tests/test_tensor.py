@@ -12,7 +12,7 @@ from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, scaled_dot_attention
 from test_favor import masked
-from reference import exp, recip, sigmoid, softmax_rows, sqrt, tanh, transpose
+from reference import concat, exp, recip, sigmoid, softmax_rows, sqrt, tanh, transpose
 
 
 class TestTensorBasics:
@@ -211,10 +211,10 @@ class TestBackward:
 # scale_colwise) check the same cases through broadcasting and tsum(axis).
 # The rows exp_clamped and clip_min check the mask form (``masked``) that the
 # FAVOR+ references use for the exp clamp and the denominator floor.  The rows
-# sigmoid, tanh, exp, sqrt, recip, transpose and softmax_rows check the
-# reference primitives of reference.py, which the compositions of the fused
-# kernels, the composed LSTM cell and the composed exact-attention oracles
-# are built from.
+# sigmoid, tanh, exp, sqrt, recip, transpose, softmax_rows, concat0 and
+# concat1 check the reference primitives of reference.py, which the
+# compositions of the fused kernels, the composed LSTM cell and the composed
+# exact-attention oracles are built from.
 
 def _r(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape) * 0.8
@@ -246,8 +246,8 @@ PRIMITIVE_CASES = [
     ("scale_colwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 29), _r((1, 4), 30)]),
     ("sub_row_vector", lambda x, v: T.tsum(tanh(T.sub(x, v))), [_r((3, 4), 38), _r((1, 4), 39)]),
     ("sub_scalar_first", lambda x: T.tsum(tanh(T.sub(3.0, x))), [_r((3, 4), 40)]),
-    ("concat0", lambda x, y: T.tsum(tanh(T.concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
-    ("concat1", lambda x, y: T.tsum(tanh(T.concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
+    ("concat0", lambda x, y: T.tsum(tanh(concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
+    ("concat1", lambda x, y: T.tsum(tanh(concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
     ("take_rows_range", lambda x: T.tsum(T.mul(T.take_rows(x, [1, 2]), T.take_rows(x, [1, 2]))), [_r((4, 3), 35)]),
     ("take_rows", lambda x: T.tsum(tanh(T.take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
 ]
