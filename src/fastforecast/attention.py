@@ -1,4 +1,4 @@
-"""Softmax attention: the exact window function and the multi-head node.
+"""Softmax attention: the exact window function and the multi-head stage.
 
   * ``softmax_window`` — softmax(Q Kᵀ / √d_k) V over one window, or a stack
     of them, on numpy arrays, with its hand-derived backward pass (a window
@@ -8,7 +8,7 @@
     ``transformer_mh``'s kernel and the exact side of ``bench``; the composed
     softmax oracles it is checked against, and the helper that records any
     window function as a tape node of its own, are in ``tests/reference.py``;
-  * ``multi_head`` — self-attention over a batch of windows, all heads per call.
+  * ``multi_head`` — self-attention over windows in numpy, all heads per call.
 
 The per-row max subtraction leaves the result unchanged (softmax shift
 invariance) while keeping exp() in range.  The max is treated as a constant
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
 
 
 def softmax_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
@@ -56,9 +55,9 @@ def softmax_window(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
     return attn @ vd, backward
 
 
-def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, window, heads: int, length: int) -> Tensor:
+def multi_head(x: np.ndarray, w_qkv, w_o, window, heads: int, length: int):
     """Self-attention over the (B·L, d_model) rows of B windows of ``length``
-    rows each, as three tape nodes.
+    rows each, in numpy: returns the output, unchecked, and its backward pass.
 
     ``w_qkv`` holds each head's query, key and value projections, head by
     head: columns [3j·d_k, 3(j+1)·d_k) hold head j's q, k and v.  The model
@@ -66,32 +65,31 @@ def multi_head(x: Tensor, w_qkv: Tensor, w_o: Tensor, window, heads: int, length
     call.  ``window`` (``softmax_window``, or ``favor.favor_bidirectional`` or
     ``favor.favor_unidirectional`` with its Ω bound) runs once per window on
     all heads, as (heads, L, d_k) views, and the output matrix mixes them.
-    Each window's backward pass is kept only while a tape records, so a
-    forward pass without one holds a single window's buffers at a time."""
+    The backward pass maps the output gradient g to x's gradient and to one
+    (left, right) pair of row arrays per weight, whose leftᵀ·right is its
+    gradient: (x, QKV gradient) for ``w_qkv``, (heads' output, g) for ``w_o``.
+    A caller running rows in chunks forms each over all rows at once."""
     if heads < 1 or w_qkv.shape[1] % (3 * heads):
         raise ConfigError("head count does not match weights")
     if x.shape[0] % length:
         raise ShapeError(f"{x.shape[0]} rows are not whole windows of length {length}")
     d_k = w_qkv.shape[1] // (3 * heads)
-    qkv = T.matmul(x, w_qkv)
-    qd = qkv.data
-    out = np.empty((qd.shape[0], heads * d_k))
-    keep = qkv.requires_grad and T._active_tape() is not None
+    qkv = x @ w_qkv
+    att = np.empty((x.shape[0], heads * d_k))
+    T.note_buffers(qkv, att)
     backwards = []
 
     def by_head(a, parts):  # (B·L, heads·parts·d_k) rows -> (B, parts, heads, L, d_k) view
         return a.reshape(-1, length, heads, parts, d_k).transpose(0, 3, 2, 1, 4)
 
-    for qkv_b, out_b in zip(by_head(qd, 3), by_head(out, 1)):
-        o, o_backward = window(*qkv_b)
-        out_b[0] = o
-        if keep:
-            backwards.append(o_backward)
+    for qkv_b, att_b in zip(by_head(qkv, 3), by_head(att, 1)):
+        att_b[0], o_backward = window(*qkv_b)
+        backwards.append(o_backward)
 
     def backward(g):
-        g_qkv = np.empty_like(qd)
-        for g_b, g_qkv_b, o_backward in zip(by_head(g, 1), by_head(g_qkv, 3), backwards):
+        g_qkv = np.empty_like(qkv)
+        for g_b, g_qkv_b, o_backward in zip(by_head(g @ w_o.T, 1), by_head(g_qkv, 3), backwards):
             g_qkv_b[...] = o_backward(g_b[0])
-        return (g_qkv,)
+        return g_qkv @ w_qkv.T, [(x, g_qkv), (att, g)]
 
-    return T.matmul(T._make((qkv,), out, backward), w_o)
+    return att @ w_o, backward

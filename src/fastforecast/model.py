@@ -1,11 +1,11 @@
 """Model assembly, training and prediction.
 
 The full architecture: affine input embedding, sinusoidal positional
-encoding, a stack of encoder blocks (self-attention sublayer with residual
-and layer norm, then a position-wise feed-forward sublayer with residual
-and layer norm), two bidirectional LSTM layers, and a fully-connected head
-that reads the last timestep's representation and emits the normalized
-next-close prediction.
+encoding, a stack of encoder blocks (self-attention, then a position-wise
+feed-forward sublayer, each with a residual and a layer norm; one tape node
+per block, run a chunk of windows at a time), two bidirectional LSTM layers,
+and a fully-connected head that reads the last timestep's representation
+and emits the normalized next-close prediction.
 
 Five variants share this code path and differ only in which stages are
 active and which attention kernel the blocks use:
@@ -61,6 +61,8 @@ VARIANTS = {
 FAVOR_VARIANTS = tuple(name for name, s in VARIANTS.items() if s.attention == "favor")
 
 LAYER_NORM_EPS = 1e-5
+CHUNK_ROWS = 512  # rows an encoder block runs at a time: one window at L >= 512
+BLOCK_PARAMS = "attn.qkv attn.o ln1.g ln1.b ffn.w1 ffn.b1 ffn.w2 ffn.b2 ln2.g ln2.b".split()
 
 
 def stages_of(variant) -> Stages:
@@ -163,6 +165,80 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return a if a.shape[1] == 1 else a.sum(axis=1, keepdims=True)
 
 
+def _masked(a: np.ndarray, mask: np.ndarray | None, rows: slice) -> np.ndarray:
+    """``a`` times the ``rows`` of a dropout mask, or ``a`` itself with no mask."""
+    return a if mask is None else a * mask[rows]
+
+
+def _weight_grad(w: Tensor, pairs) -> np.ndarray:
+    """A weight's gradient from each chunk's (left, right) rows, formed over all
+    rows at once as the tape forms it: leftᵀ·right, or right's column sum."""
+    left, right = (p[0] if len(p) == 1 or p[0] is None else np.concatenate(p)
+                   for p in zip(*pairs))
+    return T._sum_to(w, right) if left is None else left.T @ right
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """(x - mean) / √(var + eps) · gain + bias over each row, in numpy, with
+    the arithmetic of the composed primitives: the output, unchecked, and a
+    backward pass to x's gradient and the gain's and bias's (None, rows) pairs
+    (see ``multi_head``).  Only the variance is checked: a non-finite mean makes
+    every centered entry, and so the variance, non-finite; a finite one bounds
+    the normalised rows."""
+    n = x.shape[1]
+    mean = x.sum(axis=1, keepdims=True)
+    mean *= 1.0 / n
+    centered = x - mean
+    out = centered * centered  # the squares' buffer becomes the output
+    var = out.sum(axis=1, keepdims=True)
+    var *= 1.0 / n
+    T.check_finite(var)
+    std = var + LAYER_NORM_EPS
+    np.sqrt(std, out=std)
+    inv = 1.0 / std
+    np.multiply(centered, inv, out=out)
+    out *= gain
+    out += bias
+    T.note_buffers(centered)
+
+    def backward(g):
+        g_normed = g * gain
+        g_inv = _row_sum(g_normed * centered)
+        g_var = -g_inv * inv * inv * (0.5 / std) * (1.0 / n)
+        # the tape sums the gradient of ``centered`` over the output path,
+        # then both operands of centered·centered; ``x`` takes the sub
+        # path before the mean path
+        via_var = g_var * centered
+        g_centered = g_normed * inv
+        g_centered += via_var
+        g_centered += via_var
+        return (g_centered + (-_row_sum(g_centered)) * (1.0 / n),
+                [(None, g * (centered * inv)), (None, g)])
+
+    return out, backward
+
+
+def feed_forward(x: np.ndarray, w1, b1, w2, b2):
+    """relu(x W1 + b1) W2 + b2 over each row, in numpy, as ``layer_norm`` is: the
+    output, unchecked, and a backward pass to x's gradient and the pairs of W1,
+    b1, W2 and b2.  Only the pre-activation is checked; the backward pass keeps
+    only the post-relu hidden array."""
+    hidden = x @ w1
+    hidden += b1
+    T.check_finite(hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2
+    out += b2
+    T.note_buffers(hidden)
+
+    def backward(g):
+        g_hidden = g @ w2.T
+        g_hidden *= hidden > 0
+        return g_hidden @ w1.T, [(x, g_hidden), (None, g_hidden), (hidden, g), (None, g)]
+
+    return out, backward
+
+
 def _glorot(rng, fan_in, fan_out, parts=1):
     """``parts`` Glorot-uniform (fan_in, fan_out) draws, side by side."""
     lim = math.sqrt(6.0 / (fan_in + fan_out))
@@ -253,104 +329,58 @@ class Model:
 
     # -- forward pass ----------------------------------------------------------
 
-    def _dropout(self, x: Tensor, rng) -> Tensor:
+    def _dropout_mask(self, shape, rng) -> np.ndarray | None:
+        """A dropout mask of ``shape`` from ``rng``, or None when dropout is off."""
         p = self.spec.dropout
         if rng is None or p <= 0.0:
-            return x
-        mask = (rng.random(x.shape) >= p) / (1.0 - p)
-        return T.mul(x, Tensor(mask))
+            return None
+        return (rng.random(shape) >= p) / (1.0 - p)
 
-    def _layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-        """(x - mean) / √(var + eps) · gain + bias over each row, as one tape
-        node with the arithmetic of the composed primitives.
-
-        The variance and the output are checked.  A non-finite mean makes
-        every centered entry, and so the variance, non-finite; a finite
-        variance bounds the normalised rows."""
-        xd, gd = x.data, gain.data
-        n = xd.shape[1]
-        mean = xd.sum(axis=1, keepdims=True)
-        mean *= 1.0 / n
-        centered = xd - mean
-        out = centered * centered  # the squares' buffer becomes the output
-        var = out.sum(axis=1, keepdims=True)
-        var *= 1.0 / n
-        T.check_finite(var)
-        std = var + LAYER_NORM_EPS
-        np.sqrt(std, out=std)
-        inv = 1.0 / std
-        np.multiply(centered, inv, out=out)
-        out *= gd
-        out += bias.data
-        T.note_buffers(centered)
-
-        def backward(g):
-            g_normed = g * gd
-            g_inv = _row_sum(g_normed * centered)
-            g_var = -g_inv * inv * inv * (0.5 / std) * (1.0 / n)
-            # the tape sums the gradient of ``centered`` over the output path,
-            # then both operands of centered·centered; ``x`` takes the sub
-            # path before the mean path
-            via_var = g_var * centered
-            g_centered = g_normed * inv
-            g_centered += via_var
-            g_centered += via_var
-            g_x = None
-            if x.requires_grad:
-                g_x = g_centered + (-_row_sum(g_centered)) * (1.0 / n)
-            return (g_x,
-                    T._sum_to(gain, g * (centered * inv)) if gain.requires_grad else None,
-                    T._sum_to(bias, g))
-
-        return T._make((x, gain, bias), out, backward)
-
-    def _feed_forward(self, x: Tensor, block: int) -> Tensor:
-        """relu(x W1 + b1) W2 + b2 as one tape node with the arithmetic of the
-        composed primitives.  The pre-activation and the output are checked;
-        the backward pass keeps only the post-relu hidden array."""
-        p = self.params
-        w1, b1, w2, b2 = (p[f"block{block}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2"))
-        xd, w1d, w2d = x.data, w1.data, w2.data
-        hidden = xd @ w1d
-        hidden += b1.data
-        T.check_finite(hidden)
-        np.maximum(hidden, 0.0, out=hidden)
-        out = hidden @ w2d
-        out += b2.data
-        T.note_buffers(hidden)
-
-        def backward(g):
-            g_hidden = None
-            if x.requires_grad or w1.requires_grad or b1.requires_grad:
-                g_hidden = g @ w2d.T
-                g_hidden *= hidden > 0
-            return (g_hidden @ w1d.T if x.requires_grad else None,
-                    xd.T @ g_hidden if w1.requires_grad else None,
-                    T._sum_to(b1, g_hidden) if g_hidden is not None else None,
-                    hidden.T @ g if w2.requires_grad else None,
-                    T._sum_to(b2, g))
-
-        return T._make((x, w1, b1, w2, b2), out, backward)
-
-    def _attention_sublayer(self, x: Tensor, block: int) -> Tensor:
-        spec = self.spec
-        p = self.params
-        # multi_head and the FAVOR+ window functions are looked up here, at
-        # call time, so a wrapper installed on this module's names (a tracer)
-        # sees every call
+    def _encoder_block(self, x: Tensor, block: int, rng) -> Tensor:
+        """One encoder block (attention, then the FFN, each with dropout, a
+        residual and a layer norm) as one tape node, run over chunks of about
+        CHUNK_ROWS rows of whole windows, whose buffers stay in cache.  Every
+        stage is row by row, so each row is the whole batch's bit for bit; each
+        weight's gradient is formed over all rows at once.  Its checks (window
+        function, variances, pre-activation, output) fire where any dropped one would."""
+        spec, length = self.spec, self.spec.window
+        params = [self.params[f"block{block}.{name}"] for name in BLOCK_PARAMS]
+        w_qkv, w_o, g1, b1, w1, c1, w2, c2, g2, b2 = (p.data for p in params)
+        # multi_head and the window functions are looked up at call time, for tracers
         window = softmax_window
         if spec.uses_favor:
             kernel = favor_unidirectional if spec.favor.causal else favor_bidirectional
             window = functools.partial(kernel, omega=self.feature_maps[block])
-        return multi_head(x, p[f"block{block}.attn.qkv"], p[f"block{block}.attn.o"], window,
-                          spec.heads, spec.window)
+        masks = [self._dropout_mask(x.shape, rng) for _ in range(2)]  # attention's, then the FFN's
+        windows = len(x.data) // length
+        count = -(-windows // max(1, CHUNK_ROWS // length)) or 1
+        # chunks differ by at most a window: a lone row's product (gemv) rounds otherwise
+        edges = [windows * i // count * length for i in range(count + 1)]
+        outs, saved = [], []
+        for s in map(slice, edges, edges[1:]):
+            a, mh_back = multi_head(x.data[s], w_qkv, w_o, window, spec.heads, length)
+            y, ln1_back = layer_norm(_masked(a, masks[0], s) + x.data[s], g1, b1)
+            f, ffn_back = feed_forward(y, w1, c1, w2, c2)
+            o, ln2_back = layer_norm(_masked(f, masks[1], s) + y, g2, b2)
+            T.check_finite(o)
+            outs.append(o)
+            if T._active_tape() is not None:  # else no chunk's backward pass is kept
+                saved.append((s, mh_back, ln1_back, ffn_back, ln2_back))
+        # joined at the end: outputs held till then keep freed chunk buffers from the OS
+        out = np.concatenate(outs)
 
-    def _encoder_block(self, x: Tensor, block: int, rng) -> Tensor:
-        p = self.params
-        a = self._dropout(self._attention_sublayer(x, block), rng)
-        x = self._layer_norm(T.add(x, a), p[f"block{block}.ln1.g"], p[f"block{block}.ln1.b"])
-        f = self._dropout(self._feed_forward(x, block), rng)
-        return self._layer_norm(T.add(x, f), p[f"block{block}.ln2.g"], p[f"block{block}.ln2.b"])
+        def backward(g):
+            g_x, terms = np.empty_like(g), []
+            for s, mh_back, ln1_back, ffn_back, ln2_back in saved:
+                g_s2, ln2_terms = ln2_back(g[s])
+                g_y, ffn_terms = ffn_back(_masked(g_s2, masks[1], s))
+                g_s1, ln1_terms = ln1_back(g_y + g_s2)
+                g_xq, mh_terms = mh_back(_masked(g_s1, masks[0], s))
+                g_x[s] = g_s1 + g_xq
+                terms.append(mh_terms + ln1_terms + ffn_terms + ln2_terms)
+            return (g_x, *map(_weight_grad, params, zip(*terms)))
+
+        return T._make((x, *params), out, backward, check=False)
 
     def forward_batch(self, windows: np.ndarray, rng=None) -> Tensor:
         """(B, L, F) feature windows -> (B, 1) normalized predictions; dropout
@@ -367,7 +397,9 @@ class Model:
         x = Tensor(windows.reshape(batch * length, n_feat))
         x = T.add(T.matmul(x, self.params["embed.w"]), self.params["embed.b"])
         if spec.uses_attention:
-            x = T.add(x, Tensor(np.tile(self.positional, (batch, 1))))
+            # in place, window by window: the embedding's add node never reads its output
+            rows = x.data.reshape(batch, length, spec.d_model)
+            rows += self.positional
             for i in range(spec.blocks):
                 x = self._encoder_block(x, i, rng)
 
@@ -380,7 +412,8 @@ class Model:
                 fwd, bwd = ((p[f"bilstm{layer}.{d}.w"], p[f"bilstm{layer}.{d}.b"])
                             for d in ("fwd", "bwd"))
                 seq = bilstm_forward_steps(seq, batch, fwd, bwd)
-                seq = self._dropout(seq, rng)
+                mask = self._dropout_mask(seq.shape, rng)
+                seq = seq if mask is None else T.mul(seq, Tensor(mask))
             rep = T.take_rows(seq, np.arange((length - 1) * batch, length * batch))
         else:
             rep = T.take_rows(x, np.arange(batch) * length + (length - 1))

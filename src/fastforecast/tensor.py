@@ -3,13 +3,12 @@
 Every differentiable operation in the package is a primitive registered
 through :func:`_make`: the seven primitives in this module (``add``,
 ``sub``, ``mul``, ``relu``, ``matmul``, ``tsum`` and ``take_rows``), plus
-four fused kernels elsewhere: the BiLSTM layer
-(``lstm.bilstm_forward_steps``, which runs ``lstm.lstm_sequence`` once per
-direction), the attention node of ``attention.multi_head`` (one
-window-function call per window over all heads: ``attention.softmax_window``,
-or ``favor.favor_bidirectional`` or ``favor.favor_unidirectional``), and the
-encoder block's layer norm and feed-forward sublayer (``Model._layer_norm``
-and ``Model._feed_forward``).
+two fused kernels: the BiLSTM layer (``lstm.bilstm_forward_steps``, which
+runs ``lstm.lstm_sequence`` once per direction) and the encoder block
+(``model.Model._encoder_block``, which composes ``attention.multi_head``,
+``model.layer_norm`` and ``model.feed_forward`` a chunk of windows at a
+time; a weight's gradient sums over the whole batch in one gemm or sum,
+since a sum split by chunk would round differently).
 A primitive computes its forward value with numpy and, when a
 :class:`GradTape` is active and an input requires gradients, records one
 node whose closure maps the output gradient to per-input gradients; a fused

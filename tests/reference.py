@@ -5,8 +5,8 @@ primitives are, and passes the same finite-difference checks
 (``test_tensor.PRIMITIVE_CASES``).  The compositions built from them are the
 oracles the fused kernels are held to:
 
-  * ``softmax_rows`` and ``sqrt`` compose exact attention and the layer norm
-    in ``test_fused_kernels.py``;
+  * ``softmax_rows`` composes exact attention in ``test_fused_kernels.py``,
+    and ``sqrt`` the layer norm (``composed_layer_norm``);
   * ``exp`` and ``recip`` compose φ and the FAVOR+ division in
     ``test_favor.py``, and the layer norm's inverse standard deviation;
   * ``sigmoid``, ``tanh``, ``transpose`` and ``concat`` compose
@@ -29,7 +29,17 @@ in the backward pass (softmax shift invariance makes that exact).
 functions (``softmax_window``, ``favor_bidirectional``,
 ``favor_unidirectional``) on rank-2 Q, K and V, and the LSTM direction
 ``lstm_sequence`` on a time-major (L, batch, input) sequence and a (W, b)
-pair.
+pair.  ``stage_node`` does the same for the encoder block's numpy stages
+(``multi_head``, ``layer_norm`` and ``feed_forward``), which return each
+weight's gradient as a pair of row arrays.
+
+``composed_encoder_block`` is the encoder block as the model composed it
+before the block became one tape node: ``composed_multi_head`` (the QKV
+product, one node running the window function on every window, the output
+product), a ``mul`` per dropout mask, an ``add`` per residual, and the
+layer norm and feed-forward sublayer composed from primitives
+(``composed_layer_norm``, ``composed_feed_forward``).  It is the oracle the
+model's block node is held to, bit for bit.
 """
 
 import math
@@ -37,8 +47,9 @@ import math
 import numpy as np
 
 import fastforecast.tensor as T
-from fastforecast.errors import ShapeError
+from fastforecast.errors import ConfigError, ShapeError
 from fastforecast.lstm import _sizes, _stable_sigmoid
+from fastforecast.model import LAYER_NORM_EPS
 from fastforecast.tensor import Tensor
 
 
@@ -62,6 +73,25 @@ def window_node(window, check=check_qkv):
         if check is not None:
             check(a, b, c)
         return T._make((a, b, c), *window(a.data, b.data, c.data, *args))
+    return node
+
+
+def stage_node(stage):
+    """``stage(xd, *weights, *args)``, a numpy stage of the encoder block whose
+    backward pass returns x's gradient and one (left, right) pair per weight,
+    as a function of the tensor x, the weight tensors and the same trailing
+    arguments that records one tape node: each weight's gradient is leftᵀ·right,
+    or right summed to the weight's shape when left is None."""
+    def node(x, *args):
+        weights = [a for a in args if isinstance(a, Tensor)]
+        out, backward = stage(x.data, *(w.data for w in weights), *args[len(weights):])
+
+        def node_backward(g):
+            g_x, pairs = backward(g)
+            return (g_x, *(T._sum_to(w, right) if left is None else left.T @ right
+                           for w, (left, right) in zip(weights, pairs, strict=True)))
+
+        return T._make((x, *weights), out, node_backward)
     return node
 
 
@@ -174,3 +204,66 @@ def exact_unidirectional(q, k, v):
     shifted = T.sub(scores, row_max)
     a = exp(T.sub(T.mul(shifted, Tensor(mask)), Tensor((1.0 - mask) * 800.0)))
     return T.mul(T.matmul(a, v), recip(T.tsum(a, axis=1)))
+
+
+def composed_multi_head(x, w_qkv, w_o, window, heads, length):
+    """Self-attention over the rows of B windows of ``length`` rows each, as
+    three tape nodes: x·W_qkv, one node that runs ``window`` once per window
+    on all heads, and the product with W_o."""
+    if heads < 1 or w_qkv.shape[1] % (3 * heads):
+        raise ConfigError("head count does not match weights")
+    if x.shape[0] % length:
+        raise ShapeError(f"{x.shape[0]} rows are not whole windows of length {length}")
+    d_k = w_qkv.shape[1] // (3 * heads)
+    qkv = T.matmul(x, w_qkv)
+    qd = qkv.data
+    out = np.empty((qd.shape[0], heads * d_k))
+    keep = qkv.requires_grad and T._active_tape() is not None
+    backwards = []
+
+    def by_head(a, parts):  # (B·L, heads·parts·d_k) rows -> (B, parts, heads, L, d_k) view
+        return a.reshape(-1, length, heads, parts, d_k).transpose(0, 3, 2, 1, 4)
+
+    for qkv_b, out_b in zip(by_head(qd, 3), by_head(out, 1)):
+        o, o_backward = window(*qkv_b)
+        out_b[0] = o
+        if keep:
+            backwards.append(o_backward)
+
+    def backward(g):
+        g_qkv = np.empty_like(qd)
+        for g_b, g_qkv_b, o_backward in zip(by_head(g, 1), by_head(g_qkv, 3), backwards):
+            g_qkv_b[...] = o_backward(g_b[0])
+        return (g_qkv,)
+
+    return T.matmul(T._make((qkv,), out, backward), w_o)
+
+
+def composed_layer_norm(x, gain, bias):
+    n = x.shape[1]
+    mean = T.mul(T.tsum(x, axis=1), 1.0 / n)
+    centered = T.sub(x, mean)
+    var = T.mul(T.tsum(T.mul(centered, centered), axis=1), 1.0 / n)
+    inv = recip(sqrt(T.add(var, LAYER_NORM_EPS)))
+    return T.add(T.mul(T.mul(centered, inv), gain), bias)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    hidden = T.relu(T.add(T.matmul(x, w1), b1))
+    return T.add(T.matmul(hidden, w2), b2)
+
+
+def composed_encoder_block(x, w_qkv, w_o, g1, b1, w1, c1, w2, c2, g2, b2, window, heads,
+                           length, masks):
+    """The encoder block on tensors, node by node: attention, dropout, residual
+    and layer norm, then feed-forward, dropout, residual and layer norm.  The
+    weights come in ``model.BLOCK_PARAMS`` order; ``masks`` holds the
+    attention's and the feed-forward sublayer's dropout masks, each None when
+    dropout is off."""
+    def dropout(a, mask):
+        return a if mask is None else T.mul(a, Tensor(mask))
+
+    a = dropout(composed_multi_head(x, w_qkv, w_o, window, heads, length), masks[0])
+    y = composed_layer_norm(T.add(x, a), g1, b1)
+    f = dropout(composed_feed_forward(y, w1, c1, w2, c2), masks[1])
+    return composed_layer_norm(T.add(y, f), g2, b2)

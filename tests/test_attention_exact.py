@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fastforecast.tensor as T
-from fastforecast.attention import multi_head, softmax_window
+from fastforecast.attention import softmax_window
 from fastforecast.errors import ConfigError, ShapeError
 from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
                                 favor_unidirectional)
@@ -15,6 +15,7 @@ from fastforecast.tensor import Tensor
 
 from conftest import check_gradients, scaled_dot_attention
 from reference import concat, exact_bidirectional, exact_unidirectional
+from test_fused_kernels import multi_head_node
 
 
 def glorot_weights(d_model, h, rng):
@@ -133,14 +134,14 @@ class TestMultiHead:
     def test_single_head_identity_projection_reduces(self, rng):
         eye = np.eye(4)
         x = rng.standard_normal((6, 4))
-        out = multi_head(Tensor(x), Tensor(np.hstack([eye] * 3)), Tensor(eye),
+        out = multi_head_node(Tensor(x), Tensor(np.hstack([eye] * 3)), Tensor(eye),
                          softmax_window, 1, 6).data
         direct = scaled_dot_attention(Tensor(x), Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(out, direct, atol=1e-12)
 
     def test_zero_output_matrix(self, rng):
         w_qkv, _ = glorot_weights(8, 2, rng)
-        out = multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, Tensor(np.zeros((8, 8))),
+        out = multi_head_node(Tensor(rng.standard_normal((5, 8))), w_qkv, Tensor(np.zeros((8, 8))),
                          softmax_window, 2, 5)
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
@@ -153,19 +154,19 @@ class TestMultiHead:
             q, k, v = np.split(x @ w_qkv.data[:, 12 * i:12 * (i + 1)], 3, axis=1)
             heads.append(scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data)
         expect = np.concatenate(heads, axis=1) @ w_o.data
-        np.testing.assert_allclose(multi_head(xt, w_qkv, w_o, softmax_window, 2, 7).data,
+        np.testing.assert_allclose(multi_head_node(xt, w_qkv, w_o, softmax_window, 2, 7).data,
                                    expect, atol=1e-12)
 
     def test_kernel_count_must_match_heads(self, rng):
         w_qkv, w_o = glorot_weights(8, 2, rng)
         with pytest.raises(ConfigError):
-            multi_head(Tensor(rng.standard_normal((5, 8))), w_qkv, w_o, softmax_window, 3, 5)
+            multi_head_node(Tensor(rng.standard_normal((5, 8))), w_qkv, w_o, softmax_window, 3, 5)
 
     def test_rows_must_be_whole_windows(self, rng):
         """Seven rows are not whole windows of five: no short last window."""
         w_qkv, w_o = glorot_weights(8, 2, rng)
         with pytest.raises(ShapeError, match="7 rows"):
-            multi_head(Tensor(rng.standard_normal((7, 8))), w_qkv, w_o, softmax_window, 2, 5)
+            multi_head_node(Tensor(rng.standard_normal((7, 8))), w_qkv, w_o, softmax_window, 2, 5)
 
     def test_inconsistent_config_rejected(self):
         with pytest.raises(ConfigError, match="d_model = 8 not divisible by h = 3"):
@@ -201,7 +202,7 @@ class TestAttentionGradients:
 
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
             w = concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)
-            out = multi_head(xt, w, wo, window, 2, 4)
+            out = multi_head_node(xt, w, wo, window, 2, 4)
             return T.tsum(T.mul(out, out))
 
         heads = [np.split(w_qkv.data[:, 6 * j:6 * (j + 1)], 3, axis=1) for j in range(2)]

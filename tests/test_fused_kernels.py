@@ -1,16 +1,20 @@
 """The encoder block's fused kernels against their compositions of primitives.
 
 Exact attention (``attention.softmax_window``, one tape node as
-``conftest.scaled_dot_attention``), ``Model._layer_norm`` and
-``Model._feed_forward`` each record one tape node.  They do the
-floating-point operations of the compositions below in the same order, and
-their backward passes sum each gradient in the order the tape sums it, so
-forward values and every input gradient agree bit for bit.  Each node checks
+``conftest.scaled_dot_attention``), and the numpy stages ``model.layer_norm``
+and ``model.feed_forward`` (one tape node each through
+``reference.stage_node``) do the floating-point operations of the
+compositions below in the same order, and their backward passes sum each
+gradient in the order the tape sums it, so forward values and every input
+gradient agree bit for bit.  The whole block (``Model._encoder_block``), one
+tape node that runs a chunk of windows at a time, agrees bit for bit with
+``reference.composed_encoder_block``, at every chunking.  Each node checks
 fewer intermediates than its composition, yet raises FiniteError on exactly
 the inputs the composition rejects: the ``TestFiniteChecks`` cases are
-inputs on which only one kept check can fire.  ``attention.multi_head``
-over B windows returns the rows of B single-window calls bit for bit, and
-one window-function call over all heads returns what one call per head does.
+inputs on which only one kept check can fire, or on which a check the
+block dropped would have fired.  ``attention.multi_head`` over B windows
+returns the rows of B single-window calls bit for bit, and one
+window-function call over all heads returns what one call per head does.
 """
 
 import functools
@@ -19,22 +23,22 @@ import math
 import numpy as np
 import pytest
 
+import fastforecast.model as ff_model
 import fastforecast.tensor as T
 from fastforecast.attention import multi_head, softmax_window
 from fastforecast.errors import FiniteError
 from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
                                 favor_unidirectional)
-from fastforecast.model import LAYER_NORM_EPS, ModelSpec, build
+from fastforecast.model import BLOCK_PARAMS, ModelSpec, build, feed_forward, layer_norm
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import scaled_dot_attention
-from reference import recip, softmax_rows, sqrt, transpose
-
-FFN_NAMES = ("w1", "b1", "w2", "b2")
+from reference import (composed_encoder_block, composed_feed_forward, composed_layer_norm,
+                       softmax_rows, stage_node, transpose)
 
 
 # ---------------------------------------------------------------------------
-# compositions of primitives
+# compositions of primitives, and the nodes held to them
 # ---------------------------------------------------------------------------
 
 def composed_scaled_dot_attention(q, k, v):
@@ -42,34 +46,65 @@ def composed_scaled_dot_attention(q, k, v):
     return T.matmul(softmax_rows(scores), v)
 
 
-def composed_layer_norm(x, gain, bias):
-    n = x.shape[1]
-    mean = T.mul(T.tsum(x, axis=1), 1.0 / n)
-    centered = T.sub(x, mean)
-    var = T.mul(T.tsum(T.mul(centered, centered), axis=1), 1.0 / n)
-    inv = recip(sqrt(T.add(var, LAYER_NORM_EPS)))
-    return T.add(T.mul(T.mul(centered, inv), gain), bias)
+fused_layer_norm = stage_node(layer_norm)
+fused_feed_forward = stage_node(feed_forward)
+multi_head_node = stage_node(multi_head)
 
 
-def composed_feed_forward(x, w1, b1, w2, b2):
-    hidden = T.relu(T.add(T.matmul(x, w1), b1))
-    return T.add(T.matmul(hidden, w2), b2)
+def window_function(name, omega):
+    """``softmax_window``, or either FAVOR+ window function over ``omega``."""
+    if name == "softmax":
+        return softmax_window
+    kernel = favor_unidirectional if name == "favor_causal" else favor_bidirectional
+    return functools.partial(kernel, omega=omega)
 
 
-def _model():
-    return build(ModelSpec(variant="transformer_mh", window=1, n_features=1,
-                           d_model=1, heads=1, blocks=1, dropout=0.0))
+DROPOUT_SEED = 11
 
 
-def fused_layer_norm(x, gain, bias):
-    return _model()._layer_norm(x, gain, bias)
+def block_model(kernel, length, d_model, heads, dropout):
+    """A one-block model whose blocks run ``kernel``; r=8 for FAVOR+."""
+    favor = None
+    if kernel != "softmax":
+        favor = FavorConfig(r=8, d_k=d_model // heads, seed=3, causal=kernel == "favor_causal")
+    return build(ModelSpec(variant="transformer_mh" if favor is None else "performer",
+                           window=length, n_features=1, d_model=d_model, heads=heads, blocks=1,
+                           favor=favor, dropout=dropout))
 
 
-def fused_feed_forward(x, w1, b1, w2, b2):
-    model = _model()
-    model.params.update((f"block0.ffn.{name}", t)
-                        for name, t in zip(FFN_NAMES, (w1, b1, w2, b2)))
-    return model._feed_forward(x, 0)
+def block_pair(kernel, length, heads, dropout):
+    """The model's encoder block node and ``reference.composed_encoder_block``
+    as functions of the input rows and the ten weights in ``BLOCK_PARAMS``
+    order; both draw their dropout masks from one seed."""
+    def fused(x, *weights):
+        model = block_model(kernel, length, x.shape[1], heads, dropout)
+        model.params.update((f"block0.{name}", w) for name, w in zip(BLOCK_PARAMS, weights))
+        return model._encoder_block(x, 0, np.random.default_rng(DROPOUT_SEED))
+
+    def composed(x, *weights):
+        omega = block_model(kernel, length, x.shape[1], heads, dropout).feature_maps
+        window = window_function(kernel, omega[0] if omega else None)
+        rng = np.random.default_rng(DROPOUT_SEED)
+        masks = [(rng.random(x.shape) >= dropout) / (1.0 - dropout) if dropout else None
+                 for _ in range(2)]
+        return composed_encoder_block(x, *weights, window, heads, length, masks)
+
+    return fused, composed
+
+
+def block_arrays(rng, rows, d_model):
+    """Input rows and the ten block weights, in ``BLOCK_PARAMS`` order."""
+    d_ff = 4 * d_model
+
+    def scaled(*shape):
+        return rng.standard_normal(shape) / math.sqrt(shape[0])
+
+    return [rng.standard_normal((rows, d_model)), scaled(d_model, 3 * d_model),
+            scaled(d_model, d_model), 1 + 0.3 * rng.standard_normal((1, d_model)),
+            0.3 * rng.standard_normal((1, d_model)), scaled(d_model, d_ff),
+            0.3 * rng.standard_normal((1, d_ff)), scaled(d_ff, d_model),
+            0.3 * rng.standard_normal((1, d_model)), 1 + 0.3 * rng.standard_normal((1, d_model)),
+            0.3 * rng.standard_normal((1, d_model))]
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +219,6 @@ def test_feed_forward_dead_units_match_composition_bitwise():
 MULTI_HEAD_SHAPES = [(8, 8, 2, 3), (64, 64, 4, 32)]
 
 
-def window_function(name, omega):
-    """``softmax_window``, or either FAVOR+ window function over ``omega``."""
-    if name == "softmax":
-        return softmax_window
-    kernel = favor_unidirectional if name == "favor_causal" else favor_bidirectional
-    return functools.partial(kernel, omega=omega)
-
-
 def feature_stack(heads, d_k, r):
     """One Ω per head, stacked (heads, r, d_k) as the model stacks a block's draws."""
     return np.stack([draw_features(FavorConfig(r=r, d_k=d_k, seed=j)) for j in range(heads)])
@@ -214,9 +241,9 @@ def test_multi_head_over_windows_matches_single_windows_bitwise(shape, kernel):
     def run(rows):
         leaves = [Tensor(x[rows], requires_grad=True), Tensor(w_qkv, requires_grad=True),
                   Tensor(w_o, requires_grad=True)]
-        no_tape = multi_head(*leaves, window, heads, length).data
+        no_tape = multi_head_node(*leaves, window, heads, length).data
         with GradTape() as tape:
-            out = multi_head(*leaves, window, heads, length)
+            out = multi_head_node(*leaves, window, heads, length)
             loss = T.tsum(T.mul(out, Tensor(weights[rows])))
         tape.backward(loss)
         assert no_tape.tobytes() == out.data.tobytes()
@@ -258,6 +285,46 @@ def test_window_over_stacked_heads_matches_single_heads_bitwise(shape, kernel):
             assert got[j].tobytes() == want.tobytes()
 
 
+# (length, windows, chunk rows): several windows to a chunk with a short last
+# chunk, a window longer than a chunk, one-row windows, one chunk, and the
+# module's own chunk size at the README window with a chunk of four windows
+# and one of five
+BLOCK_CASES = [(4, 5, 8), (12, 3, 8), (1, 9, 4), (3, 2, 512), (64, 9, None)]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.25], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("kernel", ["softmax", "favor", "favor_causal"])
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=shape_id)
+def test_encoder_block_matches_composition_bitwise(case, kernel, dropout, monkeypatch):
+    """The block node's output and the gradients of its input and of all ten
+    weights equal the composed block's byte for byte, with the rows run in
+    chunks; without a tape its output is the same bytes."""
+    length, windows, chunk_rows = case
+    if chunk_rows is not None:
+        monkeypatch.setattr(ff_model, "CHUNK_ROWS", chunk_rows)
+    fused, composed = block_pair(kernel, length, heads=2, dropout=dropout)
+    arrays = block_arrays(np.random.default_rng(length + windows), windows * length, 8)
+    assert_bitwise(fused, composed, arrays, [True] * len(arrays), seed=6)
+    with GradTape() as tape:
+        taped = fused(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert fused(*[Tensor(a) for a in arrays]).data.tobytes() == taped.data.tobytes()
+
+
+def test_encoder_block_chunks_are_whole_windows_of_at_most_chunk_rows(monkeypatch):
+    """At 512 rows a chunk, B=33 windows of 64 rows run as five chunks of six
+    or seven windows, none longer than 512 rows, and none a lone window."""
+    calls = []
+
+    def recording(x, *args):
+        calls.append(x.shape[0])
+        return multi_head(x, *args)
+
+    monkeypatch.setattr(ff_model, "multi_head", recording)
+    fused, _ = block_pair("softmax", 64, heads=2, dropout=0.0)
+    fused(*[Tensor(a) for a in block_arrays(np.random.default_rng(0), 33 * 64, 8)])
+    assert calls == [384, 448, 384, 448, 448]
+
+
 # ---------------------------------------------------------------------------
 # finiteness: the node rejects what the composition rejects
 # ---------------------------------------------------------------------------
@@ -270,6 +337,10 @@ def raises_in_both(fused, composed, *arrays):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FiniteError):
                 fn(*[Tensor(a) for a in arrays])
+
+
+# Q and K are zero and V is x, so each attention row is its window's mean row
+PASS_THROUGH = {1: np.hstack([np.zeros((2, 4)), np.eye(2)]), 2: np.eye(2)}
 
 
 class TestFiniteChecks:
@@ -307,3 +378,25 @@ class TestFiniteChecks:
         raises_in_both(fused_feed_forward, composed_feed_forward,
                        np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)),
                        np.full((1, 1), 1e308), np.full((1, 1), 1e308))
+
+    @pytest.mark.parametrize("changes", [
+        {0: np.full((4, 2), 1e308), 1: np.full((2, 6), 2.0)},
+        {**PASS_THROUGH, 0: np.full((4, 2), 2.0), 2: np.full((2, 2), BIG)},
+        {**PASS_THROUGH, 0: np.full((4, 2), 1e308)},
+        {3: np.full((1, 2), BIG), 4: np.full((1, 2), BIG)},
+        {7: np.full((8, 2), BIG), 8: np.full((1, 2), BIG)},
+        {9: np.full((1, 2), BIG), 10: np.full((1, 2), BIG)},
+    ], ids=["qkv", "attention_output", "residual", "layer_norm_1_output",
+            "feed_forward_output", "block_output"])
+    def test_block_rejects_what_the_composition_rejects(self, changes):
+        """The block node keeps the window function's checks, both variances',
+        the pre-activation's and the output's.  Each case overflows one stage
+        of the block: on all but the last only a check the node dropped fires
+        in the composition, so a kept check downstream must catch it; on the
+        last only the node's own output check can fire."""
+        fused, composed = block_pair("softmax", 2, heads=1, dropout=0.0)
+        arrays = block_arrays(np.random.default_rng(5), 4, 2)
+        fused(*[Tensor(a) for a in arrays])  # the unchanged draw is finite
+        for index, value in changes.items():
+            arrays[index] = value
+        raises_in_both(fused, composed, *arrays)

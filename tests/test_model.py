@@ -9,6 +9,7 @@ import pytest
 
 import fastforecast.lstm as ff_lstm
 import fastforecast.model as ff_model
+import fastforecast.tensor as T
 from fastforecast.data import make_dataset
 from fastforecast.errors import ConfigError, DataError
 from fastforecast.favor import FavorConfig
@@ -354,6 +355,29 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < batch * heads * length ** 2 * 8, peak
+
+    @pytest.mark.parametrize("variant", ["transformer_mh", "performer"])
+    def test_forward_on_no_windows_returns_no_predictions(self, variant):
+        """An encoder block on no rows runs one empty chunk."""
+        model = build(tiny_spec(variant=variant))
+        assert model.forward_batch(np.zeros((0, 8, 8))).shape == (0, 1)
+
+    @pytest.mark.parametrize("variant", ["transformer_mh", "performer"])
+    def test_forward_without_tape_holds_one_chunk_of_qkv_and_hidden(self, variant):
+        """With no tape recording, the encoder blocks run a chunk at a time: at
+        L=512 and B=8, no buffer with 3·d_model columns (QKV) or 4·d_model
+        (the feed-forward hidden layer) spans more rows than one chunk."""
+        length, batch, d_model = 512, 8, 64
+        favor = FavorConfig(r=128, d_k=16, seed=1) if variant == "performer" else None
+        model = build(ModelSpec(variant=variant, window=length, n_features=8, favor=favor))
+        windows = np.random.default_rng(0).standard_normal((batch, length, 8))
+        with T.track_allocations() as log:
+            model.forward_batch(windows)
+        wide = [shape for shape in log.shapes
+                if len(shape) == 2 and shape[1] in (3 * d_model, 4 * d_model)]
+        assert {shape[1] for shape in wide} == {3 * d_model, 4 * d_model}
+        assert len(wide) == 2 * 2 * batch  # both per chunk, per block
+        assert max(shape[0] for shape in wide) <= ff_model.CHUNK_ROWS == length
 
     def test_training_is_deterministic(self):
         ds = tiny_dataset()
