@@ -10,9 +10,9 @@ wrapped in ``"``, but may not hold a line break.  ``#`` starts no comment: a
 ``#`` line is a malformed row.  Every malformed row is rejected with its
 line number.  Rows must be strictly increasing in time; any other spacing
 than the declared interval is a gap — the series is split at gaps and the
-longest contiguous segment is kept (one warning logged per gap).  Duplicate
-or decreasing timestamps are rejected outright with the offending line
-number.
+longest contiguous segment is kept, with one warning per file that counts
+the gaps and names the first.  Duplicate or decreasing timestamps are
+rejected outright with the offending line number.
 
 Dataset construction slides a length-L window over the valid (post warm-up)
 feature rows; the target is the next close.  The split is chronological and
@@ -123,10 +123,11 @@ def load_csv(path, interval) -> OhlcvSeries:
             if delta <= 0:
                 kind = "duplicate" if delta == 0 else "decreasing"
                 raise DataError(f"{path}:{lines[i]}: {kind} timestamp {ts[i]}")
-            logger.warning("%s:%d: gap of %ds (expected %ds); splitting series",
-                           path, lines[i], delta, interval)
-        kept = ends[best] - starts[best]
-        logger.info("kept longest segment of %d rows (%d rows dropped)", kept, len(ts) - kept)
+        first = breaks[0]
+        logger.warning("%s: %d gap(s), the first at line %d (%ds, expected %ds); "
+                       "kept the longest contiguous segment, %d of %d rows",
+                       path, len(breaks), lines[first], int(ts[first]) - int(ts[first - 1]),
+                       interval, ends[best] - starts[best], len(ts))
 
     try:
         return OhlcvSeries(interval, *(table[name][keep] for name in _ROW_DTYPE.names))

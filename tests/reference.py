@@ -15,7 +15,9 @@ oracles the fused kernels are held to:
     ``fastforecast.lstm.bilstm_forward_steps``; ``concat`` also joins the
     folds' steps and directions, the rows of the causal FAVOR+ reference in
     ``test_favor.py`` and the per-head weights of a gradient check in
-    ``test_attention_exact.py``;
+    ``test_attention_exact.py``; ``sigmoid`` is ½·tanh(x·½) + ½, the form
+    ``lstm_cell`` computes, held within 2^-52 of ``_stable_sigmoid``, the
+    two-branch form 1/(1+e^-x), e^x/(1+e^x), in ``test_lstm.py``;
   * ``exact_bidirectional`` and ``exact_unidirectional`` are softmax attention
     composed through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the
     oracles FAVOR+ is measured against, and the model's
@@ -48,7 +50,7 @@ import numpy as np
 
 import fastforecast.tensor as T
 from fastforecast.errors import ConfigError, ShapeError
-from fastforecast.lstm import _sizes, _stable_sigmoid
+from fastforecast.lstm import _sizes
 from fastforecast.model import LAYER_NORM_EPS
 from fastforecast.tensor import Tensor
 
@@ -127,8 +129,17 @@ def recip(x):
     return T._make((x,), r, lambda g: (-g * r * r,))
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(x):
-    s = _stable_sigmoid(x.data)
+    """σ(x) = ½·tanh(x·½) + ½, in the order ``lstm_cell`` computes it on the
+    pre-activations it halves, as one primitive."""
+    s = np.tanh(x.data * 0.5) * 0.5 + 0.5
     return T._make((x,), s, lambda g: (g * s * (1.0 - s),))
 
 

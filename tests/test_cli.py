@@ -113,6 +113,21 @@ class TestPrepare:
         assert code == EXIT_INPUT
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_interval_shorter_than_the_candles_exits_two_in_two_lines(self, tmp_path,
+                                                                        fixture_csv):
+        """data.interval 2 on hourly candles: every row starts a segment.  One
+        gap warning and the error, where each of the 139 gaps logged a line."""
+        config = make_config(tmp_path, fixture_csv)
+        raw = json.loads(config.read_text())
+        raw["data"]["interval"] = 2
+        config.write_text(json.dumps(raw))
+        proc = run_cli("-m", "fastforecast.cli", "prepare", "--config", str(config),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        assert len(proc.stderr.splitlines()) <= 2, proc.stderr
+        assert "139 gap(s)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_config_exits_four(self, tmp_path, fixture_csv, capsys):
         config = make_config(tmp_path, fixture_csv)
         raw = json.loads(config.read_text())

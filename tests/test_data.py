@@ -75,9 +75,22 @@ class TestLoadCsv:
         write_csv(path, rows[:4] + shifted)
         with caplog.at_level(logging.WARNING, logger="fastforecast.data"):
             series = load_csv(path, "hourly")
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{path}: 1 gap(s), the first at line 6 (10800s, expected 3600s); "
+                            "kept the longest contiguous segment, 6 of 10 rows"]
         assert len(series) == 6  # the longer post-gap segment
+
+    def test_many_gaps_log_one_warning(self, tmp_path, caplog):
+        """Every row a gap apart: one warning for the file, not one per gap."""
+        rows = [(ts + 3600 * k, *rest) for k, (ts, *rest) in enumerate(candle_rows(9))]
+        path = tmp_path / "gaps.csv"
+        write_csv(path, rows)
+        with caplog.at_level(logging.WARNING, logger="fastforecast.data"):
+            series = load_csv(path, "hourly")
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{path}: 8 gap(s), the first at line 3 (7200s, expected 3600s); "
+                            "kept the longest contiguous segment, 1 of 9 rows"]
+        assert len(series) == 1
 
     def test_malformed_row_names_line(self, tmp_path):
         rows = candle_rows(3)
@@ -249,18 +262,22 @@ def reference_load_csv(path, interval) -> OhlcvSeries:
         raise DataError(f"{path}: no data rows")
 
     segments = [[rows[0]]]
+    gaps = []  # (line, delta) of each gap
     for prev, cur in zip(rows, rows[1:]):
         delta = cur[1] - prev[1]
         if delta <= 0:
             kind = "duplicate" if delta == 0 else "decreasing"
             raise DataError(f"{path}:{cur[0]}: {kind} timestamp {cur[1]}")
         if delta != interval:
-            logger.warning("%s:%d: gap of %ds (expected %ds); splitting series",
-                           path, cur[0], delta, interval)
+            gaps.append((cur[0], delta))
             segments.append([])
         segments[-1].append(cur)
 
     best = max(segments, key=len)
+    if gaps:
+        logger.warning("%s: %d gap(s), the first at line %d (%ds, expected %ds); "
+                       "kept the longest contiguous segment, %d of %d rows",
+                       path, len(gaps), *gaps[0], interval, len(best), len(rows))
     ts = np.array([r[1] for r in best], dtype=np.int64)
     cols = np.array([r[2] for r in best], dtype=np.float64)
     try:

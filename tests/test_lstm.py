@@ -9,6 +9,8 @@ import pytest
 import fastforecast.tensor as T
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.lstm import (
+    _gate_affine,
+    _halved,
     bilstm_forward_steps,
     init_lstm_weights,
     lstm_cell,
@@ -17,7 +19,13 @@ from fastforecast.lstm import (
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, rel_err
-from reference import composed_lstm_cell, concat, window_node
+from reference import (
+    _stable_sigmoid,
+    composed_lstm_cell,
+    concat,
+    sigmoid as tanh_form_sigmoid,
+    window_node,
+)
 
 
 def one_sequence(x, w, b):
@@ -95,8 +103,12 @@ def zero_state(batch, hidden):
 
 def step(x, h_prev, c_prev, w):
     """lstm_cell on the (batch, ·) arrays x, h_prev and c_prev with a
-    direction's (W, b): the activations, C_t, tanh(C_t) and h_t."""
-    return lstm_cell(np.concatenate([h_prev, x], axis=1), w[0].data, w[1].data, c_prev)
+    direction's (W, b), halved as lstm_sequence halves them: the
+    activations, C_t, tanh(C_t) and h_t."""
+    batch, hidden = c_prev.shape
+    out = np.empty((batch, 4 * hidden)), *np.empty((3, batch, hidden))
+    lstm_cell(np.concatenate([h_prev, x], axis=1), *_halved(w[0].data, w[1].data), c_prev, *out)
+    return out
 
 
 def lstm_fold(xs, batch, w, b, reverse=False):
@@ -164,6 +176,44 @@ class TestLstmCell:
                          np.tanh(d["w_c"] @ z + d["b_c"]), sigmoid(d["w_o"] @ z + d["b_o"])]
             np.testing.assert_allclose(act[row], np.concatenate(gates_ref), atol=1e-12)
         np.testing.assert_array_equal(tanh_c, np.tanh(c))
+
+    def test_tanh_form_sigmoid_within_one_ulp_of_stable_sigmoid(self):
+        """reference.sigmoid computes ½·tanh(x·½) + ½, as lstm_cell does; over
+        200k N(0, 30²) draws it is within 2^-52 of the two-branch form (the
+        largest difference measured, on each of six seeds)."""
+        x = np.random.default_rng(26).standard_normal((400, 500)) * 30
+        got = tanh_form_sigmoid(Tensor(x)).data
+        assert np.max(np.abs(got - _stable_sigmoid(x))) <= 2.0**-52
+
+    def test_gate_affine_leaves_the_candidate_column_bitwise(self):
+        """½·t + ½ in the f, i and o columns; C̃'s values pass through as they
+        are, −0.0 included, which a shift of +0.0 would turn into +0.0."""
+        t = np.array([[-0.0, 0.0, -1.0, 1.0] * 4])
+        scale, shift = _gate_affine(4)
+        got = t * scale + shift
+        assert got[:, 8:12].tobytes() == t[:, 8:12].tobytes()
+        np.testing.assert_array_equal(np.delete(got, np.s_[8:12]), [0.5, 0.5, 0.0, 1.0] * 3)
+
+    def test_saturated_gates_are_exactly_zero_and_one(self, rng):
+        """Pre-activations of ±1e3 give gates of exactly 0 and 1 (the tanh
+        form reaches them from |x| ≈ 38 on); C, h and every gradient stay
+        finite, and the saturated gates pass no gradient to their weights."""
+        hidden, inp, length, batch = 3, 2, 5, 2
+        w = Tensor(rng.standard_normal((4 * hidden, hidden + inp)) * 0.1)
+        signs = np.array([1.0, -1.0, 1.0])
+        b = Tensor(np.concatenate([-1e3 * signs, 1e3 * signs, np.zeros(hidden), 1e3 * signs])[None])
+        act, c, _, h = step(rng.standard_normal((batch, inp)), np.zeros((batch, hidden)),
+                            rng.standard_normal((batch, hidden)), (w, b))
+        f, i, _, o = np.split(act, 4, axis=1)
+        for gate, sign in ((f, -signs), (i, signs), (o, signs)):
+            np.testing.assert_array_equal(gate, np.broadcast_to(sign > 0, gate.shape) * 1.0)
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(h))
+        out, backward = lstm_sequence(rng.standard_normal((length, batch, inp)), w.data, b.data)
+        dx, dw, db = backward(rng.standard_normal(out.shape))
+        assert all(np.all(np.isfinite(a)) for a in (out, dx, dw, db))
+        saturated = np.r_[0:2 * hidden, 3 * hidden:4 * hidden]
+        np.testing.assert_array_equal(dw[saturated], 0.0)
+        np.testing.assert_array_equal(db[:, saturated], 0.0)
 
     def test_gate_ranges_and_hidden_bound(self, rng):
         w = random_weights(2, 4, seed=3)
@@ -345,6 +395,35 @@ class TestLstmSequence:
             lstm_sequence(xs.data.reshape(2, 2, 2), w.data, b.data)
         with pytest.raises(FiniteError):
             lstm_fold(xs, 2, w, b)
+
+    def test_overflow_after_first_step_raises(self, rng):
+        """An input that overflows the gate matmul at step 2 only (step 1 of the
+        backward direction) raises from the direction and from the layer:
+        each step checks its pre-activations, since tanh maps ±inf to ±1."""
+        w, b = random_weights(2, 3, seed=27)
+        w.data[:] = 10.0
+        xs = rng.standard_normal((4, 2, 2))
+        xs[2, 1, 0] = 1e308
+        with pytest.raises(FiniteError):
+            lstm_sequence(xs, w.data, b.data)
+        with pytest.raises(FiniteError):
+            lstm_sequence(xs[::-1], w.data, b.data)
+        with pytest.raises(FiniteError):
+            bilstm_forward_steps(Tensor(xs.reshape(8, 2)), 2, (w, b), random_weights(2, 3, seed=28))
+        with pytest.raises(FiniteError):
+            bilstm_forward_steps(Tensor(xs.reshape(8, 2)), 2, random_weights(2, 3, seed=28), (w, b))
+
+    def test_overflow_gap_of_halved_gates(self):
+        """A known gap: an f, i or o pre-activation of magnitude in
+        [2^1024, 2^1025) overflows in the composed cell, but lstm_sequence
+        computes it halved, finite, and saturates the gate instead."""
+        w, b = zero_weights(1, 1)
+        w.data[0, 1] = 2.0  # the forget gate's weight on x
+        xs = Tensor(np.full((2, 1), 1e308))  # 2e308 > 2^1024 ≈ 1.8e308
+        out, _ = lstm_sequence(xs.data.reshape(2, 1, 1), w.data, b.data)
+        assert np.all(np.isfinite(out))
+        with pytest.raises(FiniteError):
+            lstm_fold(xs, 1, w, b)
 
     def test_partial_step_rejected(self, rng):
         w = random_weights(2, 3, seed=21)

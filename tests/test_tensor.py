@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import fastforecast.tensor as T
 from fastforecast.errors import FiniteError, ShapeError
-from fastforecast.lstm import _stable_sigmoid
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, scaled_dot_attention
 from test_favor import masked
-from reference import concat, exp, recip, sigmoid, softmax_rows, sqrt, tanh, transpose
+from reference import (
+    _stable_sigmoid, concat, exp, recip, sigmoid, softmax_rows, sqrt, tanh, transpose,
+)
 
 
 class TestTensorBasics:
