@@ -274,12 +274,17 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _cap_threads()
     args = make_parser().parse_args(argv)
+    import numpy as np
+
     from .errors import ConfigError, DataError, DivergenceError, FiniteError
 
     handler = {"prepare": cmd_prepare, "train": cmd_train,
                "evaluate": cmd_evaluate, "bench": cmd_bench}[args.command]
     try:
-        return handler(args)
+        # an overflow is reported once, as the FiniteError check_finite raises
+        # for it, not also as numpy's RuntimeWarnings on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handler(args)
     except (OSError, DataError) as exc:  # missing, unreadable or unwritable paths too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

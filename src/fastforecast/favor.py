@@ -17,8 +17,8 @@ form contracts K̂ᵀV and K̂ᵀ1 first; the causal form takes prefix sums of
 
 ``favor_bidirectional`` and ``favor_unidirectional`` are the model's
 FAVOR+ window functions: each runs one form over a window in numpy, with the
-same arithmetic as the equivalent composition of tensor primitives (so the
-outputs agree bit for bit), and returns the output with its backward pass,
+same arithmetic as the equivalent composition of the tensor primitives in
+``tests/reference.py`` (so the outputs agree bit for bit), and returns the output with its backward pass,
 derived by hand.  ``attention.multi_head`` calls one of them once per window
 on a (heads, L, d_k) stack, one Ω per head, inside one tape node.  The two
 forms share one body (``_favor_window``): φ (``_phi`` and ``_phi_grad``),

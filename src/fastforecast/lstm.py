@@ -30,8 +30,13 @@ as the attention window functions return theirs.  The backward pass works
 one step at a time, copying the step's activations into gate-major
 (4, batch, hidden) buffers where each gate's block is contiguous; the
 gradients of x, W and b are one product each over the whole sequence.
-``bilstm_forward_steps`` runs it on the sequence and on its time-reversed
-view, and is the layer's one tape node.  The step does the same arithmetic
+``bilstm_forward_steps`` is the layer's one tape node.  It takes and returns
+batch-major rows, as every node of the model does: row s·L + t is sequence s
+at step t.  It runs ``lstm_sequence`` on a time-major view of those rows
+(whose cell-input buffer copies them once) and on its time-reversed view,
+writes the joined states back as batch-major rows, and applies the layer's
+dropout mask.  The mask's rows are time-major, row t·batch + s, since the
+model draws it in that shape.  The step does the same arithmetic
 as the cell composed from tensor primitives in ``tests/reference.py``, whose
 sigmoid is ½·tanh(x·½) + ½, so a direction agrees with a fold over that
 cell bit for bit.
@@ -187,27 +192,41 @@ def lstm_sequence(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def bilstm_forward_steps(xs: Tensor, batch: int, fwd: tuple[Tensor, Tensor],
-                         bwd: tuple[Tensor, Tensor]) -> Tensor:
-    """Both directions, each a (W, b) pair, over a time-major (L·batch, input)
-    sequence, whose rows t·batch .. t·batch + batch - 1 are step t: the
-    (L·batch, 2·hidden) states, the forward half first, time-aligned.  One
-    tape node."""
-    T._require_2d("bilstm_forward_steps", xs)
+                         bwd: tuple[Tensor, Tensor], mask: np.ndarray | None = None) -> Tensor:
+    """Both directions, each a (W, b) pair, over ``batch`` sequences given as
+    batch-major (batch·L, input) rows, whose rows s·L .. s·L + L - 1 are
+    sequence s: the (batch·L, 2·hidden) states in the same rows, the forward
+    half first, time-aligned, each times its entry of the (L·batch, 2·hidden)
+    dropout ``mask`` unless it is None.  The mask's rows are time-major: row
+    t·batch + s scales sequence s at step t.  One tape node."""
+    if xs.data.ndim != 2:
+        raise ShapeError(f"bilstm_forward_steps expects rank-2 rows, got shape {xs.shape}")
     rows = xs.shape[0]
     if batch < 1 or rows == 0 or rows % batch:
-        raise ShapeError(f"{rows} rows are not whole steps of batch {batch}")
+        raise ShapeError(f"{rows} rows are not whole sequences of batch {batch}")
     if fwd[0].shape[0] != bwd[0].shape[0]:
         raise ShapeError("forward/backward hidden sizes differ")
-    x = xs.data.reshape(rows // batch, batch, -1)
+    length = rows // batch
+    x = xs.data.reshape(batch, length, -1).transpose(1, 0, 2)  # time-major view
     h_f, back_f = lstm_sequence(x, fwd[0].data, fwd[1].data)
     h_b, back_b = lstm_sequence(x[::-1], bwd[0].data, bwd[1].data)  # last step first
     hid = h_f.shape[2]
+    out = np.empty((batch, length, 2 * hid))
+    steps = out.transpose(1, 0, 2)  # time-major view of the output rows
+    steps[:, :, :hid] = h_f
+    steps[:, :, hid:] = h_b[::-1]
+    if mask is not None:
+        mask = mask.reshape(length, batch, 2 * hid)
+        steps *= mask
 
     def backward(g):
-        g = g.reshape(rows // batch, batch, 2 * hid)
+        g = g.reshape(batch, length, 2 * hid).transpose(1, 0, 2)
+        if mask is not None:
+            g = g * mask
         dx_f, dw_f, db_f = back_f(g[:, :, :hid])
         dx_b, dw_b, db_b = back_b(g[::-1, :, hid:])
-        return (dx_f + dx_b[::-1]).reshape(rows, -1), dw_f, db_f, dw_b, db_b
+        dx = np.empty((batch, length, dx_f.shape[2]))
+        np.add(dx_f, dx_b[::-1], out=dx.transpose(1, 0, 2))
+        return dx.reshape(rows, -1), dw_f, db_f, dw_b, db_b
 
-    return T._make((xs, *fwd, *bwd), np.concatenate([h_f, h_b[::-1]], axis=2).reshape(rows, -1),
-                   backward, check=False)
+    return T._make((xs, *fwd, *bwd), out.reshape(rows, -1), backward, check=False)

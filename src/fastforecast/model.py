@@ -2,10 +2,19 @@
 
 The full architecture: affine input embedding, sinusoidal positional
 encoding, a stack of encoder blocks (self-attention, then a position-wise
-feed-forward sublayer, each with a residual and a layer norm; one tape node
-per block, run a chunk of windows at a time), two bidirectional LSTM layers,
-and a fully-connected head that reads the last timestep's representation
-and emits the normalized next-close prediction.
+feed-forward sublayer, each with a residual and a layer norm; run a chunk of
+windows at a time), two bidirectional LSTM layers, and a fully-connected
+head that reads the last timestep's representation and emits the
+normalized next-close prediction.
+
+Each stage is one tape node with a hand-written backward pass: the
+embedding, each block, each BiLSTM layer with its dropout, the head and the
+MSE loss.  Every node takes and returns batch-major rows (row b·L + t is
+window b at step t), and forms each weight's gradient from (left, right) row
+pairs with ``_weight_grad``.  Each does the floating-point operations of the
+composition of one node per operation that it replaced, in the same order,
+so its outputs and gradients are that composition's bit for bit
+(``tests/reference.py`` keeps it as the oracle).
 
 Five variants share this code path and differ only in which stages are
 active and which attention kernel the blocks use:
@@ -160,8 +169,8 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 1, kept with extent 1, as the tape sums the gradient of a
-    broadcast (N, 1) operand: a single column is returned as it is."""
+    """Sum over axis 1, kept with extent 1, as a composition sums the gradient
+    of a broadcast (N, 1) operand: a single column is returned as it is."""
     return a if a.shape[1] == 1 else a.sum(axis=1, keepdims=True)
 
 
@@ -170,12 +179,15 @@ def _masked(a: np.ndarray, mask: np.ndarray | None, rows: slice) -> np.ndarray:
     return a if mask is None else a * mask[rows]
 
 
-def _weight_grad(w: Tensor, pairs) -> np.ndarray:
+def _weight_grad(pairs) -> np.ndarray:
     """A weight's gradient from each chunk's (left, right) rows, formed over all
-    rows at once as the tape forms it: leftᵀ·right, or right's column sum."""
+    rows at once as the tape forms it: leftᵀ·right, or right's column sum, where
+    a single row is returned as it is (as ``_row_sum`` returns a single column)."""
     left, right = (p[0] if len(p) == 1 or p[0] is None else np.concatenate(p)
                    for p in zip(*pairs))
-    return T._sum_to(w, right) if left is None else left.T @ right
+    if left is not None:
+        return left.T @ right
+    return right if len(right) == 1 else right.sum(axis=0, keepdims=True)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -378,13 +390,62 @@ class Model:
                 g_xq, mh_terms = mh_back(_masked(g_s1, masks[0], s))
                 g_x[s] = g_s1 + g_xq
                 terms.append(mh_terms + ln1_terms + ffn_terms + ln2_terms)
-            return (g_x, *map(_weight_grad, params, zip(*terms)))
+            return (g_x, *map(_weight_grad, zip(*terms)))
 
         return T._make((x, *params), out, backward, check=False)
 
+    def _embed(self, windows: np.ndarray) -> Tensor:
+        """x·W + b over every row of the (B, L, F) windows, plus the positional
+        signal, added in place, when the variant runs blocks.  One tape node;
+        its output check covers x·W, since adding b keeps a non-finite entry."""
+        batch, length, n_feat = windows.shape
+        w, b = self.params["embed.w"], self.params["embed.b"]
+        x = np.ascontiguousarray(windows.reshape(batch * length, n_feat))
+        out = x @ w.data
+        out += b.data
+        if self.positional is not None:
+            rows = out.reshape(batch, length, self.spec.d_model)
+            rows += self.positional
+        return T._make((w, b), out,
+                       lambda g: (_weight_grad([(x, g)]), _weight_grad([(None, g)])))
+
+    def _head(self, x: Tensor) -> Tensor:
+        """Each window's last row through the fully-connected layers, with a relu
+        between each two: the (B, 1) predictions.  One tape node; it checks each
+        relu's input, since the relu maps -inf to 0, and its output."""
+        spec = self.spec
+        n_fc = len(spec.fc_widths)
+        params = [self.params[f"fc{k}.{leaf}"] for k in range(n_fc) for leaf in "wb"]
+        rows = np.arange(spec.window - 1, len(x.data), spec.window)
+        h = x.data[rows]
+        ins, relus = [], []  # each layer's input, and which relu inputs were positive
+        for k in range(n_fc):
+            ins.append(h)
+            h = h @ params[2 * k].data
+            h += params[2 * k + 1].data
+            if k < n_fc - 1:
+                T.check_finite(h)
+                relus.append(h > 0)
+                np.maximum(h, 0.0, out=h)
+        T.note_buffers(*ins)
+
+        def backward(g):
+            grads = []
+            for k in reversed(range(n_fc)):
+                grads[:0] = [_weight_grad([(ins[k], g)]), _weight_grad([(None, g)])]
+                g = g @ params[2 * k].data.T
+                if k:
+                    g = g * relus[k - 1]
+            g_x = np.zeros(x.shape)
+            g_x[rows] += g
+            return (g_x, *grads)
+
+        return T._make((x, *params), h, backward)
+
     def forward_batch(self, windows: np.ndarray, rng=None) -> Tensor:
         """(B, L, F) feature windows -> (B, 1) normalized predictions; dropout
-        applies exactly when ``rng`` is given."""
+        applies exactly when ``rng`` is given.  One tape node per stage:
+        the embedding, each block, each BiLSTM layer and the head."""
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 3:
             raise ConfigError(f"expected (B, L, F) windows, got shape {windows.shape}")
@@ -394,37 +455,18 @@ class Model:
             raise ConfigError(
                 f"window shape ({length}, {n_feat}) != spec ({spec.window}, {spec.n_features})")
 
-        x = Tensor(windows.reshape(batch * length, n_feat))
-        x = T.add(T.matmul(x, self.params["embed.w"]), self.params["embed.b"])
-        if spec.uses_attention:
-            # in place, window by window: the embedding's add node never reads its output
-            rows = x.data.reshape(batch, length, spec.d_model)
-            rows += self.positional
-            for i in range(spec.blocks):
-                x = self._encoder_block(x, i, rng)
-
+        x = self._embed(windows)
+        for i in range(spec.blocks if spec.uses_attention else 0):
+            x = self._encoder_block(x, i, rng)
         if spec.uses_bilstm:
-            # time-major rows: row t·B + b is window b at step t
-            seq = T.take_rows(x, (np.arange(length)[:, None]
-                                  + np.arange(batch) * length).reshape(-1))
             p = self.params
             for layer in (1, 2):
                 fwd, bwd = ((p[f"bilstm{layer}.{d}.w"], p[f"bilstm{layer}.{d}.b"])
                             for d in ("fwd", "bwd"))
-                seq = bilstm_forward_steps(seq, batch, fwd, bwd)
-                mask = self._dropout_mask(seq.shape, rng)
-                seq = seq if mask is None else T.mul(seq, Tensor(mask))
-            rep = T.take_rows(seq, np.arange((length - 1) * batch, length * batch))
-        else:
-            rep = T.take_rows(x, np.arange(batch) * length + (length - 1))
-
-        n_fc = len(self.spec.fc_widths)
-        h = rep
-        for k in range(n_fc):
-            h = T.add(T.matmul(h, self.params[f"fc{k}.w"]), self.params[f"fc{k}.b"])
-            if k < n_fc - 1:
-                h = T.relu(h)
-        return h
+                # time-major rows: row t·B + b scales window b at step t
+                mask = self._dropout_mask((length * batch, 2 * spec.bilstm_hidden), rng)
+                x = bilstm_forward_steps(x, batch, fwd, bwd, mask)
+        return self._head(x)
 
 
 def build(spec: ModelSpec) -> Model:
@@ -501,10 +543,17 @@ def _clip_gradients(grads: dict[str, np.ndarray], clip: float) -> None:
 
 
 def _batch_loss(model: Model, windows, targets, rng) -> Tensor:
+    """The mean squared error of the predictions for ``windows``, as one tape
+    node after the model's own; its output check covers every intermediate."""
     preds = model.forward_batch(windows, rng)
-    target_t = Tensor(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
-    diff = T.sub(preds, target_t)
-    return T.mul(T.tsum(T.mul(diff, diff)), 1.0 / len(targets))
+    diff = preds.data - np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    scale = 1.0 / len(targets)
+
+    def backward(g):
+        g_diff = (g * scale) * diff  # d(diff·diff) is the sum of two such terms
+        return (g_diff + g_diff,)
+
+    return T._make((preds,), (diff * diff).sum() * scale, backward)
 
 
 def _predict(model: Model, windows, batch: int) -> np.ndarray:

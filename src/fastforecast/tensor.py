@@ -1,33 +1,20 @@
 """Dense float64 arrays with a reverse-mode gradient tape.
 
-Every differentiable operation in the package is a primitive registered
-through :func:`_make`: the seven primitives in this module (``add``,
-``sub``, ``mul``, ``relu``, ``matmul``, ``tsum`` and ``take_rows``), plus
-two fused kernels: the BiLSTM layer (``lstm.bilstm_forward_steps``, which
-runs ``lstm.lstm_sequence`` once per direction) and the encoder block
-(``model.Model._encoder_block``, which composes ``attention.multi_head``,
-``model.layer_norm`` and ``model.feed_forward`` a chunk of windows at a
-time; a weight's gradient sums over the whole batch in one gemm or sum,
-since a sum split by chunk would round differently).
-A primitive computes its forward value with numpy and, when a
-:class:`GradTape` is active and an input requires gradients, records one
-node whose closure maps the output gradient to per-input gradients; a fused
-kernel's closure is its hand-derived backward pass.
-Replaying the tape in reverse (``tape.backward``) fills ``Tensor.grad`` for
-every leaf.  Ops are module functions, called as ``T.add(a, b)``,
-``T.matmul(a, b)`` and so on; ``Tensor`` has no operator methods.
+Every differentiable stage of the model is one tape node, registered
+through :func:`_make` with its numpy output and its hand-derived backward
+pass, a closure that maps the output gradient to one gradient per input:
+the embedding, each encoder block, each BiLSTM layer, the head and the loss
+(see ``model`` and ``lstm``).  When a :class:`GradTape` is active and an
+input requires gradients, ``_make`` records the node; replaying the tape in
+reverse (``tape.backward``) fills ``Tensor.grad`` for every leaf.
 
 Design constraints honoured here:
   * float64 everywhere,
-  * non-finite values raise :class:`FiniteError` immediately; a fused kernel
-    raises on exactly the inputs its composed form would have rejected,
-    checking (``check_finite``) each intermediate that no later check
-    covers, and notes its buffers in the allocation log (``note_buffers``),
-  * ``add``/``sub``/``mul`` broadcast as numpy does, but only where the
-    result has the shape of one operand (a (3, 1) with a (1, 4) raises
-    :class:`ShapeError`); a Python number is a constant with no gradient, and
-    each backward pass sums the gradient over the broadcast axes
-    (``_sum_to``).
+  * non-finite values raise :class:`FiniteError` immediately; a node
+    checks (``check_finite``) each intermediate that no later check covers,
+    so it raises on exactly the inputs that a composition of one node per
+    operation would reject, and notes its buffers in the allocation log
+    (``note_buffers``).
 """
 
 from __future__ import annotations
@@ -54,7 +41,8 @@ def _observer() -> "list | None":
 
 
 class AllocationLog:
-    """Records the shape and byte size of every tensor an op creates.
+    """Records the shape and byte size of each node's output and of every
+    buffer noted with ``note_buffers``.
 
     Used by the complexity probe to verify, structurally, that a kernel
     never materialises a sequence-length-squared buffer.
@@ -83,7 +71,7 @@ class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
     Only the constructor guarantees that ``data`` is a C-contiguous ndarray;
-    a primitive keeps the array its numpy expression returns.
+    a node keeps the array it was given.
     ``grad`` is filled by ``GradTape.backward`` and has the same shape as
     ``data``.
     """
@@ -127,9 +115,9 @@ class _Node:
 
 
 class GradTape:
-    """Ordered record of primitive ops, replayed in reverse for gradients.
+    """Ordered record of nodes, replayed in reverse for gradients.
 
-    Use as a context manager; ops executed inside the context are recorded
+    Use as a context manager; nodes made inside the context are recorded
     in execution order (a valid topological order).  The tape is append-only.
     """
 
@@ -185,10 +173,6 @@ def track_allocations() -> AllocationLog:
     return AllocationLog()
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def check_finite(*arrays: np.ndarray) -> None:
     """Raise FiniteError if any array holds NaN/Inf."""
     for arr in arrays:
@@ -206,7 +190,7 @@ def note_buffers(*arrays: np.ndarray) -> None:
 
 def _make(inputs: Sequence[Tensor], out_data: np.ndarray,
           backward: Callable[[np.ndarray], tuple], check: bool = True) -> Tensor:
-    """Wrap an op result, record it on the active tape, log allocations."""
+    """Wrap a node's output, record it on the active tape, log allocations."""
     if check:
         check_finite(out_data)
     out = Tensor.__new__(Tensor)
@@ -221,112 +205,3 @@ def _make(inputs: Sequence[Tensor], out_data: np.ndarray,
         if tape is not None:
             tape._nodes.append(_Node(tuple(inputs), out, backward))
     return out
-
-
-def _require_2d(name: str, *ts: Tensor) -> None:
-    for t in ts:
-        if t.data.ndim != 2:
-            raise ShapeError(f"{name} expects rank-2 tensors, got shape {t.shape}")
-
-
-# ---------------------------------------------------------------------------
-# binary elementwise (broadcast to the shape of one operand)
-# ---------------------------------------------------------------------------
-
-def _broadcast(name: str, a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors; their broadcast shape must be one of theirs."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        shape = np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        shape = None
-    if shape not in (a.data.shape, b.data.shape):
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast "
-                         f"to the shape of either")
-    return a, b
-
-
-def _sum_to(t: Tensor, g: np.ndarray) -> np.ndarray:
-    """``g`` summed over the axes that broadcasting stretched ``t`` along."""
-    shape = t.data.shape
-    if g.shape == shape:
-        return g
-    padded = (1,) * (g.ndim - len(shape)) + shape
-    axes = tuple(i for i, (m, n) in enumerate(zip(g.shape, padded)) if m != n)
-    return g.sum(axis=axes, keepdims=True).reshape(shape)
-
-
-def add(a, b) -> Tensor:
-    a, b = _broadcast("add", a, b)
-    return _make((a, b), a.data + b.data, lambda g: (_sum_to(a, g), _sum_to(b, g)))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _broadcast("sub", a, b)
-    return _make((a, b), a.data - b.data, lambda g: (_sum_to(a, g), -_sum_to(b, g)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _broadcast("mul", a, b)
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return (_sum_to(a, g * bd) if a.requires_grad else None,
-                _sum_to(b, g * ad) if b.requires_grad else None)
-
-    return _make((a, b), ad * bd, backward)
-
-
-# ---------------------------------------------------------------------------
-# unary elementwise
-# ---------------------------------------------------------------------------
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _make((x,), np.maximum(x.data, 0.0), lambda g: (g * mask,))
-
-
-# ---------------------------------------------------------------------------
-# matrix ops and reductions
-# ---------------------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_2d("matmul", a, b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner extents {a.shape} x {b.shape} disagree")
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
-
-    return _make((a, b), ad @ bd, backward)
-
-
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over ``axis`` of a rank-2 tensor, kept with extent 1 (0 gives
-    (1, n), 1 gives (m, 1)), or over everything to shape () for ``None``."""
-    if axis is not None:
-        _require_2d("tsum", x)
-    shape = x.data.shape
-    return _make((x,), np.asarray(x.data.sum(axis=axis, keepdims=axis is not None)),
-                 lambda g: (np.broadcast_to(g, shape),))
-
-
-# ---------------------------------------------------------------------------
-# shape movement
-# ---------------------------------------------------------------------------
-
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather rows by index; gradient scatter-adds (handles repeats)."""
-    _require_2d("take_rows", x)
-    idx = np.asarray(idx, dtype=np.intp)
-    shape = x.data.shape
-
-    def backward(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _make((x,), x.data[idx], backward, check=False)

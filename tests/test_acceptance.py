@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import fastforecast.model as ff_model
-import fastforecast.tensor as T
 from fastforecast.data import (
     evaluate_metrics,
     make_dataset,
@@ -40,7 +39,7 @@ from fastforecast.tensor import GradTape, Tensor
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from conftest import check_gradients, rel_err, scaled_dot_attention
-from reference import exact_bidirectional, exact_unidirectional
+from reference import exact_bidirectional, exact_unidirectional, mul, tsum
 from test_favor import causal_favor_node, favor_node, kernel_shapes
 from test_fused_kernels import block_arrays, block_pair, fused_feed_forward, fused_layer_norm
 from test_indicators import make_series, random_walk, valid
@@ -114,12 +113,12 @@ class TestCriterion2ComplexityScaling:
 class TestCriterion3GradientIntegrity:
     def test_all_gradient_checks(self, monkeypatch):
         start = time.monotonic()
-        # every tape primitive at 1e-6
+        # every reference primitive at 1e-6
         for name, build_fn, arrays in PRIMITIVE_CASES:
             check_gradients(build_fn, [a.copy() for a in arrays], tol=1e-6)
 
         rng = np.random.default_rng(7)
-        sq = lambda out: T.tsum(T.mul(out, out))
+        sq = lambda out: tsum(mul(out, out))
 
         # both attention kernel families
         q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))

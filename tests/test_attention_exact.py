@@ -5,7 +5,6 @@ import functools
 import numpy as np
 import pytest
 
-import fastforecast.tensor as T
 from fastforecast.attention import softmax_window
 from fastforecast.errors import ConfigError, ShapeError
 from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
@@ -14,7 +13,7 @@ from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
 from conftest import check_gradients, scaled_dot_attention
-from reference import concat, exact_bidirectional, exact_unidirectional
+from reference import concat, exact_bidirectional, exact_unidirectional, mul, tsum
 from test_fused_kernels import multi_head_node
 
 
@@ -179,7 +178,7 @@ class TestAttentionGradients:
     def _loss(self, kernel):
         def build(q, k, v):
             out = kernel(q, k, v)
-            return T.tsum(T.mul(out, out))
+            return tsum(mul(out, out))
         return build
 
     @pytest.mark.parametrize("kernel", [scaled_dot_attention, exact_bidirectional,
@@ -203,7 +202,7 @@ class TestAttentionGradients:
         def build(xt, wq0, wq1, wk0, wk1, wv0, wv1, wo):
             w = concat([wq0, wk0, wv0, wq1, wk1, wv1], axis=1)
             out = multi_head_node(xt, w, wo, window, 2, 4)
-            return T.tsum(T.mul(out, out))
+            return tsum(mul(out, out))
 
         heads = [np.split(w_qkv.data[:, 6 * j:6 * (j + 1)], 3, axis=1) for j in range(2)]
         arrays = [x, heads[0][0], heads[1][0], heads[0][1], heads[1][1],

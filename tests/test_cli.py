@@ -480,22 +480,22 @@ class TestTrainEvaluate:
         for name in fresh.params:
             assert np.array_equal(fresh.params[name].data, model.params[name].data)
 
-    def test_divergence_exits_three(self, tmp_path, fixture_csv, capsys):
+    def test_divergence_exits_three(self, tmp_path, fixture_csv):
         """An absurd learning rate overflows the parameters; training aborts
-        with the divergence exit code instead of writing NaN artifacts."""
-        import warnings
-
-        config = make_config(tmp_path, fixture_csv)
-        raw = json.loads(config.read_text())
-        raw["train"] = {"epochs": 3, "batch": 16, "lr": 1e200, "grad_clip": 0.0}
-        config.write_text(json.dumps(raw))
-        out = tmp_path / "diverged"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["train", "--config", str(config), "--out", str(out)])
-        assert code == 3
-        assert "diverged" in capsys.readouterr().err
-        assert not (out / "checkpoint.ffck").exists()
+        with the divergence exit code and one stderr line, no numpy warning
+        before it, instead of writing NaN artifacts."""
+        for variant in ("bilstm_only", "performer"):
+            config = make_config(tmp_path, fixture_csv, variant=variant)
+            raw = json.loads(config.read_text())
+            raw["train"] = {"epochs": 3, "batch": 16, "lr": 1e200, "grad_clip": 0.0}
+            config.write_text(json.dumps(raw))
+            out = tmp_path / f"diverged_{variant}"
+            result = run_cli("-m", "fastforecast.cli", "train", "--config", str(config),
+                             "--out", str(out))
+            assert result.returncode == 3, variant
+            assert len(result.stderr.splitlines()) == 1, result.stderr
+            assert "diverged" in result.stderr
+            assert not (out / "checkpoint.ffck").exists()
 
     def test_overfit_single_window_reaches_tiny_mse(self, tmp_path):
         """Memorization through the CLI: a dataset with one training window

@@ -23,8 +23,8 @@ from fastforecast.favor import (
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
 from conftest import check_gradients, rel_err, scaled_dot_attention
-from reference import (concat, exact_bidirectional, exact_unidirectional, exp, recip,
-                       transpose, window_node)
+from reference import (add, concat, exact_bidirectional, exact_unidirectional, exp, matmul,
+                       mul, recip, sub, take_rows, transpose, tsum, window_node)
 
 # the model's window functions on tensors, each call one tape node
 favor_node = window_node(favor_bidirectional)
@@ -58,26 +58,26 @@ def masked(x, keep, fill):
     as x·keep + fill·(1−keep): no gradient reaches x where keep is 0.  The
     references write φ's exp clamp and the denominator floor this way."""
     keep = np.asarray(keep, dtype=np.float64)
-    return T.add(T.mul(x, Tensor(keep)), Tensor(fill * (1.0 - keep)))
+    return add(mul(x, Tensor(keep)), Tensor(fill * (1.0 - keep)))
 
 
 def composed_phi(x, omega):
     """Reference for φ, composed from tensor primitives."""
-    proj = T.matmul(x, Tensor(omega.T))
-    sq_half = T.mul(T.tsum(T.mul(x, x), axis=1), 0.5)
-    arg = T.sub(proj, sq_half)
+    proj = matmul(x, Tensor(omega.T))
+    sq_half = mul(tsum(mul(x, x), axis=1), 0.5)
+    arg = sub(proj, sq_half)
     clamped = masked(arg, arg.data < EXP_CLAMP, EXP_CLAMP)
-    return T.mul(exp(clamped), 1.0 / np.sqrt(omega.shape[0]))
+    return mul(exp(clamped), 1.0 / np.sqrt(omega.shape[0]))
 
 
 def composed_favor(q, k, v, omega):
     """Reference for favor_bidirectional, composed from tensor primitives."""
     scale = omega.shape[1] ** -0.25
-    q_hat = composed_phi(T.mul(q, scale), omega)
-    k_hat = composed_phi(T.mul(k, scale), omega)
-    num = T.matmul(q_hat, T.matmul(transpose(k_hat), v))
-    den = T.matmul(q_hat, transpose(T.tsum(k_hat, axis=0)))
-    return T.mul(num, recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
+    q_hat = composed_phi(mul(q, scale), omega)
+    k_hat = composed_phi(mul(k, scale), omega)
+    num = matmul(q_hat, matmul(transpose(k_hat), v))
+    den = matmul(q_hat, transpose(tsum(k_hat, axis=0)))
+    return mul(num, recip(masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)))
 
 
 def composed_causal_favor(q, k, v, omega):
@@ -85,20 +85,20 @@ def composed_causal_favor(q, k, v, omega):
     one row at a time over running sums S_i = Σ_{j<=i} φ(k_j) v_jᵀ and
     z_i = Σ_{j<=i} φ(k_j)."""
     scale = omega.shape[1] ** -0.25
-    q_hat = composed_phi(T.mul(q, scale), omega)
-    k_hat = composed_phi(T.mul(k, scale), omega)
+    q_hat = composed_phi(mul(q, scale), omega)
+    k_hat = composed_phi(mul(k, scale), omega)
     rows = []
     s_state = z_state = None  # (r, d_v), (r, 1)
     for i in range(q.shape[0]):
-        k_row = T.take_rows(k_hat, [i])  # (1, r)
-        q_row = T.take_rows(q_hat, [i])  # (1, r)
-        outer = T.matmul(transpose(k_row), T.take_rows(v, [i]))  # (r, d_v)
+        k_row = take_rows(k_hat, [i])  # (1, r)
+        q_row = take_rows(q_hat, [i])  # (1, r)
+        outer = matmul(transpose(k_row), take_rows(v, [i]))  # (r, d_v)
         k_col = transpose(k_row)  # (r, 1)
-        s_state = outer if s_state is None else T.add(s_state, outer)
-        z_state = k_col if z_state is None else T.add(z_state, k_col)
-        den = T.matmul(q_row, z_state)  # (1, 1)
+        s_state = outer if s_state is None else add(s_state, outer)
+        z_state = k_col if z_state is None else add(z_state, k_col)
+        den = matmul(q_row, z_state)  # (1, 1)
         den = masked(den, den.data > DENOM_FLOOR, DENOM_FLOOR)
-        rows.append(T.mul(T.matmul(q_row, s_state), recip(den)))
+        rows.append(mul(matmul(q_row, s_state), recip(den)))
     return concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
 
@@ -109,7 +109,7 @@ def assert_matches_composed(kernel, composed, q, k, v, omega):
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         with GradTape() as tape:
             out = fn(*leaves, omega)
-            loss = T.tsum(T.mul(out, out))
+            loss = tsum(mul(out, out))
         tape.backward(loss)
         outs.append(out.data)
         grads.append([t.grad for t in leaves])
@@ -386,7 +386,7 @@ class TestFavorGradients:
 
         def build(q, k, v):
             out = favor_node(q, k, v, omega)
-            return T.tsum(T.mul(out, out))
+            return tsum(mul(out, out))
 
         q, k, v = rand_inputs(rng, 5, 3)
         check_gradients(build, [q, k, v], tol=1e-5)
@@ -396,7 +396,7 @@ class TestFavorGradients:
 
         def build(q, k, v):
             out = causal_favor_node(q, k, v, omega)
-            return T.tsum(T.mul(out, out))
+            return tsum(mul(out, out))
 
         q, k, v = rand_inputs(rng, 5, 3)
         check_gradients(build, [q, k, v], tol=1e-5)

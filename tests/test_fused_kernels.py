@@ -1,4 +1,4 @@
-"""The encoder block's fused kernels against their compositions of primitives.
+"""The model's fused nodes against their compositions of primitives.
 
 Exact attention (``attention.softmax_window``, one tape node as
 ``conftest.scaled_dot_attention``), and the numpy stages ``model.layer_norm``
@@ -15,6 +15,9 @@ inputs on which only one kept check can fire, or on which a check the
 block dropped would have fired.  ``attention.multi_head`` over B windows
 returns the rows of B single-window calls bit for bit, and one
 window-function call over all heads returns what one call per head does.
+The whole forward pass and loss, one node per stage (``Model.forward_batch``
+and ``model._batch_loss``), agree bit for bit with the composition they
+replaced (``reference.composed_forward`` and ``composed_batch_loss``).
 """
 
 import functools
@@ -24,17 +27,18 @@ import numpy as np
 import pytest
 
 import fastforecast.model as ff_model
-import fastforecast.tensor as T
 from fastforecast.attention import multi_head, softmax_window
-from fastforecast.errors import FiniteError
+from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
                                 favor_unidirectional)
-from fastforecast.model import BLOCK_PARAMS, ModelSpec, build, feed_forward, layer_norm
+from fastforecast.model import (BLOCK_PARAMS, VARIANTS, ModelSpec, _batch_loss, build,
+                                feed_forward, layer_norm)
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import scaled_dot_attention
-from reference import (composed_encoder_block, composed_feed_forward, composed_layer_norm,
-                       softmax_rows, stage_node, transpose)
+from reference import (composed_batch_loss, composed_encoder_block, composed_feed_forward,
+                       composed_forward, composed_layer_norm, matmul, mul, softmax_rows,
+                       stage_node, transpose, tsum)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +46,8 @@ from reference import (composed_encoder_block, composed_feed_forward, composed_l
 # ---------------------------------------------------------------------------
 
 def composed_scaled_dot_attention(q, k, v):
-    scores = T.mul(T.matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    return T.matmul(softmax_rows(scores), v)
+    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    return matmul(softmax_rows(scores), v)
 
 
 fused_layer_norm = stage_node(layer_norm)
@@ -119,7 +123,7 @@ def run(fn, arrays, needs_grad, weights):
     nodes = len(tape)
     with GradTape() as tape:
         out = fn(*leaves)
-        loss = T.tsum(T.mul(out, Tensor(weights)))
+        loss = tsum(mul(out, Tensor(weights)))
     tape.backward(loss)
     return out.data, [t.grad for t in leaves if t.requires_grad], nodes
 
@@ -244,7 +248,7 @@ def test_multi_head_over_windows_matches_single_windows_bitwise(shape, kernel):
         no_tape = multi_head_node(*leaves, window, heads, length).data
         with GradTape() as tape:
             out = multi_head_node(*leaves, window, heads, length)
-            loss = T.tsum(T.mul(out, Tensor(weights[rows])))
+            loss = tsum(mul(out, Tensor(weights[rows])))
         tape.backward(loss)
         assert no_tape.tobytes() == out.data.tobytes()
         return out.data, [t.grad for t in leaves]
@@ -325,6 +329,83 @@ def test_encoder_block_chunks_are_whole_windows_of_at_most_chunk_rows(monkeypatc
     assert calls == [384, 448, 384, 448, 448]
 
 
+# the five variants and causal performer
+CONFIGS = [*((v, False) for v in VARIANTS), ("performer", True)]
+CONFIG_IDS = [*VARIANTS, "performer_causal"]
+
+
+def stage_model(variant, causal, length, dropout=0.0, fc_widths=(4, 1)):
+    """A two-block model of ``variant`` on three features; r=8 for FAVOR+."""
+    favor = None
+    if VARIANTS[variant].attention == "favor":
+        favor = FavorConfig(r=8, d_k=4, seed=3, causal=causal)
+    return build(ModelSpec(variant=variant, window=length, n_features=3, d_model=8, heads=2,
+                           favor=favor, bilstm_hidden=3, fc_widths=fc_widths,
+                           dropout=dropout, seed=4))
+
+
+def forward_and_loss(forward, loss_fn, model, windows, targets):
+    """The no-tape forward output, and the loss and every parameter's gradient
+    of one training step, whose dropout masks come from one seed."""
+    arrays = [forward(model, windows).data]
+    with GradTape() as tape:
+        for p in model.params.values():
+            tape.watch(p)
+        loss = loss_fn(model, windows, targets, np.random.default_rng(DROPOUT_SEED))
+    tape.backward(loss)
+    return arrays + [np.asarray(loss.data), *(p.grad for p in model.params.values())]
+
+
+@pytest.mark.parametrize("fc_widths", [(1,), (4, 1), (4, 3, 1)], ids=shape_id)
+@pytest.mark.parametrize("shape", [(8, 4), (1, 1)], ids=shape_id)
+@pytest.mark.parametrize("dropout", [0.0, 0.25], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("variant, causal", CONFIGS, ids=CONFIG_IDS)
+def test_forward_and_loss_match_composition_bitwise(variant, causal, dropout, shape,
+                                                    fc_widths):
+    """With one node per stage, the no-tape forward output, a training step's
+    loss and every parameter gradient equal the composition's byte for byte."""
+    length, batch = shape
+    model = stage_model(variant, causal, length, dropout, fc_widths)
+    rng = np.random.default_rng(length + batch)
+    windows = rng.standard_normal((batch, length, 3))
+    targets = rng.standard_normal(batch)
+    fused = forward_and_loss(ff_model.Model.forward_batch, _batch_loss, model, windows, targets)
+    composed = forward_and_loss(composed_forward, composed_batch_loss, model, windows, targets)
+    assert len(fused) == len(composed) == len(model.params) + 2
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant, causal", CONFIGS, ids=CONFIG_IDS)
+def test_forward_on_no_windows_matches_composition_bitwise(variant, causal):
+    """B=0: the variants without a BiLSTM predict nothing, as (0, 1), and the
+    BiLSTM variants raise ShapeError, as the composition does."""
+    model = stage_model(variant, causal, 8)
+    windows = np.zeros((0, 8, 3))
+    if not VARIANTS[variant].bilstm:
+        out = model.forward_batch(windows).data
+        assert out.shape == (0, 1)
+        assert out.tobytes() == composed_forward(model, windows).data.tobytes()
+        return
+    for forward in (model.forward_batch, functools.partial(composed_forward, model)):
+        with pytest.raises(ShapeError):
+            forward(windows)
+
+
+@pytest.mark.parametrize("variant, causal", CONFIGS, ids=CONFIG_IDS)
+def test_a_training_step_tapes_one_node_per_stage(variant, causal):
+    """The embedding, each of the two blocks, each BiLSTM layer with its
+    dropout, the head and the loss: 7 nodes for performer_bilstm and 5 for
+    every other variant."""
+    model = stage_model(variant, causal, 8, dropout=0.1)
+    rng = np.random.default_rng(0)
+    with GradTape() as tape:
+        loss = _batch_loss(model, rng.standard_normal((4, 8, 3)), rng.standard_normal(4), rng)
+    tape.backward(loss)
+    assert len(tape) == (7 if variant == "performer_bilstm" else 5)
+
+
 # ---------------------------------------------------------------------------
 # finiteness: the node rejects what the composition rejects
 # ---------------------------------------------------------------------------
@@ -400,3 +481,26 @@ class TestFiniteChecks:
         for index, value in changes.items():
             arrays[index] = value
         raises_in_both(fused, composed, *arrays)
+
+
+    @pytest.mark.parametrize("changes, windows, target", [
+        ({"embed.w": 1e200}, 1e200, 0.0),
+        ({"embed.w": 1.0, "embed.b": 0.0, "bilstm1.fwd.w": 1e308}, 1.0, 0.0),
+        ({"fc0.w": 0.0, "fc0.b": 1.0, "fc1.w": -1e308, "fc1.b": 0.0}, 1.0, 0.0),
+        ({}, 1.0, 1e200),
+    ], ids=["embedding", "bilstm_layer", "head_relu_input", "loss"])
+    def test_stage_nodes_reject_what_the_composition_rejects(self, changes, windows, target):
+        """One overflow per stage node of a training step with dropout: x·W of
+        the embedding; the first BiLSTM layer's gate pre-activations; the
+        head's second layer, whose -inf pre-activations its relu would map to
+        zero; and the loss's squared error.  The first, third and fourth each
+        overflow an intermediate whose check the node dropped."""
+        model = stage_model("performer_bilstm", False, 4, dropout=0.25, fc_widths=(4, 3, 1))
+        x, y = np.ones((2, 4, 3)), np.zeros(2)
+        _batch_loss(model, x, y, np.random.default_rng(0))  # the unchanged draw is finite
+        for name, value in changes.items():
+            model.params[name].data[...] = value
+        for loss_fn in (composed_batch_loss, _batch_loss):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FiniteError):
+                    loss_fn(model, x * windows, y + target, np.random.default_rng(0))

@@ -1,12 +1,11 @@
 """LSTM tests: the numpy step against a gate-by-gate oracle, saturation
-limits, BiLSTM composition, and each direction and the fused BiLSTM layer
-against folds over the cell composed from tensor primitives
-(``reference.composed_lstm_cell``)."""
+limits, BiLSTM composition, and each direction and the fused BiLSTM layer,
+on batch-major rows with its dropout mask, against folds over the cell
+composed from tensor primitives (``reference.composed_lstm_cell``)."""
 
 import numpy as np
 import pytest
 
-import fastforecast.tensor as T
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.lstm import (
     _gate_affine,
@@ -23,7 +22,10 @@ from reference import (
     _stable_sigmoid,
     composed_lstm_cell,
     concat,
+    mul,
     sigmoid as tanh_form_sigmoid,
+    take_rows,
+    tsum,
     window_node,
 )
 
@@ -113,16 +115,17 @@ def step(x, h_prev, c_prev, w):
 
 def lstm_fold(xs, batch, w, b, reverse=False):
     """Reference for lstm_sequence: a fold over the composed cell, one step of
-    ``batch`` time-major rows at a time."""
+    ``batch`` sequences at a time, on batch-major rows (sequence s is rows
+    s·L .. s·L + L - 1); the states come back in the same rows."""
     length = xs.shape[0] // batch
     order = range(length - 1, -1, -1) if reverse else range(length)
     h, c = zero_state(batch, b.shape[1] // 4)
     outs = [None] * length
     for t in order:
-        h, c = composed_lstm_cell(T.take_rows(xs, np.arange(t * batch, (t + 1) * batch)),
-                                  h, c, w, b)
+        h, c = composed_lstm_cell(take_rows(xs, np.arange(batch) * length + t), h, c, w, b)
         outs[t] = h
-    return concat(outs, axis=0) if length > 1 else outs[0]
+    steps = concat(outs, axis=0) if length > 1 else outs[0]  # time-major
+    return take_rows(steps, (np.arange(batch)[:, None] + np.arange(length) * batch).reshape(-1))
 
 
 def as_dict(w):
@@ -310,7 +313,7 @@ class TestLstmGradients:
 
         def build(xs_t, w, b):
             out = lstm_forward(xs_t, (w, b))
-            return T.tsum(T.mul(out, out))
+            return tsum(mul(out, out))
 
         arrays = [xs] + [t.data for t in w0]
         check_gradients(build, arrays, tol=1e-5)
@@ -322,7 +325,7 @@ class TestLstmGradients:
 
         def build(xs_t, *flat):
             out = bilstm_forward(xs_t, flat[:2], flat[2:])
-            return T.tsum(T.mul(out, out))
+            return tsum(mul(out, out))
 
         arrays = [xs] + [t.data for w in (wf0, wb0) for t in w]
         check_gradients(build, arrays, tol=1e-5)
@@ -340,39 +343,55 @@ class TestLstmSequence:
         batch, length = 3, 7
         w = random_weights(2, 4, seed=19)
         xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
-        steps = xs.data.reshape(length, batch, 2)
+        steps = xs.data.reshape(batch, length, 2).transpose(1, 0, 2)  # time-major
         seq = Tensor(steps[::-1] if reverse else steps, requires_grad=True)
         grads, outs = [], []
         for leaf, run in ((seq, lambda: sequence_node(seq, *w)),
                           (xs, lambda: lstm_fold(xs, batch, *w, reverse))):
             with GradTape() as tape:
                 out = run()
-                loss = T.tsum(T.mul(out, out))
+                loss = tsum(mul(out, out))
             tape.backward(loss)
             outs.append(out.data)
             grads.append([leaf.grad] + list(gates(w[0].grad, w[1].grad).values()))
         if reverse:  # back to time order
             outs[0], grads[0][0] = outs[0][::-1], grads[0][0][::-1]
+        outs[0], grads[0][0] = (a.transpose(1, 0, 2) for a in (outs[0], grads[0][0]))
         np.testing.assert_array_equal(outs[0].reshape(outs[1].shape), outs[1])
         for fused, folded in zip(*grads):
             assert rel_err(fused.reshape(folded.shape), folded) <= 1e-12
 
     def test_layer_equals_cell_folds(self, rng):
-        """Batch 3, L=7: the layer's output bitwise equal to the forward fold
-        and the reverse fold joined, its gradients within 1e-12."""
+        """Batch 3, L=7, batch-major rows: the layer's output bitwise equal to
+        the forward fold and the reverse fold joined, its gradients within
+        1e-12."""
+        self.check_layer_against_folds(rng, dropout=False)
+
+    def test_layer_with_dropout_equals_masked_cell_folds(self, rng):
+        """As above, with the joined folds times the layer's dropout mask, whose
+        rows are time-major."""
+        self.check_layer_against_folds(rng, dropout=True)
+
+    @staticmethod
+    def check_layer_against_folds(rng, dropout):
         batch, length = 3, 7
         wf, wb = random_weights(2, 4, seed=22), random_weights(2, 4, seed=23)
         xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
+        mask = (rng.random((length * batch, 8)) >= 0.25) / 0.75 if dropout else None
 
-        def folds(xs, batch, fwd, bwd):
-            return concat([lstm_fold(xs, batch, *fwd),
-                           lstm_fold(xs, batch, *bwd, reverse=True)], axis=1)
+        def folds(xs, batch, fwd, bwd, mask):
+            out = concat([lstm_fold(xs, batch, *fwd),
+                          lstm_fold(xs, batch, *bwd, reverse=True)], axis=1)
+            if mask is None:
+                return out
+            return mul(out, Tensor(mask.reshape(length, batch, -1).transpose(1, 0, 2)
+                                   .reshape(batch * length, -1)))
 
         grads, outs = [], []
         for run in (bilstm_forward_steps, folds):
             with GradTape() as tape:
-                out = run(xs, batch, wf, wb)
-                loss = T.tsum(T.mul(out, out))
+                out = run(xs, batch, wf, wb, mask)
+                loss = tsum(mul(out, out))
             tape.backward(loss)
             outs.append(out.data)
             grads.append([xs.grad] + [t.grad for t in (*wf, *wb)])
@@ -404,14 +423,15 @@ class TestLstmSequence:
         w.data[:] = 10.0
         xs = rng.standard_normal((4, 2, 2))
         xs[2, 1, 0] = 1e308
+        rows = Tensor(xs.transpose(1, 0, 2).reshape(8, 2))  # batch-major
         with pytest.raises(FiniteError):
             lstm_sequence(xs, w.data, b.data)
         with pytest.raises(FiniteError):
             lstm_sequence(xs[::-1], w.data, b.data)
         with pytest.raises(FiniteError):
-            bilstm_forward_steps(Tensor(xs.reshape(8, 2)), 2, (w, b), random_weights(2, 3, seed=28))
+            bilstm_forward_steps(rows, 2, (w, b), random_weights(2, 3, seed=28))
         with pytest.raises(FiniteError):
-            bilstm_forward_steps(Tensor(xs.reshape(8, 2)), 2, random_weights(2, 3, seed=28), (w, b))
+            bilstm_forward_steps(rows, 2, random_weights(2, 3, seed=28), (w, b))
 
     def test_overflow_gap_of_halved_gates(self):
         """A known gap: an f, i or o pre-activation of magnitude in

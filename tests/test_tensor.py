@@ -1,4 +1,5 @@
-"""Tests for the tensor/tape substrate: values, gradients, tape semantics."""
+"""Tests for the tape and for the reference primitives it records: values,
+gradients, tape semantics."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fastforecast.tensor import GradTape, Tensor
 from conftest import check_gradients, scaled_dot_attention
 from test_favor import masked
 from reference import (
-    _stable_sigmoid, concat, exp, recip, sigmoid, softmax_rows, sqrt, tanh, transpose,
+    _stable_sigmoid, add, concat, exp, matmul, mul, recip, relu, sigmoid, softmax_rows, sqrt,
+    sub, take_rows, tanh, transpose, tsum,
 )
 
 
@@ -40,13 +42,13 @@ class TestTensorBasics:
 class TestMatmul:
     def test_identity(self, rng):
         m = rng.standard_normal((3, 3))
-        out = T.matmul(Tensor(np.eye(3)), Tensor(m))
+        out = matmul(Tensor(np.eye(3)), Tensor(m))
         np.testing.assert_array_equal(out.data, m)
 
     def test_zero_column(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[0.0], [0.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, [[0.0], [0.0]])
+        np.testing.assert_array_equal(matmul(a, b).data, [[0.0], [0.0]])
 
     def test_against_triple_loop_oracle(self, rng):
         a = rng.standard_normal((4, 5))
@@ -58,12 +60,12 @@ class TestMatmul:
                 for k in range(5):
                     acc += a[i, k] * b[k, j]
                 expect[i, j] = acc
-        got = T.matmul(Tensor(a), Tensor(b)).data
+        got = matmul(Tensor(a), Tensor(b)).data
         np.testing.assert_allclose(got, expect, atol=1e-12, rtol=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def attention_matrix(q, k):
@@ -125,15 +127,15 @@ class TestElementwiseValues:
 
     def test_scalar_broadcasting(self):
         x = Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(T.add(x, 1.0).data, [[2.0, 3.0]])
-        np.testing.assert_array_equal(T.sub(3.0, x).data, [[2.0, 1.0]])
-        np.testing.assert_array_equal(T.mul(x, 2.0).data, [[2.0, 4.0]])
+        np.testing.assert_array_equal(add(x, 1.0).data, [[2.0, 3.0]])
+        np.testing.assert_array_equal(sub(3.0, x).data, [[2.0, 1.0]])
+        np.testing.assert_array_equal(mul(x, 2.0).data, [[2.0, 4.0]])
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ShapeError):
-            T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
+            add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
     @pytest.mark.parametrize("shapes", [((3, 1), (1, 4)), ((2, 2), (2, 3))],
                              ids=["outer", "mismatch"])
     def test_broadcast_to_neither_operand_rejected(self, op, shapes):
@@ -148,7 +150,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
         with GradTape() as tape:
-            loss = T.tsum(x)
+            loss = tsum(x)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
 
@@ -162,14 +164,14 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with GradTape() as tape:
-            y = T.add(x, x)
+            y = add(x, x)
         with pytest.raises(ShapeError):
             tape.backward(y)
 
     def test_repeated_input_accumulates(self):
         x = Tensor(np.array(3.0), requires_grad=True)
         with GradTape() as tape:
-            loss = T.mul(x, x)
+            loss = mul(x, x)
         tape.backward(loss)
         assert x.grad == pytest.approx(6.0)
 
@@ -190,8 +192,8 @@ class TestBackward:
             x = Tensor(a.copy(), requires_grad=True)
             y = Tensor(b.copy(), requires_grad=True)
             with GradTape() as tape:
-                z = T.matmul(tanh(x), sigmoid(y))
-                loss = T.tsum(T.mul(z, z))
+                z = matmul(tanh(x), sigmoid(y))
+                loss = tsum(mul(z, z))
             tape.backward(loss)
             return x.grad.copy(), y.grad.copy()
 
@@ -211,46 +213,45 @@ class TestBackward:
 # named after the engine's old row/column primitives (scale, rowsum, ...,
 # scale_colwise) check the same cases through broadcasting and tsum(axis).
 # The rows exp_clamped and clip_min check the mask form (``masked``) that the
-# FAVOR+ references use for the exp clamp and the denominator floor.  The rows
-# sigmoid, tanh, exp, sqrt, recip, transpose, softmax_rows, concat0 and
-# concat1 check the reference primitives of reference.py, which the
-# compositions of the fused kernels, the composed LSTM cell and the composed
-# exact-attention oracles are built from.
+# FAVOR+ references use for the exp clamp and the denominator floor.  Every
+# primitive is one of reference.py's, which the compositions of the fused
+# kernels, the composed LSTM cell, the composed exact-attention oracles and
+# the composed forward pass and loss are built from.
 
 def _r(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape) * 0.8
 
 
 PRIMITIVE_CASES = [
-    ("add", lambda x, y: T.tsum(T.add(x, y)), [_r((3, 4), 0), _r((3, 4), 1)]),
-    ("sub", lambda x, y: T.tsum(T.mul(T.sub(x, y), T.sub(x, y))), [_r((3, 4), 2), _r((3, 4), 3)]),
-    ("mul", lambda x, y: T.tsum(T.mul(x, y)), [_r((3, 4), 4), _r((3, 4), 5)]),
-    ("scale", lambda x: T.tsum(T.mul(x, -2.5)), [_r((3, 4), 6)]),
-    ("sigmoid", lambda x: T.tsum(sigmoid(x)), [_r((3, 4), 7)]),
-    ("tanh", lambda x: T.tsum(tanh(x)), [_r((3, 4), 8)]),
-    ("exp", lambda x: T.tsum(exp(x)), [_r((3, 4), 9)]),
-    ("exp_clamped", lambda x: T.tsum(exp(masked(x, x.data < T.EXP_CLAMP, T.EXP_CLAMP))),
+    ("add", lambda x, y: tsum(add(x, y)), [_r((3, 4), 0), _r((3, 4), 1)]),
+    ("sub", lambda x, y: tsum(mul(sub(x, y), sub(x, y))), [_r((3, 4), 2), _r((3, 4), 3)]),
+    ("mul", lambda x, y: tsum(mul(x, y)), [_r((3, 4), 4), _r((3, 4), 5)]),
+    ("scale", lambda x: tsum(mul(x, -2.5)), [_r((3, 4), 6)]),
+    ("sigmoid", lambda x: tsum(sigmoid(x)), [_r((3, 4), 7)]),
+    ("tanh", lambda x: tsum(tanh(x)), [_r((3, 4), 8)]),
+    ("exp", lambda x: tsum(exp(x)), [_r((3, 4), 9)]),
+    ("exp_clamped", lambda x: tsum(exp(masked(x, x.data < T.EXP_CLAMP, T.EXP_CLAMP))),
      [_r((3, 4), 10)]),
-    ("relu", lambda x: T.tsum(T.relu(x)), [_r((3, 4), 12) + 0.05]),
-    ("sqrt", lambda x: T.tsum(sqrt(x)), [np.abs(_r((3, 4), 13)) + 0.5]),
-    ("recip", lambda x: T.tsum(recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
-    ("clip_min", lambda x: T.tsum(masked(x, x.data > 0.1, 0.1)), [np.abs(_r((3, 4), 15)) + 0.3]),
-    ("matmul", lambda x, y: T.tsum(T.matmul(x, y)), [_r((3, 4), 16), _r((4, 2), 17)]),
-    ("transpose", lambda x: T.tsum(T.mul(transpose(x), transpose(x))), [_r((3, 4), 18)]),
-    ("softmax_rows", lambda x: T.tsum(T.mul(softmax_rows(x), x)), [_r((3, 4), 19)]),
-    ("tsum", lambda x: T.mul(T.tsum(x), T.tsum(x)), [_r((3, 4), 20)]),
-    ("rowsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=1), T.tsum(x, axis=1))), [_r((3, 4), 21)]),
-    ("colsum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0), T.tsum(x, axis=0))), [_r((3, 4), 22)]),
-    ("add_rowwise", lambda x, v: T.tsum(tanh(T.add(x, v))), [_r((3, 4), 23), _r((3, 1), 24)]),
-    ("scale_rowwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 25), _r((3, 1), 26)]),
-    ("add_colwise", lambda x, v: T.tsum(tanh(T.add(x, v))), [_r((3, 4), 27), _r((1, 4), 28)]),
-    ("scale_colwise", lambda x, v: T.tsum(T.mul(x, v)), [_r((3, 4), 29), _r((1, 4), 30)]),
-    ("sub_row_vector", lambda x, v: T.tsum(tanh(T.sub(x, v))), [_r((3, 4), 38), _r((1, 4), 39)]),
-    ("sub_scalar_first", lambda x: T.tsum(tanh(T.sub(3.0, x))), [_r((3, 4), 40)]),
-    ("concat0", lambda x, y: T.tsum(tanh(concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
-    ("concat1", lambda x, y: T.tsum(tanh(concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
-    ("take_rows_range", lambda x: T.tsum(T.mul(T.take_rows(x, [1, 2]), T.take_rows(x, [1, 2]))), [_r((4, 3), 35)]),
-    ("take_rows", lambda x: T.tsum(tanh(T.take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
+    ("relu", lambda x: tsum(relu(x)), [_r((3, 4), 12) + 0.05]),
+    ("sqrt", lambda x: tsum(sqrt(x)), [np.abs(_r((3, 4), 13)) + 0.5]),
+    ("recip", lambda x: tsum(recip(x)), [np.abs(_r((3, 4), 14)) + 0.5]),
+    ("clip_min", lambda x: tsum(masked(x, x.data > 0.1, 0.1)), [np.abs(_r((3, 4), 15)) + 0.3]),
+    ("matmul", lambda x, y: tsum(matmul(x, y)), [_r((3, 4), 16), _r((4, 2), 17)]),
+    ("transpose", lambda x: tsum(mul(transpose(x), transpose(x))), [_r((3, 4), 18)]),
+    ("softmax_rows", lambda x: tsum(mul(softmax_rows(x), x)), [_r((3, 4), 19)]),
+    ("tsum", lambda x: mul(tsum(x), tsum(x)), [_r((3, 4), 20)]),
+    ("rowsum", lambda x: tsum(mul(tsum(x, axis=1), tsum(x, axis=1))), [_r((3, 4), 21)]),
+    ("colsum", lambda x: tsum(mul(tsum(x, axis=0), tsum(x, axis=0))), [_r((3, 4), 22)]),
+    ("add_rowwise", lambda x, v: tsum(tanh(add(x, v))), [_r((3, 4), 23), _r((3, 1), 24)]),
+    ("scale_rowwise", lambda x, v: tsum(mul(x, v)), [_r((3, 4), 25), _r((3, 1), 26)]),
+    ("add_colwise", lambda x, v: tsum(tanh(add(x, v))), [_r((3, 4), 27), _r((1, 4), 28)]),
+    ("scale_colwise", lambda x, v: tsum(mul(x, v)), [_r((3, 4), 29), _r((1, 4), 30)]),
+    ("sub_row_vector", lambda x, v: tsum(tanh(sub(x, v))), [_r((3, 4), 38), _r((1, 4), 39)]),
+    ("sub_scalar_first", lambda x: tsum(tanh(sub(3.0, x))), [_r((3, 4), 40)]),
+    ("concat0", lambda x, y: tsum(tanh(concat([x, y], axis=0))), [_r((2, 3), 31), _r((3, 3), 32)]),
+    ("concat1", lambda x, y: tsum(tanh(concat([x, y], axis=1))), [_r((3, 2), 33), _r((3, 3), 34)]),
+    ("take_rows_range", lambda x: tsum(mul(take_rows(x, [1, 2]), take_rows(x, [1, 2]))), [_r((4, 3), 35)]),
+    ("take_rows", lambda x: tsum(tanh(take_rows(x, [2, 0, 2]))), [_r((4, 3), 37)]),
 ]
 
 
@@ -264,16 +265,16 @@ class TestComposedGraphGradients:
 
     def _random_graph(self, seed):
         rng = np.random.default_rng(seed)
-        unary = [tanh, sigmoid, lambda t: T.mul(t, 0.7), T.relu,
-                 lambda t: exp(T.mul(t, 0.3)), softmax_rows]
+        unary = [tanh, sigmoid, lambda t: mul(t, 0.7), relu,
+                 lambda t: exp(mul(t, 0.3)), softmax_rows]
         depth = int(rng.integers(2, 9))
         chain = [unary[int(rng.integers(0, len(unary)))] for _ in range(depth - 1)]
 
         def build(x, y):
-            t = T.matmul(x, y)
+            t = matmul(x, y)
             for op in chain:
                 t = op(t)
-            return T.tsum(T.mul(t, t))
+            return tsum(mul(t, t))
 
         return build
 
@@ -290,6 +291,6 @@ class TestAllocationTracking:
         with T.track_allocations() as log:
             a = Tensor(np.ones((5, 5)))
             b = Tensor(np.ones((5, 5)))
-            T.matmul(a, b)
+            matmul(a, b)
         assert (5, 5) in log.shapes
         assert log.total_bytes >= 25 * 8
