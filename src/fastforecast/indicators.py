@@ -21,6 +21,7 @@ series and are bitwise equal to the per-row definitions above.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +118,12 @@ def ema(prices: np.ndarray, n: int) -> np.ndarray:
     _check_window(prices, n, n)
     k = 2.0 / (n + 1.0)
     out = np.zeros_like(prices)
-    out[n - 1] = prices[:n].mean()
-    for i in range(n, len(prices)):
-        out[i] = (prices[i] - out[i - 1]) * k + out[i - 1]
+    # the recurrence on Python floats, the same IEEE operations per element;
+    # a memoryview yields them one at a time, with no list of the prices
+    out[n - 1:] = np.fromiter(
+        itertools.accumulate(memoryview(prices[n:]), lambda e, p: (p - e) * k + e,
+                             initial=float(prices[:n].mean())),
+        dtype=np.float64, count=len(prices) - n + 1)
     return out
 
 

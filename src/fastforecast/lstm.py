@@ -191,23 +191,24 @@ def lstm_sequence(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return h, backward
 
 
-def bilstm_forward_steps(xs: Tensor, batch: int, fwd: tuple[Tensor, Tensor],
+def bilstm_forward_steps(xs: Tensor, length: int, fwd: tuple[Tensor, Tensor],
                          bwd: tuple[Tensor, Tensor], mask: np.ndarray | None = None) -> Tensor:
-    """Both directions, each a (W, b) pair, over ``batch`` sequences given as
-    batch-major (batch·L, input) rows, whose rows s·L .. s·L + L - 1 are
-    sequence s: the (batch·L, 2·hidden) states in the same rows, the forward
-    half first, time-aligned, each times its entry of the (L·batch, 2·hidden)
-    dropout ``mask`` unless it is None.  The mask's rows are time-major: row
-    t·batch + s scales sequence s at step t.  One tape node."""
+    """Both directions, each a (W, b) pair, over sequences of ``length`` steps
+    given as batch-major (batch·L, input) rows, whose rows s·L .. s·L + L - 1
+    are sequence s: the (batch·L, 2·hidden) states in the same rows, the
+    forward half first, time-aligned, each times its entry of the
+    (L·batch, 2·hidden) dropout ``mask`` unless it is None.  The mask's rows
+    are time-major: row t·batch + s scales sequence s at step t.  No rows are
+    no sequences, and give no states.  One tape node."""
     if xs.data.ndim != 2:
         raise ShapeError(f"bilstm_forward_steps expects rank-2 rows, got shape {xs.shape}")
     rows = xs.shape[0]
-    if batch < 1 or rows == 0 or rows % batch:
-        raise ShapeError(f"{rows} rows are not whole sequences of batch {batch}")
+    if length < 1 or rows % length:
+        raise ShapeError(f"{rows} rows are not whole sequences of length {length}")
     if fwd[0].shape[0] != bwd[0].shape[0]:
         raise ShapeError("forward/backward hidden sizes differ")
-    length = rows // batch
-    x = xs.data.reshape(batch, length, -1).transpose(1, 0, 2)  # time-major view
+    batch = rows // length
+    x = xs.data.reshape(batch, length, xs.shape[1]).transpose(1, 0, 2)  # time-major view
     h_f, back_f = lstm_sequence(x, fwd[0].data, fwd[1].data)
     h_b, back_b = lstm_sequence(x[::-1], bwd[0].data, bwd[1].data)  # last step first
     hid = h_f.shape[2]
@@ -227,6 +228,6 @@ def bilstm_forward_steps(xs: Tensor, batch: int, fwd: tuple[Tensor, Tensor],
         dx_b, dw_b, db_b = back_b(g[::-1, :, hid:])
         dx = np.empty((batch, length, dx_f.shape[2]))
         np.add(dx_f, dx_b[::-1], out=dx.transpose(1, 0, 2))
-        return dx.reshape(rows, -1), dw_f, db_f, dw_b, db_b
+        return dx.reshape(xs.shape), dw_f, db_f, dw_b, db_b
 
-    return T._make((xs, *fwd, *bwd), out.reshape(rows, -1), backward, check=False)
+    return T._make((xs, *fwd, *bwd), out.reshape(rows, 2 * hid), backward, check=False)

@@ -465,7 +465,7 @@ class Model:
                             for d in ("fwd", "bwd"))
                 # time-major rows: row t·B + b scales window b at step t
                 mask = self._dropout_mask((length * batch, 2 * spec.bilstm_hidden), rng)
-                x = bilstm_forward_steps(x, batch, fwd, bwd, mask)
+                x = bilstm_forward_steps(x, length, fwd, bwd, mask)
         return self._head(x)
 
 

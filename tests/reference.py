@@ -14,8 +14,10 @@ oracles the fused kernels are held to:
     number is a constant with no gradient, and each backward pass sums the
     gradient over the broadcast axes (``_sum_to``).  They compose every
     reference below;
-  * ``softmax_rows`` composes exact attention in ``test_fused_kernels.py``,
-    and ``sqrt`` the layer norm (``composed_layer_norm``);
+  * ``softmax_rows`` composes ``softmax_attention``, softmax(Q Kᵀ / √d_k)·V
+    with each row of weights normalised before the product with V, the
+    form acceptance criterion 4 holds ``exact_bidirectional`` to; ``sqrt``
+    composes the layer norm (``composed_layer_norm``);
   * ``exp`` and ``recip`` compose φ and the FAVOR+ division in
     ``test_favor.py``, and the layer norm's inverse standard deviation;
   * ``sigmoid``, ``tanh``, ``transpose`` and ``concat`` compose
@@ -28,9 +30,10 @@ oracles the fused kernels are held to:
     ``lstm_cell`` computes, held within 2^-52 of ``_stable_sigmoid``, the
     two-branch form 1/(1+e^-x), e^x/(1+e^x), in ``test_lstm.py``;
   * ``exact_bidirectional`` and ``exact_unidirectional`` are softmax attention
-    composed through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser: the
-    oracles FAVOR+ is measured against, and the model's
-    ``attention.softmax_window`` checked against.
+    composed through A = exp(Q Kᵀ / √d_k) and its row-sum normaliser, as
+    D⁻¹(A·V): the oracles FAVOR+ is measured against; the model's
+    ``attention.softmax_window`` is held to ``exact_bidirectional``, head by
+    head, bit for bit.
 
 Both oracles stabilise with a per-row max subtraction, treated as a constant
 in the backward pass (softmax shift invariance makes that exact).
@@ -318,6 +321,14 @@ def composed_lstm_cell(x, h, c, w, b):
     o = gate(3, sigmoid)
     c = add(mul(f, c), mul(i, c_tilde))
     return mul(o, tanh(c)), c
+
+
+def softmax_attention(q, k, v):
+    """softmax(Q Kᵀ / √d_k) V, each row of weights normalised before the
+    product with V."""
+    check_qkv(q, k, v)
+    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    return matmul(softmax_rows(scores), v)
 
 
 def exact_bidirectional(q, k, v):

@@ -39,7 +39,7 @@ from fastforecast.tensor import GradTape, Tensor
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from conftest import check_gradients, rel_err, scaled_dot_attention
-from reference import exact_bidirectional, exact_unidirectional, mul, tsum
+from reference import exact_bidirectional, exact_unidirectional, mul, softmax_attention, tsum
 from test_favor import causal_favor_node, favor_node, kernel_shapes
 from test_fused_kernels import block_arrays, block_pair, fused_feed_forward, fused_layer_norm
 from test_indicators import make_series, random_walk, valid
@@ -209,7 +209,7 @@ class TestCriterion4ExactFormEquivalence:
         for _ in range(50):
             length = int(rng.integers(2, 16))
             q, k, v = (rng.standard_normal((length, 6)) for _ in range(3))
-            a = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data
+            a = softmax_attention(Tensor(q), Tensor(k), Tensor(v)).data
             b = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst <= 1e-12, worst

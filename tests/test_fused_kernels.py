@@ -3,8 +3,10 @@
 Exact attention (``attention.softmax_window``, one tape node as
 ``conftest.scaled_dot_attention``), and the numpy stages ``model.layer_norm``
 and ``model.feed_forward`` (one tape node each through
-``reference.stage_node``) do the floating-point operations of the
-compositions below in the same order, and their backward passes sum each
+``reference.stage_node``) do the floating-point operations of their
+compositions in the same order (for attention
+``reference.exact_bidirectional``, D⁻¹(E·V), per head, also at the lengths
+whose passes over E run in tiles), and their backward passes sum each
 gradient in the order the tape sums it, so forward values and every input
 gradient agree bit for bit.  The whole block (``Model._encoder_block``), one
 tape node that runs a chunk of windows at a time, agrees bit for bit with
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 
 import fastforecast.model as ff_model
-from fastforecast.attention import multi_head, softmax_window
+from fastforecast.attention import TILE_ROWS, multi_head, softmax_window
 from fastforecast.errors import FiniteError, ShapeError
 from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
                                 favor_unidirectional)
@@ -37,18 +39,13 @@ from fastforecast.tensor import GradTape, Tensor
 
 from conftest import scaled_dot_attention
 from reference import (composed_batch_loss, composed_encoder_block, composed_feed_forward,
-                       composed_forward, composed_layer_norm, matmul, mul, softmax_rows,
-                       stage_node, transpose, tsum)
+                       composed_forward, composed_layer_norm, exact_bidirectional, mul,
+                       stage_node, tsum)
 
 
 # ---------------------------------------------------------------------------
 # compositions of primitives, and the nodes held to them
 # ---------------------------------------------------------------------------
-
-def composed_scaled_dot_attention(q, k, v):
-    scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    return matmul(softmax_rows(scores), v)
-
 
 fused_layer_norm = stage_node(layer_norm)
 fused_feed_forward = stage_node(feed_forward)
@@ -167,8 +164,33 @@ def test_attention_matches_composition_bitwise(shape, pattern):
     rng = np.random.default_rng(length * 100 + d_k)
     arrays = [rng.standard_normal((length, d_k)) * 2, rng.standard_normal((length, d_k)) * 2,
               rng.standard_normal((length, d_v))]
-    assert_bitwise(scaled_dot_attention, composed_scaled_dot_attention, arrays,
+    assert_bitwise(scaled_dot_attention, exact_bidirectional, arrays,
                    GRAD_PATTERNS[pattern](3), seed=1)
+
+
+@pytest.mark.parametrize("d_k", [3, 16, 32])
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", [257, 300, 384, 512, 640])
+def test_tiled_attention_matches_composition_bitwise(length, heads, d_k):
+    """Above ``TILE_ROWS`` rows, one call on the strided (heads, L, d_k) views
+    that ``multi_head`` passes returns, byte for byte, the output and the Q, K
+    and V gradients of ``exact_bidirectional`` on each head's columns."""
+    assert length > TILE_ROWS
+    rng = np.random.default_rng(length * 10 + heads)
+    qkv = rng.standard_normal((length, 3 * heads * d_k)) * 2
+    g = rng.standard_normal((length, heads * d_k))
+    out, backward = softmax_window(*qkv.reshape(length, heads, 3, d_k).transpose(2, 1, 0, 3))
+    grads = backward(g.reshape(length, heads, d_k).transpose(1, 0, 2))
+    for j in range(heads):
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in np.split(qkv[:, 3 * j * d_k:3 * (j + 1) * d_k], 3, axis=1)]
+        with GradTape() as tape:
+            out_j = exact_bidirectional(*leaves)
+            loss = tsum(mul(out_j, Tensor(g[:, j * d_k:(j + 1) * d_k])))
+        tape.backward(loss)
+        assert out[j].tobytes() == out_j.data.tobytes()
+        for got, leaf in zip(grads, leaves, strict=True):
+            assert np.ascontiguousarray(got[j]).tobytes() == leaf.grad.tobytes()
 
 
 @pytest.mark.parametrize("pattern", GRAD_PATTERNS)
@@ -379,18 +401,18 @@ def test_forward_and_loss_match_composition_bitwise(variant, causal, dropout, sh
 
 @pytest.mark.parametrize("variant, causal", CONFIGS, ids=CONFIG_IDS)
 def test_forward_on_no_windows_matches_composition_bitwise(variant, causal):
-    """B=0: the variants without a BiLSTM predict nothing, as (0, 1), and the
-    BiLSTM variants raise ShapeError, as the composition does."""
-    model = stage_model(variant, causal, 8)
+    """B=0: every variant predicts nothing, as (0, 1), with dropout and
+    without; where the composition is defined, without a BiLSTM, it predicts
+    the same nothing.  Its time-major BiLSTM layer rejects zero rows."""
+    model = stage_model(variant, causal, 8, dropout=0.25)
     windows = np.zeros((0, 8, 3))
-    if not VARIANTS[variant].bilstm:
-        out = model.forward_batch(windows).data
-        assert out.shape == (0, 1)
-        assert out.tobytes() == composed_forward(model, windows).data.tobytes()
-        return
-    for forward in (model.forward_batch, functools.partial(composed_forward, model)):
+    out = model.forward_batch(windows).data
+    assert out.shape == model.forward_batch(windows, np.random.default_rng(0)).shape == (0, 1)
+    if VARIANTS[variant].bilstm:
         with pytest.raises(ShapeError):
-            forward(windows)
+            composed_forward(model, windows)
+    else:
+        assert out.tobytes() == composed_forward(model, windows).data.tobytes()
 
 
 @pytest.mark.parametrize("variant, causal", CONFIGS, ids=CONFIG_IDS)
@@ -429,13 +451,21 @@ class TestFiniteChecks:
         """q·kᵀ reaches -inf while each row's max stays finite, so the
         attention matrix and the output would be finite."""
         q, k = np.array([[1e200], [1.0]]), np.array([[1.0], [-1e200]])
-        raises_in_both(scaled_dot_attention, composed_scaled_dot_attention,
+        raises_in_both(scaled_dot_attention, exact_bidirectional,
                        q, k, np.ones((2, 3)))
+
+    def test_attention_scores_overflow_in_a_later_tile(self):
+        """Only the last query row's scores reach -inf, so only the check of
+        the last tile of rows can fire."""
+        length = TILE_ROWS + 44
+        q, k = np.ones((length, 1)), np.ones((length, 1))
+        q[-1], k[0] = 1e200, -1e200
+        raises_in_both(scaled_dot_attention, exact_bidirectional, q, k, np.ones((length, 3)))
 
     def test_attention_output_overflow(self):
         """Weights that round to a sum above one carry the largest values past
         the float64 range."""
-        raises_in_both(scaled_dot_attention, composed_scaled_dot_attention,
+        raises_in_both(scaled_dot_attention, exact_bidirectional,
                        np.ones((2, 1)), np.array([[0.0], [3.0]]), np.full((2, 1), BIG))
 
     def test_layer_norm_variance_overflow(self):

@@ -136,6 +136,18 @@ class TestEma:
         out = ema(prices, 14)
         np.testing.assert_allclose(valid(out, 13), ema_oracle(prices, 14), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 14])
+    def test_matches_per_row_numpy_loop_bitwise(self, n):
+        """The same operations per element as a loop over numpy float64
+        scalars in the array itself, byte for byte."""
+        prices = random_walk(600, seed=n)
+        k = 2.0 / (n + 1.0)
+        expect = np.zeros_like(prices)
+        expect[n - 1] = prices[:n].mean()
+        for i in range(n, len(prices)):
+            expect[i] = (prices[i] - expect[i - 1]) * k + expect[i - 1]
+        assert ema(prices, n).tobytes() == expect.tobytes()
+
 
 class TestBollinger:
     def test_constant_series_bands_collapse(self):

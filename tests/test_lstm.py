@@ -95,7 +95,7 @@ def lstm_forward(xs, w):
 def bilstm_forward(xs, w_fwd, w_bwd):
     """An (L, input) sequence through bilstm_forward_steps: (L, 2*hidden)
     states, the forward half first."""
-    return bilstm_forward_steps(xs, 1, w_fwd, w_bwd)
+    return bilstm_forward_steps(xs, xs.shape[0], w_fwd, w_bwd)
 
 
 def zero_state(batch, hidden):
@@ -379,7 +379,7 @@ class TestLstmSequence:
         xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
         mask = (rng.random((length * batch, 8)) >= 0.25) / 0.75 if dropout else None
 
-        def folds(xs, batch, fwd, bwd, mask):
+        def folds(xs, length, fwd, bwd, mask):
             out = concat([lstm_fold(xs, batch, *fwd),
                           lstm_fold(xs, batch, *bwd, reverse=True)], axis=1)
             if mask is None:
@@ -390,7 +390,7 @@ class TestLstmSequence:
         grads, outs = [], []
         for run in (bilstm_forward_steps, folds):
             with GradTape() as tape:
-                out = run(xs, batch, wf, wb, mask)
+                out = run(xs, length, wf, wb, mask)
                 loss = tsum(mul(out, out))
             tape.backward(loss)
             outs.append(out.data)
@@ -402,7 +402,7 @@ class TestLstmSequence:
     def test_layer_is_one_tape_node(self, rng):
         wf, wb = random_weights(2, 3, seed=24), random_weights(2, 3, seed=25)
         with GradTape() as tape:
-            bilstm_forward_steps(Tensor(rng.standard_normal((6, 2))), 2, wf, wb)
+            bilstm_forward_steps(Tensor(rng.standard_normal((6, 2))), 3, wf, wb)
         assert len(tape) == 1
 
     def test_overflow_raises(self):
@@ -429,9 +429,9 @@ class TestLstmSequence:
         with pytest.raises(FiniteError):
             lstm_sequence(xs[::-1], w.data, b.data)
         with pytest.raises(FiniteError):
-            bilstm_forward_steps(rows, 2, (w, b), random_weights(2, 3, seed=28))
+            bilstm_forward_steps(rows, 4, (w, b), random_weights(2, 3, seed=28))
         with pytest.raises(FiniteError):
-            bilstm_forward_steps(rows, 2, random_weights(2, 3, seed=28), (w, b))
+            bilstm_forward_steps(rows, 4, random_weights(2, 3, seed=28), (w, b))
 
     def test_overflow_gap_of_halved_gates(self):
         """A known gap: an f, i or o pre-activation of magnitude in
@@ -445,10 +445,16 @@ class TestLstmSequence:
         with pytest.raises(FiniteError):
             lstm_fold(xs, 1, w, b)
 
-    def test_partial_step_rejected(self, rng):
+    @pytest.mark.parametrize("length", [2, 0], ids=["partial_sequence", "zero_length"])
+    def test_partial_sequence_rejected(self, rng, length):
         w = random_weights(2, 3, seed=21)
-        with pytest.raises(ShapeError):
-            bilstm_forward_steps(Tensor(rng.standard_normal((5, 2))), 2, w, w)
+        with pytest.raises(ShapeError, match="whole sequences"):
+            bilstm_forward_steps(Tensor(rng.standard_normal((5, 2))), length, w, w)
+
+    def test_no_rows_give_no_states(self):
+        """Zero rows are zero sequences of any length: (0, 2·hidden) states."""
+        wf, wb = random_weights(2, 3, seed=24), random_weights(2, 3, seed=25)
+        assert bilstm_forward_steps(Tensor(np.zeros((0, 2))), 4, wf, wb).shape == (0, 6)
 
     def test_input_width_mismatch(self, rng):
         w = random_weights(2, 4, seed=4)
