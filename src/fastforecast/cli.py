@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 input error (a missing, unreadable or undecodable
 input, or an output that cannot be written), 3 numeric divergence, 4 config
 error (also a model too large for the machine's memory).
 
-The FF_THREADS environment variable caps BLAS/OpenMP worker threads; it is
-applied before numpy is imported, which is why all numeric imports here
-live inside functions.
+The FF_THREADS environment variable caps BLAS/OpenMP worker threads: this
+module applies it as it loads, before its own imports load numpy, and a
+thread variable already set in the environment is left as it is.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DIVERGED = 3
-EXIT_CONFIG = 4
-
-SPLIT_NAMES = {"train": "train", "val": "validation", "test": "test"}
 
 
 def _cap_threads() -> None:
@@ -42,6 +35,27 @@ def _cap_threads() -> None:
         os.environ.setdefault(var, cap)
 
 
+_cap_threads()
+
+import numpy as np  # noqa: E402
+
+from .data import (INTERVALS, SPLIT_FRACTIONS, atomic_write, evaluate_metrics,  # noqa: E402
+                   load_csv, make_dataset, write_csv, write_predictions)
+from .errors import (ConfigError, DataError, DivergenceError, FiniteError,  # noqa: E402
+                     check_field, check_keys)
+from .favor import PROBE_COLUMNS, FavorConfig, complexity_probe, loglog_slope  # noqa: E402
+from .indicators import FEATURE_COLUMNS, RAW_COLUMNS, IndicatorParams  # noqa: E402
+from .model import (VARIANTS, ModelSpec, TrainHyperparams, build, load_checkpoint,  # noqa: E402
+                    predict_series, read_json, save_checkpoint, stages_of, train)
+
+EXIT_OK = 0
+EXIT_INPUT = 2
+EXIT_DIVERGED = 3
+EXIT_CONFIG = 4
+
+SPLIT_NAMES = {"train": "train", "val": "validation", "test": "test"}
+
+
 def _fields(cls, *derived) -> list:
     """The fields of dataclass ``cls`` other than the ``derived`` ones."""
     return [f.name for f in dataclasses.fields(cls) if f.name not in derived]
@@ -50,8 +64,6 @@ def _fields(cls, *derived) -> list:
 def _checked(section: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a ConfigError it raises starts with a field
     name, and gets the key path of that field's ``section`` in front."""
-    from .errors import ConfigError
-
     try:
         return make(*args, **kwargs)
     except ConfigError as exc:
@@ -64,12 +76,6 @@ def load_config(path, seed_override=None) -> dict:
     the keys, ``data``, ``split`` and ``seed``, and derives what a config may
     not set: ``model.n_features`` from the variant's columns, ``model.seed``
     from ``seed``, and ``model.favor.d_k`` from ``d_model`` and ``heads``."""
-    from .data import INTERVALS, SPLIT_FRACTIONS
-    from .errors import ConfigError, check_field, check_keys
-    from .favor import FavorConfig
-    from .indicators import FEATURE_COLUMNS, RAW_COLUMNS, IndicatorParams
-    from .model import ModelSpec, TrainHyperparams, read_json, stages_of
-
     try:
         with open(path, encoding="utf-8") as fh:
             raw = read_json(fh.read())
@@ -128,9 +134,6 @@ def load_config(path, seed_override=None) -> dict:
 
 
 def _build_dataset(cfg, norm=None):
-    from .data import load_csv, make_dataset
-    from .model import VARIANTS
-
     params = cfg["indicators"] if VARIANTS[cfg["model"].variant].indicators else None
     series = load_csv(cfg["data"]["path"], cfg["data"]["interval"])
     dataset = make_dataset(series, params, cfg["model"].window, cfg["split"], norm=norm)
@@ -138,8 +141,6 @@ def _build_dataset(cfg, norm=None):
 
 
 def _write_json(path, payload, sort: bool = True) -> None:
-    from .data import atomic_write
-
     with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort)
         fh.write("\n")
@@ -168,9 +169,6 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import write_csv
-    from .model import build, save_checkpoint, train
-
     cfg = load_config(args.config, args.seed)
     _, dataset = _build_dataset(cfg)
     model = build(cfg["model"])
@@ -194,11 +192,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .data import evaluate_metrics, write_predictions
-    from .model import load_checkpoint, predict_series
-
     cfg = load_config(args.config, args.seed)
     model, norm = load_checkpoint(args.checkpoint)
+    if model.spec.variant != cfg["model"].variant:  # another variant reads other columns
+        raise ConfigError(f"{args.checkpoint}: a '{model.spec.variant}' model, but the config's "
+                          f"model.variant is '{cfg['model'].variant}'")
     # the weights assume the statistics fitted at training time, not a fresh fit
     _, dataset = _build_dataset(cfg, norm)
     pred = predict_series(model, dataset, SPLIT_NAMES[args.split])
@@ -216,10 +214,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .data import write_csv
-    from .errors import ConfigError
-    from .favor import PROBE_COLUMNS, FavorConfig, complexity_probe, loglog_slope
-
     try:
         lengths = [int(x) for x in args.lengths.split(",")]
     except ValueError:
@@ -272,12 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = make_parser().parse_args(argv)
-    import numpy as np
-
-    from .errors import ConfigError, DataError, DivergenceError, FiniteError
-
     handler = {"prepare": cmd_prepare, "train": cmd_train,
                "evaluate": cmd_evaluate, "bench": cmd_bench}[args.command]
     try:

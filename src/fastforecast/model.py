@@ -365,6 +365,7 @@ class Model:
             window = functools.partial(kernel, omega=self.feature_maps[block])
         masks = [self._dropout_mask(x.shape, rng) for _ in range(2)]  # attention's, then the FFN's
         windows = len(x.data) // length
+        # chunked under a tape too: one chunk faulted in 3x the pages and trained slower
         count = -(-windows // max(1, CHUNK_ROWS // length)) or 1
         # chunks differ by at most a window: a lone row's product (gemv) rounds otherwise
         edges = [windows * i // count * length for i in range(count + 1)]
@@ -536,6 +537,11 @@ def _clip_gradients(grads: dict[str, np.ndarray], clip: float) -> None:
     if clip <= 0:
         return
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if math.isinf(total) and all(np.isfinite(g).all() for g in grads.values()):
+        # the squares overflowed: the norm of the gradients over their largest
+        # magnitude, times it, where inf would zero every gradient
+        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        total = peak * math.sqrt(sum(float(np.sum((g / peak) ** 2)) for g in grads.values()))
     if total > clip:
         factor = clip / total
         for name in grads:
@@ -604,9 +610,6 @@ def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
                     for p in model.params.values():
                         tape.watch(p)
                     loss = _batch_loss(model, train_w[idx], train_y[idx], dropout_rng)
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    raise FiniteError("non-finite loss")
                 tape.backward(loss)
             except FiniteError as exc:
                 raise DivergenceError(
@@ -614,7 +617,7 @@ def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
             grads = {name: p.grad for name, p in model.params.items()}
             _clip_gradients(grads, hp.grad_clip)
             optimizer.step(grads)
-            epoch_loss += loss_value * len(idx)
+            epoch_loss += loss.item() * len(idx)
             step += 1
         train_losses.append(epoch_loss / len(order))
 

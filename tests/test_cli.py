@@ -31,11 +31,12 @@ def fixture_csv(tmp_path):
     return path
 
 
-def run_cli(*args, **kwargs):
-    """The CLI in a fresh interpreter that imports this checkout's package."""
+def run_cli(*args, env=os.environ, **kwargs):
+    """The CLI in a fresh interpreter, with ``env``, that imports this
+    checkout's package."""
     src = str(Path(fastforecast.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120, **kwargs)
+                          env={**env, "PYTHONPATH": src}, timeout=120, **kwargs)
 
 
 def make_config(tmp_path, csv_path, variant="bilstm_only", **model_kw):
@@ -91,10 +92,19 @@ class TestConfig:
             load_config(path)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """FF_THREADS only takes effect if numpy loads after main() starts."""
-    proc = run_cli("-c", "import sys, fastforecast.cli; sys.exit('numpy' in sys.modules)")
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                         "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def test_cli_import_applies_ff_threads_to_unset_blas_variables():
+    """Importing the CLI, as the console script does, sets FF_THREADS into
+    each BLAS variable not already set, before numpy loads."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    script = ("import os, fastforecast.cli; "
+              "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])")
+    proc = run_cli("-c", script, env={**env, "FF_THREADS": "3", "MKL_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "1"]
 
 
 class TestPrepare:
@@ -633,6 +643,25 @@ def test_malformed_checkpoint_exits_four(trained_run, corrupt, tmp_path):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("variant", ["bilstm_only", "transformer_mh",
+                                     "transformer_mh_no_indicators"])
+def test_evaluate_with_another_variant_exits_four(trained_run, tmp_path, variant):
+    """A config naming another variant than the checkpoint's exited 0 with
+    the checkpoint model's metrics, or 2 for columns its statistics lack."""
+    config, blob = trained_run
+    raw = json.loads(config.read_text())
+    other = make_config(tmp_path, raw["data"]["path"], variant=variant)
+    checkpoint = tmp_path / "checkpoint.ffck"
+    checkpoint.write_bytes(blob)
+    proc = run_cli("-m", "fastforecast.cli", "evaluate", "--config", str(other),
+                   "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"'{variant}'" in proc.stderr and "'performer_bilstm'" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model_kw", [{"heads": 3}, {"fc_widths": [4, 2]}],

@@ -387,6 +387,18 @@ class TestTrain:
         r2 = train(build(spec), ds, hp)
         assert r1.to_dict() == r2.to_dict()
 
+    @pytest.mark.parametrize("grads, clipped", [
+        ({"w": [[3e200, 4e200]]}, {"w": [[0.6, 0.8]]}),
+        ({"a": [3e200], "b": [[0.0, -4e200]]}, {"a": [0.6], "b": [[0.0, -0.8]]}),
+    ], ids=["one", "two"])
+    def test_clipping_scales_gradients_whose_squares_overflow(self, grads, clipped):
+        """The squared norm overflowed to inf, and every gradient was scaled by 0."""
+        grads = {name: np.array(g) for name, g in grads.items()}
+        with np.errstate(over="ignore"):
+            ff_model._clip_gradients(grads, 1.0)
+        for name, g in clipped.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-14, atol=0)
+
 
 class TestPredictSeries:
     def test_output_length_matches_split(self):
