@@ -185,18 +185,29 @@ def cmd_train(args) -> int:
     print(f"parameters: {report.parameter_count}")
     print(f"best epoch: {report.best_epoch}")
     if report.metrics:
+        split = "validation" if len(dataset.split.validation) else "train"  # as train() picks
         for name, value in report.metrics.to_dict().items():
-            print(f"validation {name}: {value:.6g}")
+            print(f"{split} {name}: {value:.6g}")
     print(f"checkpoint written to {os.path.join(args.out, 'checkpoint.ffck')}")
     return EXIT_OK
+
+
+def _same_fields(checkpoint, config, path: str) -> None:
+    """Raise ConfigError naming the first field, in field order, where the checkpoint's
+    dataclass and the config's differ (a nested one field by field), and both values."""
+    for key in (f.name for f in dataclasses.fields(checkpoint)):
+        a, b = getattr(checkpoint, key), getattr(config, key)
+        if a != b and dataclasses.is_dataclass(a):
+            _same_fields(a, b, f"{path}.{key}")
+        elif a != b:
+            raise ConfigError(f"{path}.{key} is {a!r} in the checkpoint, but {b!r} in the config")
 
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.seed)
     model, norm = load_checkpoint(args.checkpoint)
-    if model.spec.variant != cfg["model"].variant:  # another variant reads other columns
-        raise ConfigError(f"{args.checkpoint}: a '{model.spec.variant}' model, but the config's "
-                          f"model.variant is '{cfg['model'].variant}'")
+    # the weights fit the checkpoint's spec: a config that names another is not run
+    _same_fields(model.spec, cfg["model"], f"{args.checkpoint}: model")
     # the weights assume the statistics fitted at training time, not a fresh fit
     _, dataset = _build_dataset(cfg, norm)
     pred = predict_series(model, dataset, SPLIT_NAMES[args.split])

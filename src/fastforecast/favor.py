@@ -7,7 +7,8 @@ feature map
 
 where the projection rows ω_i are Gaussian directions, orthogonalised in
 blocks of d_k rows (Gram–Schmidt) with norms re-sampled from the χ
-distribution of a standard d_k-dimensional Gaussian.  Queries and keys are
+distribution of a standard d_k-dimensional Gaussian, the blocks of every
+Ω drawn at once (``draw_features``: one Ω per seed).  Queries and keys are
 scaled by d_k^{-1/4} before the map, so the estimated attention matrix is
 exp(q_i k_jᵀ/√d_k) — the same kernel the exact path computes.
 
@@ -73,40 +74,35 @@ class FavorConfig:
         check_field("redraw_interval", self.redraw_interval, int, 1, nullable=True)
 
 
-def _gram_schmidt(block: np.ndarray) -> np.ndarray:
-    """Orthonormalise the rows of a square block (modified Gram–Schmidt)."""
-    q = block.copy()
-    n = q.shape[0]
-    for i in range(n):
+def _gram_schmidt(blocks: np.ndarray) -> np.ndarray:
+    """Orthonormalise the rows of each square block of a (..., n, n) stack at once
+    (modified Gram–Schmidt, one BLAS dot per product); a singular block raises ConfigError."""
+    q = blocks.copy()
+    for i in range(q.shape[-1]):
+        row = q[..., i, :]
         for j in range(i):
-            q[i] -= (q[i] @ q[j]) * q[j]
-        norm = np.linalg.norm(q[i])
-        if norm < 1e-12:
+            row -= (row[..., None, :] @ q[..., j, :, None])[..., 0] * q[..., j, :]
+        norm = np.sqrt((row[..., None, :] @ row[..., :, None])[..., 0])
+        if np.any(norm < 1e-12):
             raise ConfigError("degenerate Gaussian block during orthogonalisation")
-        q[i] /= norm
+        row /= norm
     return q
 
 
-def draw_features(cfg: FavorConfig) -> np.ndarray:
-    """Sample the (r, d_k) projection Ω: blockwise-orthogonal Gaussian
-    directions with χ-resampled norms.
+def draw_features(r: int, d_k: int, seeds) -> np.ndarray:
+    """Sample one (r, d_k) projection Ω per seed, stacked (len(seeds), r, d_k):
+    blockwise-orthogonal Gaussian directions with χ-resampled norms.
 
     Deterministic for a given seed.  For r <= d_k all rows are pairwise
     orthogonal; for larger r each consecutive block of d_k rows is.
     """
-    rng = np.random.default_rng(cfg.seed)
-    blocks = []
-    remaining = cfg.r
-    while remaining > 0:
-        g = rng.standard_normal((cfg.d_k, cfg.d_k))
-        q = _gram_schmidt(g)
-        take = min(remaining, cfg.d_k)
-        blocks.append(q[:take])
-        remaining -= take
-    directions = np.vstack(blocks)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    count = -(-r // d_k)  # square blocks per Ω, the last one cut to r rows
+    blocks = np.stack([rng.standard_normal((count, d_k, d_k)) for rng in rngs])
+    directions = _gram_schmidt(blocks).reshape(len(rngs), count * d_k, d_k)[:, :r]
     # norms of independent standard Gaussians keep the χ marginal
-    norms = np.linalg.norm(rng.standard_normal((cfg.r, cfg.d_k)), axis=1)
-    return directions * norms[:, None]
+    norms = np.linalg.norm(np.stack([rng.standard_normal((r, d_k)) for rng in rngs]), axis=-1)
+    return directions * norms[..., None]
 
 
 def _phi(x: np.ndarray, omega: np.ndarray):
@@ -243,7 +239,8 @@ def complexity_probe(mode: str, lengths, d_k: int, r: int, reps: int,
         raise ConfigError(f"sequence lengths must be >= 1, got {list(lengths)}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))  # checks d_k, r and seed
+    cfg = FavorConfig(r=r, d_k=d_k, seed=seed)  # checks r, d_k and seed
+    omega = draw_features(cfg.r, cfg.d_k, [cfg.seed])[0]
     rng = np.random.default_rng(seed)
     rows = []
     for length in lengths:

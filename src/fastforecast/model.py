@@ -4,8 +4,8 @@ The full architecture: affine input embedding, sinusoidal positional
 encoding, a stack of encoder blocks (self-attention, then a position-wise
 feed-forward sublayer, each with a residual and a layer norm; run a chunk of
 windows at a time), two bidirectional LSTM layers, and a fully-connected
-head that reads the last timestep's representation and emits the
-normalized next-close prediction.
+head (``feed_forward``, the relu MLP the feed-forward sublayer also is) that
+reads the last timestep's representation: the normalized next-close prediction.
 
 Each stage is one tape node with a hand-written backward pass: the
 embedding, each block, each BiLSTM layer with its dropout, the head and the
@@ -230,23 +230,29 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return out, backward
 
 
-def feed_forward(x: np.ndarray, w1, b1, w2, b2):
-    """relu(x W1 + b1) W2 + b2 over each row, in numpy, as ``layer_norm`` is: the
-    output, unchecked, and a backward pass to x's gradient and the pairs of W1,
-    b1, W2 and b2.  Only the pre-activation is checked; the backward pass keeps
-    only the post-relu hidden array."""
-    hidden = x @ w1
-    hidden += b1
-    T.check_finite(hidden)
-    np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2
-    out += b2
-    T.note_buffers(hidden)
+def feed_forward(x: np.ndarray, *weights):
+    """x through each affine layer (W, b) that ``weights`` lists, with a relu
+    between each two, in numpy, as ``layer_norm`` is: the output, unchecked, and
+    a backward pass to x's gradient and one pair per weight, in weight order.
+    Only each relu's input is checked; the backward pass keeps the relu outputs."""
+    ins, out = [], x  # each layer's input: x, then each relu's output
+    for k in range(0, len(weights), 2):
+        if k:
+            T.check_finite(out)  # the relu would map -inf to 0
+            np.maximum(out, 0.0, out=out)
+        ins.append(out)
+        out = out @ weights[k]
+        out += weights[k + 1]
+    T.note_buffers(*ins[1:])
 
     def backward(g):
-        g_hidden = g @ w2.T
-        g_hidden *= hidden > 0
-        return g_hidden @ w1.T, [(x, g_hidden), (None, g_hidden), (hidden, g), (None, g)]
+        pairs = []
+        for k in reversed(range(len(ins))):
+            pairs[:0] = [(ins[k], g), (None, g)]
+            g = g @ weights[2 * k].T
+            if k:
+                g *= ins[k] > 0
+        return g, pairs
 
     return out, backward
 
@@ -322,8 +328,7 @@ class Model:
         if spec.uses_favor:
             ss = np.random.SeedSequence([spec.favor.seed, generation])
             seeds = ss.generate_state(spec.blocks * spec.heads, dtype=np.uint64)
-            omegas = np.stack([draw_features(dataclasses.replace(spec.favor, seed=seed))
-                               for seed in seeds.tolist()])
+            omegas = draw_features(spec.favor.r, spec.favor.d_k, seeds.tolist())
             self.feature_maps = list(omegas.reshape(spec.blocks, spec.heads, *omegas.shape[1:]))
 
     def parameter_count(self) -> int:
@@ -411,37 +416,22 @@ class Model:
                        lambda g: (_weight_grad([(x, g)]), _weight_grad([(None, g)])))
 
     def _head(self, x: Tensor) -> Tensor:
-        """Each window's last row through the fully-connected layers, with a relu
-        between each two: the (B, 1) predictions.  One tape node; it checks each
-        relu's input, since the relu maps -inf to 0, and its output."""
-        spec = self.spec
-        n_fc = len(spec.fc_widths)
-        params = [self.params[f"fc{k}.{leaf}"] for k in range(n_fc) for leaf in "wb"]
-        rows = np.arange(spec.window - 1, len(x.data), spec.window)
-        h = x.data[rows]
-        ins, relus = [], []  # each layer's input, and which relu inputs were positive
-        for k in range(n_fc):
-            ins.append(h)
-            h = h @ params[2 * k].data
-            h += params[2 * k + 1].data
-            if k < n_fc - 1:
-                T.check_finite(h)
-                relus.append(h > 0)
-                np.maximum(h, 0.0, out=h)
-        T.note_buffers(*ins)
+        """Each window's last row through the fully-connected layers
+        (``feed_forward``): the (B, 1) predictions.  One tape node; it checks
+        each relu's input and its output."""
+        params = [t for name, t in self.params.items() if name.startswith("fc")]
+        rows = np.arange(self.spec.window - 1, len(x.data), self.spec.window)
+        last = x.data[rows]
+        T.note_buffers(last)
+        out, fc_back = feed_forward(last, *(p.data for p in params))
 
         def backward(g):
-            grads = []
-            for k in reversed(range(n_fc)):
-                grads[:0] = [_weight_grad([(ins[k], g)]), _weight_grad([(None, g)])]
-                g = g @ params[2 * k].data.T
-                if k:
-                    g = g * relus[k - 1]
+            g_last, pairs = fc_back(g)
             g_x = np.zeros(x.shape)
-            g_x[rows] += g
-            return (g_x, *grads)
+            g_x[rows] += g_last
+            return (g_x, *(_weight_grad([pair]) for pair in pairs))
 
-        return T._make((x, *params), h, backward)
+        return T._make((x, *params), out, backward)
 
     def forward_batch(self, windows: np.ndarray, rng=None) -> Tensor:
         """(B, L, F) feature windows -> (B, 1) normalized predictions; dropout
@@ -578,7 +568,8 @@ def _eval_loss(model: Model, windows, targets, batch: int) -> float:
 
 
 def train(model: Model, dataset: Dataset, hp: TrainHyperparams) -> TrainReport:
-    """Minimize MSE on the train split; retain the best-validation weights."""
+    """Minimize MSE on the train split; retain the best-validation weights. With
+    no validation windows, the best epoch and the metrics come from the train split."""
     train_w, train_y = dataset.windows_for("train")
     val_w, val_y = dataset.windows_for("validation")
     if len(train_w) == 0:

@@ -52,7 +52,8 @@ before the block became one tape node: ``composed_multi_head`` (the QKV
 product, one node running the window function on every window, the output
 product), a ``mul`` per dropout mask, an ``add`` per residual, and the
 layer norm and feed-forward sublayer composed from primitives
-(``composed_layer_norm``, ``composed_feed_forward``).  It is the oracle the
+(``composed_layer_norm``, ``composed_feed_forward``, which takes any number
+of affine layers and also composes the head).  It is the oracle the
 model's block node is held to, bit for bit.
 
 ``composed_forward`` and ``composed_batch_loss`` are ``Model.forward_batch``
@@ -62,6 +63,12 @@ node each.  They gather the rows time-major for ``time_major_bilstm``, the
 BiLSTM layer as it ran on time-major rows, and run the model's own encoder
 block nodes.  They are the oracle the model's forward pass and loss are held
 to, bit for bit.
+
+``draw_features_per_seed`` is the FAVOR+ feature draw as the package made it
+before one call drew the Ω of every seed: one seed at a time, one square block
+at a time, each orthonormalised row by row (``gram_schmidt_block``).
+``favor.draw_features`` and ``Model.feature_maps`` are held to it byte for
+byte.
 """
 
 import math
@@ -70,6 +77,7 @@ import numpy as np
 
 import fastforecast.tensor as T
 from fastforecast.errors import ConfigError, ShapeError
+from fastforecast.favor import FavorConfig
 from fastforecast.lstm import _sizes, lstm_sequence
 from fastforecast.model import LAYER_NORM_EPS, _weight_grad
 from fastforecast.tensor import Tensor
@@ -399,9 +407,15 @@ def composed_layer_norm(x, gain, bias):
     return add(mul(mul(centered, inv), gain), bias)
 
 
-def composed_feed_forward(x, w1, b1, w2, b2):
-    hidden = relu(add(matmul(x, w1), b1))
-    return add(matmul(hidden, w2), b2)
+def composed_feed_forward(x, *weights):
+    """x through each affine layer (W, b) that ``weights`` lists in turn, with
+    a relu between each two."""
+    layers = len(weights) // 2
+    for k in range(layers):
+        x = add(matmul(x, weights[2 * k]), weights[2 * k + 1])
+        if k < layers - 1:
+            x = relu(x)
+    return x
 
 
 def composed_encoder_block(x, w_qkv, w_o, g1, b1, w1, c1, w2, c2, g2, b2, window, heads,
@@ -451,7 +465,7 @@ def composed_forward(model, windows, rng=None):
     the embedding, each BiLSTM layer with its dropout, and the head became one
     tape node each: the embedding a matmul and an add, a time-major gather
     into ``time_major_bilstm`` and a ``mul`` per dropout mask, and the head a
-    ``take_rows`` pick, then a matmul, an add and a relu per layer.  The
+    ``take_rows`` pick, then ``composed_feed_forward``.  The
     encoder blocks are the model's own nodes."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
@@ -486,13 +500,39 @@ def composed_forward(model, windows, rng=None):
     else:
         rep = take_rows(x, np.arange(batch) * length + (length - 1))
 
-    n_fc = len(model.spec.fc_widths)
-    h = rep
-    for k in range(n_fc):
-        h = add(matmul(h, model.params[f"fc{k}.w"]), model.params[f"fc{k}.b"])
-        if k < n_fc - 1:
-            h = relu(h)
-    return h
+    return composed_feed_forward(rep, *(model.params[f"fc{k}.{leaf}"]
+                                        for k in range(len(spec.fc_widths)) for leaf in "wb"))
+
+
+def gram_schmidt_block(block: np.ndarray) -> np.ndarray:
+    """Orthonormalise the rows of one square block (modified Gram–Schmidt)."""
+    q = block.copy()
+    n = q.shape[0]
+    for i in range(n):
+        for j in range(i):
+            q[i] -= (q[i] @ q[j]) * q[j]
+        norm = np.linalg.norm(q[i])
+        if norm < 1e-12:
+            raise ConfigError("degenerate Gaussian block during orthogonalisation")
+        q[i] /= norm
+    return q
+
+
+def draw_features_per_seed(cfg: FavorConfig) -> np.ndarray:
+    """The (r, d_k) projection Ω of ``cfg.seed``, drawn one square block at a
+    time: blockwise-orthogonal Gaussian directions with χ-resampled norms."""
+    rng = np.random.default_rng(cfg.seed)
+    blocks = []
+    remaining = cfg.r
+    while remaining > 0:
+        g = rng.standard_normal((cfg.d_k, cfg.d_k))
+        q = gram_schmidt_block(g)
+        take = min(remaining, cfg.d_k)
+        blocks.append(q[:take])
+        remaining -= take
+    directions = np.vstack(blocks)
+    norms = np.linalg.norm(rng.standard_normal((cfg.r, cfg.d_k)), axis=1)
+    return directions * norms[:, None]
 
 
 def composed_batch_loss(model, windows, targets, rng):

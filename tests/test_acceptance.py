@@ -67,7 +67,7 @@ class TestCriterion1KernelApproximation:
                 k = unit_rows(rng.standard_normal((64, 16)))
                 v = rng.standard_normal((64, 16))
                 exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-                omega = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
+                omega = draw_features(r, 16, [seed])[0]
                 approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
                 errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             medians[r] = float(np.median(errs))
@@ -124,7 +124,7 @@ class TestCriterion3GradientIntegrity:
         q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
         for kernel in (scaled_dot_attention, exact_bidirectional, exact_unidirectional):
             check_gradients(lambda a, b, c: sq(kernel(a, b, c)), [q, k, v], tol=1e-6)
-        omega = draw_features(FavorConfig(r=8, d_k=3, seed=1))
+        omega = draw_features(8, 3, [1])[0]
         for kernel in (favor_node, causal_favor_node):
             check_gradients(lambda a, b, c: sq(kernel(a, b, c, omega)),
                             [unit_rows(q), unit_rows(k), v], tol=1e-5)

@@ -7,8 +7,7 @@ import pytest
 
 from fastforecast.attention import softmax_window
 from fastforecast.errors import ConfigError, ShapeError
-from fastforecast.favor import (FavorConfig, draw_features, favor_bidirectional,
-                                favor_unidirectional)
+from fastforecast.favor import draw_features, favor_bidirectional, favor_unidirectional
 from fastforecast.model import ModelSpec, _glorot
 from fastforecast.tensor import Tensor
 
@@ -195,7 +194,7 @@ class TestAttentionGradients:
         x = rng.standard_normal((4, 4)) * 0.5
         window = softmax_window
         if causal is not None:  # each FAVOR+ head has its own features
-            omega = np.stack([draw_features(FavorConfig(r=8, d_k=2, seed=j)) for j in range(2)])
+            omega = draw_features(8, 2, [0, 1])
             kernel = favor_unidirectional if causal else favor_bidirectional
             window = functools.partial(kernel, omega=omega)
 

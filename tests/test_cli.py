@@ -507,6 +507,23 @@ class TestTrainEvaluate:
             assert "diverged" in result.stderr
             assert not (out / "checkpoint.ffck").exists()
 
+    def test_train_without_validation_windows_names_the_train_split(self, tmp_path, capsys):
+        """33 rows give 4/0/2 windows: the best epoch and the metrics come from
+        the training split, and were printed as validation metrics."""
+        path = tmp_path / "short.csv"
+        write_csv(path, candle_rows(33, seed=2))
+        config = make_config(tmp_path, path)
+        out = tmp_path / "run"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        windows = json.loads((out / "manifest.json").read_text())["windows"]
+        assert windows == {"train": 4, "validation": 0, "test": 2}
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "train MSE: " in printed and "validation MSE" not in printed
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["metrics"] is not None
+
     def test_overfit_single_window_reaches_tiny_mse(self, tmp_path):
         """Memorization through the CLI: a dataset with one training window
         drives train MSE below 1e-6."""
@@ -664,6 +681,35 @@ def test_evaluate_with_another_variant_exits_four(trained_run, tmp_path, variant
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit, args, key, values", [
+    (lambda m: m.update(bilstm_hidden=32), [], "model.bilstm_hidden", ("4", "32")),
+    (lambda m: m.update(fc_widths=[16, 8, 1]), [], "model.fc_widths", ("(4, 1)", "(16, 8, 1)")),
+    (lambda m: m.update(dropout=0.5), [], "model.dropout", ("0.0", "0.5")),
+    (lambda m: m["favor"].update(r=32), [], "model.favor.r", ("16", "32")),
+    (lambda m: None, ["--seed", "99"], "model.seed", ("5", "99")),
+], ids=["bilstm_hidden", "fc_widths", "dropout", "favor.r", "seed"])
+def test_evaluate_with_another_model_field_exits_four(trained_run, tmp_path, edit, args, key,
+                                                      values):
+    """A config whose model section differs from the checkpoint's spec in one
+    field exited 0 with the checkpoint model's metrics.  The check runs before
+    the data CSV is read: its path here does not exist."""
+    config, blob = trained_run
+    raw = json.loads(config.read_text())
+    edit(raw["model"])
+    raw["data"]["path"] = str(tmp_path / "missing.csv")
+    other = tmp_path / "config.json"
+    other.write_text(json.dumps(raw))
+    checkpoint = tmp_path / "checkpoint.ffck"
+    checkpoint.write_bytes(blob)
+    proc = run_cli("-m", "fastforecast.cli", "evaluate", "--config", str(other),
+                   "--checkpoint", str(checkpoint), *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"{key} is {values[0]} in the checkpoint, but {values[1]} in the config" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("model_kw", [{"heads": 3}, {"fc_widths": [4, 2]}],
                          ids=["heads-3", "fc_widths-4-2"])
 def test_evaluate_rejects_model_section_train_rejects(trained_run, tmp_path, model_kw):
@@ -720,8 +766,10 @@ class TestBench:
         assert "slope" in capsys.readouterr().out
 
     @pytest.mark.parametrize("bad", [["--lengths", "32,abc"], ["--lengths", "0,32"],
-                                     ["--lengths=-4,32"], ["--dk", "-1"], ["--seed", "-1"]],
-                             ids=["not-int", "zero", "negative", "dk", "seed"])
+                                     ["--lengths=-4,32"], ["--dk", "-1"], ["--seed", "-1"],
+                                     ["--r", "0"], ["--dk", "0"]],
+                             ids=["not-int", "zero", "negative", "dk", "seed", "r-zero",
+                                  "dk-zero"])
     def test_bad_argument_exits_four(self, tmp_path, bad):
         proc = run_cli("-m", "fastforecast.cli", "bench", "--lengths", "8,16", "--dk", "4",
                        "--r", "8", "--reps", "1", *bad, "--out", str(tmp_path / "bench"))

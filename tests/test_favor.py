@@ -18,13 +18,15 @@ from fastforecast.favor import (
     favor_bidirectional,
     favor_unidirectional,
     loglog_slope,
+    _gram_schmidt,
     _phi,
 )
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
 from conftest import check_gradients, rel_err, scaled_dot_attention
-from reference import (add, concat, exact_bidirectional, exact_unidirectional, exp, matmul,
-                       mul, recip, sub, take_rows, transpose, tsum, window_node)
+from reference import (add, concat, draw_features_per_seed, exact_bidirectional,
+                       exact_unidirectional, exp, matmul, mul, recip, sub, take_rows, transpose,
+                       tsum, window_node)
 
 # the model's window functions on tensors, each call one tape node
 favor_node = window_node(favor_bidirectional)
@@ -42,7 +44,7 @@ def kernel_shapes(mode, length, d_k, r, seed=0):
     q = Tensor(rng.standard_normal((length, d_k)))
     k = Tensor(rng.standard_normal((length, d_k)))
     v = Tensor(rng.standard_normal((length, d_k)))
-    omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=seed))
+    omega = draw_features(r, d_k, [seed])[0]
     with T.track_allocations() as log:
         if mode == "exact":
             scaled_dot_attention(q, k, v)
@@ -128,21 +130,47 @@ def rand_inputs(rng, length, d_k, d_v=None, normalize=True):
     return q, k, v
 
 
+DRAW_SEEDS = [0, 1, 12345, 2**63 + 5, 2**64 - 1]
+
+
 class TestDrawFeatures:
+    @pytest.mark.parametrize("d_k", [1, 2, 3, 4, 5, 8, 16, 32])
+    def test_batched_draw_matches_per_seed_oracle_bytewise(self, d_k):
+        """One call for several seeds stacks, byte for byte, what the draw one
+        seed and one square block at a time gives for each."""
+        for r in sorted({1, 3, d_k, d_k + 1, 2 * d_k - 1, 128}):
+            omegas = draw_features(r, d_k, DRAW_SEEDS)
+            assert omegas.shape == (len(DRAW_SEEDS), r, d_k)
+            for seed, omega in zip(DRAW_SEEDS, omegas, strict=True):
+                expected = draw_features_per_seed(FavorConfig(r=r, d_k=d_k, seed=seed))
+                assert omega.tobytes() == expected.tobytes(), (r, seed)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rank_deficient_block_in_a_stack_raises(self, position):
+        """One block of the stack has a repeated row; the other is full rank."""
+        rng = np.random.default_rng(0)
+        good = rng.standard_normal((3, 3))
+        bad = rng.standard_normal((3, 3))
+        bad[2] = bad[0]
+        _gram_schmidt(good[None])  # a full-rank block alone passes
+        blocks = [good, good]
+        blocks[position] = bad
+        with pytest.raises(ConfigError, match="degenerate"):
+            _gram_schmidt(np.stack(blocks))
+
     def test_deterministic_for_seed(self):
-        cfg = FavorConfig(r=32, d_k=8, seed=123)
-        a = draw_features(cfg)
-        b = draw_features(cfg)
+        a = draw_features(32, 8, [123])
+        b = draw_features(32, 8, [123])
         assert np.array_equal(a, b)
 
     def test_square_block_orthogonality(self):
-        omega = draw_features(FavorConfig(r=4, d_k=4, seed=0))
+        omega = draw_features(4, 4, [0])[0]
         gram = omega @ omega.T
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-10
 
     def test_blockwise_orthogonality_when_r_exceeds_dk(self):
-        omega = draw_features(FavorConfig(r=10, d_k=4, seed=1))
+        omega = draw_features(10, 4, [1])[0]
         for start in (0, 4, 8):
             block = omega[start:start + 4]
             gram = block @ block.T
@@ -153,7 +181,7 @@ class TestDrawFeatures:
         # mean of chi_d is sqrt(2)*Gamma((d+1)/2)/Gamma(d/2); check loosely
         import math
         d = 8
-        omega = draw_features(FavorConfig(r=4000, d_k=d, seed=2))
+        omega = draw_features(4000, d, [2])[0]
         norms = np.linalg.norm(omega, axis=1)
         expect = math.sqrt(2) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
         assert abs(norms.mean() - expect) < 0.05
@@ -171,7 +199,7 @@ class TestDrawFeatures:
         for r in (4, 64):
             estimates = []
             for seed in range(200):
-                omega = draw_features(FavorConfig(r=r, d_k=4, seed=seed))
+                omega = draw_features(r, 4, [seed])[0]
                 px = _phi(x[None, :], omega)[0][0]
                 py = _phi(y[None, :], omega)[0][0]
                 estimates.append(px @ py)
@@ -182,14 +210,14 @@ class TestDrawFeatures:
 
 class TestPhiPositive:
     def test_zero_vector(self):
-        omega = draw_features(FavorConfig(r=16, d_k=4, seed=0))
+        omega = draw_features(16, 4, [0])[0]
         out, _ = _phi(np.zeros((1, 4)), omega)
         np.testing.assert_allclose(out, np.full((1, 16), 1 / 4.0), atol=1e-15)
         # phi(0)ᵀphi(0) = 1 = exp(0)
         assert out[0] @ out[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_positive(self, rng):
-        omega = draw_features(FavorConfig(r=32, d_k=6, seed=4))
+        omega = draw_features(32, 6, [4])[0]
         out, _ = _phi(rng.standard_normal((10, 6)), omega)
         assert np.all(out > 0)
 
@@ -204,7 +232,7 @@ class TestPhiPositive:
         true = np.exp(x @ y)
         rel = []
         for seed in range(20):
-            omega = draw_features(FavorConfig(r=1024, d_k=4, seed=seed))
+            omega = draw_features(1024, 4, [seed])[0]
             px = _phi(x[None, :], omega)[0][0]
             py = _phi(y[None, :], omega)[0][0]
             rel.append(abs(px @ py - true) / true)
@@ -224,7 +252,7 @@ class TestPhiPositive:
 
     def test_width_mismatch(self):
         """φ takes rows of width d_k; both window functions reject wider q and k."""
-        omega = draw_features(FavorConfig(r=8, d_k=4, seed=0))
+        omega = draw_features(8, 4, [0])[0]
         x = np.ones((3, 5))
         for kernel in (favor_bidirectional, favor_unidirectional):
             with pytest.raises(ShapeError, match="width 4"):
@@ -234,13 +262,13 @@ class TestPhiPositive:
 class TestFavorBidirectional:
     def test_single_position_returns_value(self, rng):
         q, k, v = rand_inputs(rng, 1, 8)
-        omega = draw_features(FavorConfig(r=32, d_k=8, seed=6))
+        omega = draw_features(32, 8, [6])[0]
         out = favor_node(Tensor(q), Tensor(k), Tensor(v), omega)
         np.testing.assert_allclose(out.data, v, atol=1e-9)
 
     def test_output_in_value_hull(self, rng):
         q, k, v = rand_inputs(rng, 20, 8, d_v=3)
-        omega = draw_features(FavorConfig(r=64, d_k=8, seed=7))
+        omega = draw_features(64, 8, [7])[0]
         out = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         assert np.all(out >= v.min(axis=0) - 1e-9)
         assert np.all(out <= v.max(axis=0) + 1e-9)
@@ -253,7 +281,7 @@ class TestFavorBidirectional:
             rng = np.random.default_rng(1000 + seed)
             q, k, v = rand_inputs(rng, 64, 16)
             exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-            omega = draw_features(FavorConfig(r=256, d_k=16, seed=seed))
+            omega = draw_features(256, 16, [seed])[0]
             approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.05
@@ -268,7 +296,7 @@ class TestFavorBidirectional:
                 rng = np.random.default_rng(2000 + seed)
                 q, k, v = rand_inputs(rng, 48, 16)
                 exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-                omega = draw_features(FavorConfig(r=r, d_k=16, seed=seed))
+                omega = draw_features(r, 16, [seed])[0]
                 approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
                 errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
             medians.append(float(np.median(errs)))
@@ -284,7 +312,7 @@ class TestFavorBidirectional:
             rng = np.random.default_rng(seed)
             q, k, v = rand_inputs(rng, 16, 2)
             exact = exact_bidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-            omega = draw_features(FavorConfig(r=4096, d_k=2, seed=seed))
+            omega = draw_features(4096, 2, [seed])[0]
             approx = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
             rows = np.linalg.norm(approx - exact, axis=1) / np.linalg.norm(exact, axis=1)
             row_errs.extend(rows.tolist())
@@ -292,8 +320,8 @@ class TestFavorBidirectional:
 
     def test_deterministic_given_seed(self, rng):
         q, k, v = rand_inputs(rng, 10, 4)
-        omega1 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
-        omega2 = draw_features(FavorConfig(r=32, d_k=4, seed=9))
+        omega1 = draw_features(32, 4, [9])[0]
+        omega2 = draw_features(32, 4, [9])[0]
         a = favor_node(Tensor(q), Tensor(k), Tensor(v), omega1).data
         b = favor_node(Tensor(q), Tensor(k), Tensor(v), omega2).data
         assert np.array_equal(a, b)
@@ -303,13 +331,13 @@ class TestFavorBidirectional:
         """The fused kernel against the primitive composition: bitwise
         forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
-        omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=16))
+        omega = draw_features(r, d_k, [16])[0]
         assert_matches_composed(favor_node, composed_favor, q, k, v, omega)
 
     def test_overflowing_query_raises(self, rng):
         """q·1e200 overflows ‖q‖² inside φ; neither kernel may return zeros."""
         q, k, v = rand_inputs(rng, 6, 4)
-        omega = draw_features(FavorConfig(r=16, d_k=4, seed=17))
+        omega = draw_features(16, 4, [17])[0]
         for kernel in (favor_node, composed_favor,
                        causal_favor_node, composed_causal_favor):
             with pytest.raises(FiniteError):
@@ -326,7 +354,7 @@ def test_vanishing_query_features_hit_the_denominator_floor(kernel, composed, rn
     mask-form reference agrees."""
     q, k, v = rand_inputs(rng, 5, 4)
     q[2] = (80.0, 0.0, 0.0, 0.0)
-    omega = draw_features(FavorConfig(r=8, d_k=4, seed=19))
+    omega = draw_features(8, 4, [19])[0]
     before = DIAGNOSTICS.denom_floored
     out = kernel(Tensor(q), Tensor(k), Tensor(v), omega).data
     assert DIAGNOSTICS.denom_floored == before + 1
@@ -339,20 +367,20 @@ def test_vanishing_query_features_hit_the_denominator_floor(kernel, composed, rn
 class TestFavorUnidirectional:
     def test_first_row_equals_first_value(self, rng):
         q, k, v = rand_inputs(rng, 6, 4)
-        omega = draw_features(FavorConfig(r=16, d_k=4, seed=10))
+        omega = draw_features(16, 4, [10])[0]
         out = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega)
         np.testing.assert_allclose(out.data[0], v[0], atol=1e-9)
 
     def test_length_one_matches_bidirectional(self, rng):
         q, k, v = rand_inputs(rng, 1, 4)
-        omega = draw_features(FavorConfig(r=16, d_k=4, seed=11))
+        omega = draw_features(16, 4, [11])[0]
         uni = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         bi = favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         np.testing.assert_allclose(uni, bi, atol=1e-12)
 
     def test_prefix_recomputation_bitwise(self, rng):
         q, k, v = rand_inputs(rng, 12, 4)
-        omega = draw_features(FavorConfig(r=16, d_k=4, seed=12))
+        omega = draw_features(16, 4, [12])[0]
         full = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
         for t in (1, 4, 9):
             prefix = causal_favor_node(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t]), omega).data
@@ -364,7 +392,7 @@ class TestFavorUnidirectional:
             rng = np.random.default_rng(3000 + seed)
             q, k, v = rand_inputs(rng, 32, 8)
             exact = exact_unidirectional(Tensor(q), Tensor(k), Tensor(v)).data
-            omega = draw_features(FavorConfig(r=512, d_k=8, seed=seed, causal=True))
+            omega = draw_features(512, 8, [seed])[0]
             approx = causal_favor_node(Tensor(q), Tensor(k), Tensor(v), omega).data
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert np.median(errs) <= 0.15
@@ -374,7 +402,7 @@ class TestFavorUnidirectional:
         """The fused prefix-sum kernel against the per-row composition:
         bitwise forward, gradients of q, k and v within 1e-12."""
         q, k, v = rand_inputs(rng, length, d_k, d_v=d_v, normalize=False)
-        omega = draw_features(FavorConfig(r=r, d_k=d_k, seed=18))
+        omega = draw_features(r, d_k, [18])[0]
         assert_matches_composed(causal_favor_node, composed_causal_favor, q, k, v, omega)
 
 
@@ -382,7 +410,7 @@ class TestFavorGradients:
     """Both attention variants, φ included, pass finite-difference checks (<= 1e-5)."""
 
     def test_bidirectional_gradient(self, rng):
-        omega = draw_features(FavorConfig(r=8, d_k=3, seed=14))
+        omega = draw_features(8, 3, [14])[0]
 
         def build(q, k, v):
             out = favor_node(q, k, v, omega)
@@ -392,7 +420,7 @@ class TestFavorGradients:
         check_gradients(build, [q, k, v], tol=1e-5)
 
     def test_unidirectional_gradient(self, rng):
-        omega = draw_features(FavorConfig(r=8, d_k=3, seed=15))
+        omega = draw_features(8, 3, [15])[0]
 
         def build(q, k, v):
             out = causal_favor_node(q, k, v, omega)

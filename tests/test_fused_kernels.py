@@ -204,16 +204,21 @@ def test_layer_norm_matches_composition_bitwise(shape, pattern):
                    GRAD_PATTERNS[pattern](3), seed=2)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("pattern", GRAD_PATTERNS)
 @pytest.mark.parametrize("shape", FEED_FORWARD_SHAPES, ids=shape_id)
-def test_feed_forward_matches_composition_bitwise(shape, pattern):
+def test_feed_forward_matches_composition_bitwise(shape, pattern, layers):
+    """(rows, width, hidden): ``layers`` affine layers from width to width,
+    each hidden one ``hidden`` wide."""
     rows, width, hidden = shape
+    widths = [width, *[hidden] * (layers - 1), width]
     rng = np.random.default_rng(rows * 100 + width)
-    arrays = [rng.standard_normal((rows, width)), rng.standard_normal((width, hidden)) * 0.5,
-              rng.standard_normal((1, hidden)) * 0.5, rng.standard_normal((hidden, width)) * 0.5,
-              rng.standard_normal((1, width))]
+    arrays = [rng.standard_normal((rows, width))]
+    for k, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), 1):
+        arrays += [rng.standard_normal((fan_in, fan_out)) * 0.5,
+                   rng.standard_normal((1, fan_out)) * (1.0 if k == layers else 0.5)]
     assert_bitwise(fused_feed_forward, composed_feed_forward, arrays,
-                   GRAD_PATTERNS[pattern](5), seed=3)
+                   GRAD_PATTERNS[pattern](len(arrays)), seed=3)
 
 
 def test_layer_norm_constant_rows_match_composition_bitwise():
@@ -233,12 +238,16 @@ def test_layer_norm_width_one_signed_zeros_match_composition_bitwise():
     assert_bitwise(fused_layer_norm, composed_layer_norm, arrays, [True] * 3, None, weights)
 
 
-def test_feed_forward_dead_units_match_composition_bitwise():
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_feed_forward_dead_units_match_composition_bitwise(layers):
     """Pre-activations at and below zero pass no gradient through the relu."""
     x = np.array([[1.0, -1.0], [0.0, 0.0], [2.0, 1.0]])
-    w1 = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
-    arrays = [x, w1, np.array([[0.0, 0.0, -1.0]]), np.ones((3, 2)), np.zeros((1, 2))]
-    assert_bitwise(fused_feed_forward, composed_feed_forward, arrays, [True] * 5, seed=5)
+    first = [np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]), np.array([[0.0, 0.0, -1.0]])]
+    middle = [np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]), np.zeros((1, 3))]
+    last = [np.ones((3, 2)), np.zeros((1, 2))]
+    arrays = [x, *{1: first, 2: first + last, 3: first + middle + last}[layers]]
+    assert_bitwise(fused_feed_forward, composed_feed_forward, arrays, [True] * len(arrays),
+                   seed=5)
 
 
 # (length, d_model, heads, windows): a small case and the README widths at L=64
@@ -247,7 +256,7 @@ MULTI_HEAD_SHAPES = [(8, 8, 2, 3), (64, 64, 4, 32)]
 
 def feature_stack(heads, d_k, r):
     """One Ω per head, stacked (heads, r, d_k) as the model stacks a block's draws."""
-    return np.stack([draw_features(FavorConfig(r=r, d_k=d_k, seed=j)) for j in range(heads)])
+    return draw_features(r, d_k, range(heads))
 
 
 @pytest.mark.parametrize("kernel", ["softmax", "favor", "favor_causal"])

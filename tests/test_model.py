@@ -31,6 +31,7 @@ from fastforecast.tensor import GradTape
 
 import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+from reference import draw_features_per_seed
 from test_indicators import make_series, random_walk
 
 
@@ -131,6 +132,25 @@ class TestBuild:
         redrawn = list(model.feature_maps)
         assert not any(np.array_equal(a, b) for stack, new in zip(drawn, redrawn)
                        for a, b in zip(stack, new))
+
+    @pytest.mark.parametrize("kw", [{"blocks": 2}, {"d_model": 64, "heads": 4, "blocks": 2,
+                                                    "r": 128}],
+                             ids=["tiny", "readme"])
+    def test_feature_maps_match_per_seed_oracle_bytewise(self, kw):
+        """Each (block, head) Ω is the per-seed draw of its seed from the favor
+        seed and the generation, byte for byte."""
+        spec = tiny_spec(**kw)
+        model = build(spec)
+        for generation in range(3):
+            model.set_favor_generation(generation)
+            seeds = np.random.SeedSequence([spec.favor.seed, generation]).generate_state(
+                spec.blocks * spec.heads, dtype=np.uint64).tolist()
+            assert len(model.feature_maps) == spec.blocks
+            for block, stack in enumerate(model.feature_maps):
+                assert stack.shape == (spec.heads, spec.favor.r, spec.favor.d_k)
+                for head, omega in enumerate(stack):
+                    cfg = dataclasses.replace(spec.favor, seed=seeds[block * spec.heads + head])
+                    assert omega.tobytes() == draw_features_per_seed(cfg).tobytes()
 
     @pytest.mark.parametrize("generation", [True, 1.0, "1", -1])
     def test_feature_generation_must_be_a_natural_number(self, generation):
