@@ -132,6 +132,8 @@ def load_csv(path, interval) -> OhlcvSeries:
     try:
         return OhlcvSeries(interval, *(table[name][keep] for name in _ROW_DTYPE.names))
     except DataError as exc:
+        if exc.row is not None:  # a value rule: name the row's line
+            path = f"{path}:{_data_line_numbers(body)[keep.start + exc.row]}"
         raise DataError(f"{path}: {exc}") from None
 
 

@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the checks on config and
 checkpoint fields that raise them."""
 
+import math
 import sys
 
 import numpy as np
 
-# numpy rejects an array extent at or above this: a width must stay below it
+# numpy rejects an array extent at or above this, and an array whose byte
+# size is above it: a width must stay below it
 MAX_EXTENT = int(np.iinfo(np.intp).max)
 
 
@@ -18,7 +20,12 @@ class FiniteError(FloatingPointError):
 
 
 class DataError(ValueError):
-    """Malformed or insufficient input data (CSV parsing, short series, ...)."""
+    """Malformed or insufficient input data (CSV parsing, short series, ...);
+    ``row``, where given, is the index of the offending row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(ValueError):
@@ -53,6 +60,14 @@ def check_field(name: str, value, kind: type, low=None, *, above=None, below=Non
                               ((">=", low), (">", above), ("<", below)) if bound is not None)
         raise ConfigError(f"{name} must be {noun}{' ' + limits if limits else ''}"
                           f"{' or null' if nullable else ''}, got {value!r}")
+
+
+def check_array(name: str, *shape: int) -> None:
+    """Raise ConfigError, naming the field ``name`` that sizes it, unless numpy
+    can represent the byte size of a float64 array of ``shape``."""
+    if 8 * math.prod(shape) > MAX_EXTENT:
+        raise ConfigError(f"{name} makes a {' x '.join(map(str, shape))} array, whose byte "
+                          "size numpy cannot represent")
 
 
 def check_keys(name: str, section, allowed, required=()) -> dict:

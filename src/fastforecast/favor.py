@@ -37,7 +37,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import softmax_window
-from .errors import MAX_EXTENT, ConfigError, ShapeError, check_field
+from .errors import MAX_EXTENT, ConfigError, ShapeError, check_array, check_field
 from .tensor import EXP_CLAMP
 
 # denominators φ(q)ᵀz are mathematically positive; this floor only guards
@@ -72,6 +72,7 @@ class FavorConfig:
         check_field("seed", self.seed, int, 0)
         check_field("causal", self.causal, bool)
         check_field("redraw_interval", self.redraw_interval, int, 1, nullable=True)
+        check_array("r", -(-self.r // self.d_k), self.d_k, self.d_k)  # one Ω's Gaussian draw
 
 
 def _gram_schmidt(blocks: np.ndarray) -> np.ndarray:

@@ -35,7 +35,9 @@ class OhlcvSeries:
     """Time-ordered candles with a fixed interval between timestamps.
 
     Timestamps are epoch seconds, strictly increasing with constant spacing
-    equal to ``interval``; candle bounds (high/low envelope) are enforced.
+    equal to ``interval``; every value is finite, the high and low bound the
+    open and close, and no volume is negative.  A row that breaks a value
+    rule raises a DataError whose ``row`` is its index.
     """
 
     interval: int
@@ -59,14 +61,17 @@ class OhlcvSeries:
             # step back across the int64 range can look like one interval
             if not (np.all(ts[1:] > ts[:-1]) and np.all(np.diff(ts) == self.interval)):
                 raise DataError("timestamps must increase by exactly one interval")
-        for arr in (self.open, self.high, self.low, self.close, self.volume):
-            if not np.all(np.isfinite(arr)):
-                raise DataError("non-finite value in candle data")
-        if np.any(self.high < np.maximum(self.open, self.close)) or \
-                np.any(self.low > np.minimum(self.open, self.close)):
-            raise DataError("candle violates high/low envelope")
-        if np.any(self.volume < 0):
-            raise DataError("negative volume")
+        columns = (self.open, self.high, self.low, self.close, self.volume)
+        rules = {"non-finite value in candle data":
+                 ~np.logical_and.reduce([np.isfinite(a) for a in columns]),
+                 "candle violates high/low envelope":
+                 (self.high < np.maximum(self.open, self.close))
+                 | (self.low > np.minimum(self.open, self.close)),
+                 "negative volume": self.volume < 0}
+        bad = np.logical_or.reduce(list(rules.values()))
+        if bad.any():  # the first offending row, by the first rule it breaks
+            row = int(np.argmax(bad))
+            raise DataError(next(rule for rule, broken in rules.items() if broken[row]), row)
 
     def __len__(self) -> int:
         return len(self.timestamps)

@@ -1,4 +1,4 @@
-"""LSTM step and bidirectional LSTM layer.
+"""LSTM step and one direction's recurrence, in numpy.
 
 The step applies the four-gate recurrence: forget, input and output gates
 through sigmoids, candidate cell state through tanh,
@@ -28,18 +28,13 @@ maps the f, i and o columns through ½·t + ½ (``_gate_affine``).
 returns the states with their backward pass, backpropagation through time,
 as the attention window functions return theirs.  The backward pass works
 one step at a time, copying the step's activations into gate-major
-(4, batch, hidden) buffers where each gate's block is contiguous; the
-gradients of x, W and b are one product each over the whole sequence.
-``bilstm_forward_steps`` is the layer's one tape node.  It takes and returns
-batch-major rows, as every node of the model does: row s·L + t is sequence s
-at step t.  It runs ``lstm_sequence`` on a time-major view of those rows
-(whose cell-input buffer copies them once) and on its time-reversed view,
-writes the joined states back as batch-major rows, and applies the layer's
-dropout mask.  The mask's rows are time-major, row t·batch + s, since the
-model draws it in that shape.  The step does the same arithmetic
-as the cell composed from tensor primitives in ``tests/reference.py``, whose
-sigmoid is ½·tanh(x·½) + ½, so a direction agrees with a fold over that
-cell bit for bit.
+(4, batch, hidden) buffers where each gate's block is contiguous; x's
+gradient is one product over the whole sequence, and W's and b's come back
+as (left, right) row pairs, as the encoder block's stages return theirs.
+The step does the same arithmetic as the cell composed from tensor
+primitives in ``tests/reference.py``, whose sigmoid is ½·tanh(x·½) + ½, so
+a direction agrees with a fold over that cell bit for bit.  The BiLSTM
+layer, both directions as one tape node, is ``model.bilstm_forward_steps``.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Tensor
 
 
 def _sizes(w: np.ndarray, b: np.ndarray) -> tuple[int, int]:
@@ -65,13 +59,14 @@ def _sizes(w: np.ndarray, b: np.ndarray) -> tuple[int, int]:
 
 
 def init_lstm_weights(input_size: int, hidden_size: int,
-                      rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """(W, b) uniform in [-1/sqrt(hidden), 1/sqrt(hidden)]; forget bias 1.0."""
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(W, b) arrays: W uniform in [-1/sqrt(hidden), 1/sqrt(hidden)], b zero
+    with forget bias 1.0."""
     lim = 1.0 / math.sqrt(hidden_size)
     w = rng.uniform(-lim, lim, size=(4 * hidden_size, hidden_size + input_size))
     b = np.zeros((1, 4 * hidden_size))
     b[:, :hidden_size] = 1.0
-    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    return w, b
 
 
 @functools.cache
@@ -126,7 +121,8 @@ def lstm_sequence(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """The recurrence over a time-major (L, batch, input) sequence, from a zero
     state at step 0, with a direction's W and b arrays.  Returns the
     (L, batch, hidden) hidden states and the backward pass, which maps their
-    gradient to dx, dW and db."""
+    gradient to dx and W's and b's (left, right) pairs (see
+    ``model._weight_grad``)."""
     hid, input_size = _sizes(w, b)
     if x.ndim != 3 or x.shape[2] != input_size:
         raise ShapeError(f"sequence input width {x.shape} != {input_size}")
@@ -153,7 +149,8 @@ def lstm_sequence(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         # d a_t = [dC_t C_{t-1} σ'(f), dC_t C̃ σ'(i), dC_t i tanh'(C̃), dh_t tanh(C_t) σ'(o)]
         # with σ' = σ(1 − σ) and tanh' = 1 − t², one step at a time in
         # gate-major (4, batch, hidden) buffers, where each gate's block is
-        # contiguous; the gradients of x, W and b are whole-sequence products
+        # contiguous; x's gradient is one whole-sequence product, and W's
+        # and b's pairs are the whole sequence's rows
         w_h = w[:, :hid]
         da = np.empty_like(act)
         dh, dc, dc_via_h, dh_next, dc_next, c_zero = np.zeros((6, batch, hid))
@@ -186,48 +183,6 @@ def lstm_sequence(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             np.matmul(da[t], w_h, out=dh_next)
         da = da.reshape(length * batch, 4 * hid)
         return ((da @ w[:, hid:]).reshape(length, batch, -1),
-                da.T @ z.reshape(length * batch, -1), da.sum(axis=0, keepdims=True))
+                [(da, z.reshape(length * batch, -1)), (None, da)])
 
     return h, backward
-
-
-def bilstm_forward_steps(xs: Tensor, length: int, fwd: tuple[Tensor, Tensor],
-                         bwd: tuple[Tensor, Tensor], mask: np.ndarray | None = None) -> Tensor:
-    """Both directions, each a (W, b) pair, over sequences of ``length`` steps
-    given as batch-major (batch·L, input) rows, whose rows s·L .. s·L + L - 1
-    are sequence s: the (batch·L, 2·hidden) states in the same rows, the
-    forward half first, time-aligned, each times its entry of the
-    (L·batch, 2·hidden) dropout ``mask`` unless it is None.  The mask's rows
-    are time-major: row t·batch + s scales sequence s at step t.  No rows are
-    no sequences, and give no states.  One tape node."""
-    if xs.data.ndim != 2:
-        raise ShapeError(f"bilstm_forward_steps expects rank-2 rows, got shape {xs.shape}")
-    rows = xs.shape[0]
-    if length < 1 or rows % length:
-        raise ShapeError(f"{rows} rows are not whole sequences of length {length}")
-    if fwd[0].shape[0] != bwd[0].shape[0]:
-        raise ShapeError("forward/backward hidden sizes differ")
-    batch = rows // length
-    x = xs.data.reshape(batch, length, xs.shape[1]).transpose(1, 0, 2)  # time-major view
-    h_f, back_f = lstm_sequence(x, fwd[0].data, fwd[1].data)
-    h_b, back_b = lstm_sequence(x[::-1], bwd[0].data, bwd[1].data)  # last step first
-    hid = h_f.shape[2]
-    out = np.empty((batch, length, 2 * hid))
-    steps = out.transpose(1, 0, 2)  # time-major view of the output rows
-    steps[:, :, :hid] = h_f
-    steps[:, :, hid:] = h_b[::-1]
-    if mask is not None:
-        mask = mask.reshape(length, batch, 2 * hid)
-        steps *= mask
-
-    def backward(g):
-        g = g.reshape(batch, length, 2 * hid).transpose(1, 0, 2)
-        if mask is not None:
-            g = g * mask
-        dx_f, dw_f, db_f = back_f(g[:, :, :hid])
-        dx_b, dw_b, db_b = back_b(g[::-1, :, hid:])
-        dx = np.empty((batch, length, dx_f.shape[2]))
-        np.add(dx_f, dx_b[::-1], out=dx.transpose(1, 0, 2))
-        return dx.reshape(xs.shape), dw_f, db_f, dw_b, db_b
-
-    return T._make((xs, *fwd, *bwd), out.reshape(rows, 2 * hid), backward, check=False)

@@ -7,14 +7,15 @@ windows at a time), two bidirectional LSTM layers, and a fully-connected
 head (``feed_forward``, the relu MLP the feed-forward sublayer also is) that
 reads the last timestep's representation: the normalized next-close prediction.
 
-Each stage is one tape node with a hand-written backward pass: the
-embedding, each block, each BiLSTM layer with its dropout, the head and the
-MSE loss.  Every node takes and returns batch-major rows (row b·L + t is
-window b at step t), and forms each weight's gradient from (left, right) row
-pairs with ``_weight_grad``.  Each does the floating-point operations of the
-composition of one node per operation that it replaced, in the same order,
-so its outputs and gradients are that composition's bit for bit
-(``tests/reference.py`` keeps it as the oracle).
+Each stage is one tape node, made here, with a hand-written backward pass:
+the embedding, each block, each BiLSTM layer with its dropout, the head and
+the MSE loss.  Every node takes and returns batch-major rows (row b·L + t is
+window b at step t), and forms each weight's gradient from the (left, right)
+row pairs of its numpy stages (``attention``, ``favor``, ``lstm`` and the
+block's here) with ``_weight_grad``.  Each does the floating-point
+operations of the composition of one node per operation that it replaced,
+in the same order, so its outputs and gradients are that composition's bit
+for bit (``tests/reference.py`` keeps it as the oracle).
 
 Five variants share this code path and differ only in which stages are
 active and which attention kernel the blocks use:
@@ -46,9 +47,9 @@ from . import tensor as T
 from .attention import multi_head, softmax_window
 from .data import ColumnStats, Dataset, MetricSet, atomic_write, evaluate_metrics
 from .errors import (MAX_EXTENT, ConfigError, DataError, DivergenceError, FiniteError,
-                     check_field, check_keys)
+                     ShapeError, check_array, check_field, check_keys)
 from .favor import FavorConfig, draw_features, favor_bidirectional, favor_unidirectional
-from .lstm import bilstm_forward_steps, init_lstm_weights
+from .lstm import init_lstm_weights, lstm_sequence
 from .tensor import GradTape, Tensor
 
 
@@ -125,6 +126,20 @@ class ModelSpec:
                     f"{self.d_model // self.heads}")
         elif self.favor is not None:
             raise ConfigError(f"variant '{self.variant}' does not take a favor config")
+        # the largest array the model makes from each field, before it is made
+        d, hid = self.d_model, self.bilstm_hidden
+        arrays = [("d_model", self.n_features, d)]
+        if self.uses_attention:
+            arrays += [("window", self.window, d), ("d_model", d, 4 * d)]
+        if self.uses_favor:  # the Gaussian draw of every block's and head's Ω
+            f = self.favor
+            arrays.append(("favor.r", self.blocks * self.heads, -(-f.r // f.d_k), f.d_k, f.d_k))
+        if self.uses_bilstm:
+            arrays.append(("bilstm_hidden", 4 * hid, hid + max(d, 2 * hid)))
+        widths = [2 * hid if self.uses_bilstm else d, *self.fc_widths]
+        arrays += [(f"fc_widths[{k}]", *pair) for k, pair in enumerate(zip(widths, widths[1:]))]
+        for name, *shape in arrays:
+            check_array(name, *shape)
 
     @property
     def uses_attention(self) -> bool:
@@ -257,11 +272,55 @@ def feed_forward(x: np.ndarray, *weights):
     return out, backward
 
 
+def bilstm_forward_steps(xs: Tensor, length: int, fwd: tuple[Tensor, Tensor],
+                         bwd: tuple[Tensor, Tensor], mask: np.ndarray | None = None) -> Tensor:
+    """One BiLSTM layer: both directions, each a (W, b) pair, over sequences of
+    ``length`` steps given as batch-major (batch·L, input) rows, whose rows
+    s·L .. s·L + L - 1 are sequence s.  Returns the (batch·L, 2·hidden) states
+    in the same rows, the forward half first, time-aligned, times the
+    (L, batch, 2·hidden) dropout ``mask`` unless it is None: entry [t, s]
+    scales sequence s at step t.  No rows give no states.  One tape node."""
+    if xs.data.ndim != 2:
+        raise ShapeError(f"bilstm_forward_steps expects rank-2 rows, got shape {xs.shape}")
+    rows = xs.shape[0]
+    if length < 1 or rows % length:
+        raise ShapeError(f"{rows} rows are not whole sequences of length {length}")
+    if fwd[0].shape[0] != bwd[0].shape[0]:
+        raise ShapeError("forward/backward hidden sizes differ")
+    batch = rows // length
+    x = xs.data.reshape(batch, length, xs.shape[1]).transpose(1, 0, 2)  # time-major view
+    h_f, back_f = lstm_sequence(x, fwd[0].data, fwd[1].data)
+    h_b, back_b = lstm_sequence(x[::-1], bwd[0].data, bwd[1].data)  # last step first
+    hid = h_f.shape[2]
+    out = np.empty((batch, length, 2 * hid))
+    steps = out.transpose(1, 0, 2)  # time-major view of the output rows
+    steps[:, :, :hid] = h_f
+    steps[:, :, hid:] = h_b[::-1]
+    if mask is not None:
+        steps *= mask
+
+    def backward(g):
+        g = g.reshape(batch, length, 2 * hid).transpose(1, 0, 2)
+        if mask is not None:
+            g = g * mask
+
+        def run(back, g_half):  # a direction's weight gradients, its pairs freed on return
+            dx_half, pairs = back(g_half)
+            return dx_half, [_weight_grad([pair]) for pair in pairs]
+
+        dx_f, grads_f = run(back_f, g[:, :, :hid])
+        dx_b, grads_b = run(back_b, g[::-1, :, hid:])
+        dx = np.empty((batch, length, dx_f.shape[2]))
+        np.add(dx_f, dx_b[::-1], out=dx.transpose(1, 0, 2))
+        return dx.reshape(xs.shape), *grads_f, *grads_b
+
+    return T._make((xs, *fwd, *bwd), out.reshape(rows, 2 * hid), backward, check=False)
+
+
 def _glorot(rng, fan_in, fan_out, parts=1):
     """``parts`` Glorot-uniform (fan_in, fan_out) draws, side by side."""
     lim = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(np.hstack([rng.uniform(-lim, lim, size=(fan_in, fan_out))
-                             for _ in range(parts)]), requires_grad=True)
+    return np.hstack([rng.uniform(-lim, lim, size=(fan_in, fan_out)) for _ in range(parts)])
 
 
 class Model:
@@ -269,31 +328,28 @@ class Model:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.params: dict[str, Tensor] = {}
         self.feature_maps: list[np.ndarray] = []  # per block, each head's Ω: (heads, r, d_k)
         self.favor_generation: int | None = None  # no Ω drawn yet
         rng = np.random.default_rng(spec.seed)
         d = spec.d_model
 
-        self.params["embed.w"] = _glorot(rng, spec.n_features, d)
-        self.params["embed.b"] = Tensor(np.zeros((1, d)), requires_grad=True)
+        params = {"embed.w": _glorot(rng, spec.n_features, d), "embed.b": np.zeros((1, d))}
         self.positional = sinusoidal_encoding(spec.window, d) if spec.uses_attention else None
 
         if spec.uses_attention:
             d_k = d // spec.heads
             for i in range(spec.blocks):
                 # head by head, each head's q, k and v, as multi_head reads them
-                self.params[f"block{i}.attn.qkv"] = _glorot(rng, d, d_k, 3 * spec.heads)
-                self.params[f"block{i}.attn.o"] = _glorot(rng, spec.heads * d_k, d)
-                self.params[f"block{i}.ln1.g"] = Tensor(np.ones((1, d)), requires_grad=True)
-                self.params[f"block{i}.ln1.b"] = Tensor(np.zeros((1, d)), requires_grad=True)
-                d_ff = 4 * d
-                self.params[f"block{i}.ffn.w1"] = _glorot(rng, d, d_ff)
-                self.params[f"block{i}.ffn.b1"] = Tensor(np.zeros((1, d_ff)), requires_grad=True)
-                self.params[f"block{i}.ffn.w2"] = _glorot(rng, d_ff, d)
-                self.params[f"block{i}.ffn.b2"] = Tensor(np.zeros((1, d)), requires_grad=True)
-                self.params[f"block{i}.ln2.g"] = Tensor(np.ones((1, d)), requires_grad=True)
-                self.params[f"block{i}.ln2.b"] = Tensor(np.zeros((1, d)), requires_grad=True)
+                params[f"block{i}.attn.qkv"] = _glorot(rng, d, d_k, 3 * spec.heads)
+                params[f"block{i}.attn.o"] = _glorot(rng, spec.heads * d_k, d)
+                params[f"block{i}.ln1.g"] = np.ones((1, d))
+                params[f"block{i}.ln1.b"] = np.zeros((1, d))
+                params[f"block{i}.ffn.w1"] = _glorot(rng, d, 4 * d)
+                params[f"block{i}.ffn.b1"] = np.zeros((1, 4 * d))
+                params[f"block{i}.ffn.w2"] = _glorot(rng, 4 * d, d)
+                params[f"block{i}.ffn.b2"] = np.zeros((1, d))
+                params[f"block{i}.ln2.g"] = np.ones((1, d))
+                params[f"block{i}.ln2.b"] = np.zeros((1, d))
         self.set_favor_generation(0)
 
         if spec.uses_bilstm:
@@ -302,7 +358,7 @@ class Model:
             for layer in (1, 2):
                 for direction in ("fwd", "bwd"):
                     base = f"bilstm{layer}.{direction}"
-                    self.params[f"{base}.w"], self.params[f"{base}.b"] = init_lstm_weights(
+                    params[f"{base}.w"], params[f"{base}.b"] = init_lstm_weights(
                         width_in, hidden, rng)
                 width_in = 2 * hidden
             head_in = 2 * hidden
@@ -311,8 +367,9 @@ class Model:
 
         widths = [head_in, *spec.fc_widths]
         for k, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            self.params[f"fc{k}.w"] = _glorot(rng, fan_in, fan_out)
-            self.params[f"fc{k}.b"] = Tensor(np.zeros((1, fan_out)), requires_grad=True)
+            params[f"fc{k}.w"] = _glorot(rng, fan_in, fan_out)
+            params[f"fc{k}.b"] = np.zeros((1, fan_out))
+        self.params = {name: Tensor(a, requires_grad=True) for name, a in params.items()}
 
     # -- structure helpers ---------------------------------------------------
 
@@ -454,8 +511,7 @@ class Model:
             for layer in (1, 2):
                 fwd, bwd = ((p[f"bilstm{layer}.{d}.w"], p[f"bilstm{layer}.{d}.b"])
                             for d in ("fwd", "bwd"))
-                # time-major rows: row t·B + b scales window b at step t
-                mask = self._dropout_mask((length * batch, 2 * spec.bilstm_hidden), rng)
+                mask = self._dropout_mask((length, batch, 2 * spec.bilstm_hidden), rng)
                 x = bilstm_forward_steps(x, length, fwd, bwd, mask)
         return self._head(x)
 

@@ -23,7 +23,7 @@ oracles the fused kernels are held to:
   * ``sigmoid``, ``tanh``, ``transpose`` and ``concat`` compose
     ``composed_lstm_cell``, one LSTM step on tensors: the cell
     ``test_lstm.py`` folds over as the reference for each direction of
-    ``fastforecast.lstm.bilstm_forward_steps``; ``concat`` also joins the
+    ``fastforecast.model.bilstm_forward_steps``; ``concat`` also joins the
     folds' steps and directions, the rows of the causal FAVOR+ reference in
     ``test_favor.py`` and the per-head weights of a gradient check in
     ``test_attention_exact.py``; ``sigmoid`` is ½·tanh(x·½) + ½, the form
@@ -41,11 +41,11 @@ in the backward pass (softmax shift invariance makes that exact).
 ``window_node`` records any numpy function of three arrays that returns
 ``(out, backward)`` as one tape node on three tensors: the model's window
 functions (``softmax_window``, ``favor_bidirectional``,
-``favor_unidirectional``) on rank-2 Q, K and V, and the LSTM direction
-``lstm_sequence`` on a time-major (L, batch, input) sequence and a (W, b)
-pair.  ``stage_node`` does the same for the encoder block's numpy stages
-(``multi_head``, ``layer_norm`` and ``feed_forward``), which return each
-weight's gradient as a pair of row arrays.
+``favor_unidirectional``) on rank-2 Q, K and V.  ``stage_node`` does the
+same for the numpy stages that return each weight's gradient as a pair of
+row arrays: the encoder block's (``multi_head``, ``layer_norm`` and
+``feed_forward``) and the LSTM direction ``lstm_sequence``, on a time-major
+(L, batch, input) sequence and a (W, b) pair.
 
 ``composed_encoder_block`` is the encoder block as the model composed it
 before the block became one tape node: ``composed_multi_head`` (the QKV
@@ -207,21 +207,19 @@ def check_qkv(q, k, v):
         raise ShapeError("self-attention requires equal sequence lengths")
 
 
-def window_node(window, check=check_qkv):
-    """``window(ad, bd, cd, *args)``, which returns ``(out, backward)``, as a
-    function of tensors a, b and c (and the same trailing arguments) that
-    records one tape node; ``check``, unless None, checks the three tensors
-    first."""
-    def node(a, b, c, *args):
-        if check is not None:
-            check(a, b, c)
-        return T._make((a, b, c), *window(a.data, b.data, c.data, *args))
+def window_node(window):
+    """``window(qd, kd, vd, *args)``, which returns ``(out, backward)``, as a
+    function of tensors q, k and v (and the same trailing arguments) that
+    checks their shapes (``check_qkv``) and records one tape node."""
+    def node(q, k, v, *args):
+        check_qkv(q, k, v)
+        return T._make((q, k, v), *window(q.data, k.data, v.data, *args))
     return node
 
 
 def stage_node(stage):
-    """``stage(xd, *weights, *args)``, a numpy stage of the encoder block whose
-    backward pass returns x's gradient and one (left, right) pair per weight,
+    """``stage(xd, *weights, *args)``, a numpy stage whose backward pass
+    returns x's gradient and one (left, right) pair per weight,
     as a function of the tensor x, the weight tensors and the same trailing
     arguments that records one tape node: each weight's gradient comes from its
     pair through the model's own rule, ``model._weight_grad``."""
@@ -452,9 +450,10 @@ def time_major_bilstm(xs, batch, fwd, bwd):
 
     def backward(g):
         g = g.reshape(rows // batch, batch, 2 * hid)
-        dx_f, dw_f, db_f = back_f(g[:, :, :hid])
-        dx_b, dw_b, db_b = back_b(g[::-1, :, hid:])
-        return (dx_f + dx_b[::-1]).reshape(rows, -1), dw_f, db_f, dw_b, db_b
+        dx_f, pairs_f = back_f(g[:, :, :hid])
+        dx_b, pairs_b = back_b(g[::-1, :, hid:])
+        return ((dx_f + dx_b[::-1]).reshape(rows, -1),
+                *(_weight_grad([pair]) for pair in pairs_f + pairs_b))
 
     return T._make((xs, *fwd, *bwd), np.concatenate([h_f, h_b[::-1]], axis=2).reshape(rows, -1),
                    backward, check=False)

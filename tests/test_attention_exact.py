@@ -21,9 +21,9 @@ def glorot_weights(d_model, h, rng):
     initializer and joined head by head, as the model joins them, plus the
     output matrix."""
     d_k = d_model // h
-    w_q, w_k, w_v = [[_glorot(rng, d_model, d_k).data for _ in range(h)] for _ in range(3)]
+    w_q, w_k, w_v = [[_glorot(rng, d_model, d_k) for _ in range(h)] for _ in range(3)]
     w_qkv = np.concatenate([w[j] for j in range(h) for w in (w_q, w_k, w_v)], axis=1)
-    return Tensor(w_qkv), _glorot(rng, h * d_k, d_model)
+    return Tensor(w_qkv), Tensor(_glorot(rng, h * d_k, d_model))
 
 
 def attention_oracle(q, k, v):

@@ -341,6 +341,33 @@ def test_width_too_large_for_memory_exits_four(tmp_path, fixture_csv, keys, valu
     assert not (tmp_path / "out").exists()
 
 
+# each width is below numpy's largest extent, but makes an array whose byte
+# size numpy cannot represent: ``train`` exited 1 with numpy's ValueError
+# traceback for each, and ``prepare`` exited 0
+UNREPRESENTABLE = {
+    "fc_widths": ("bilstm_only", {"fc_widths": [10**18, 1]}, "model.fc_widths[0] "),
+    "d_model-heads": ("transformer_mh", {"d_model": 2**62, "heads": 2**62}, "model.d_model "),
+    "bilstm_hidden": ("bilstm_only", {"bilstm_hidden": 2**61}, "model.bilstm_hidden "),
+    "favor.r": ("performer", {"favor": {"r": 2**60, "seed": 9}}, "model.favor.r "),
+}
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "evaluate"])
+@pytest.mark.parametrize("variant,model_kw,field", UNREPRESENTABLE.values(),
+                         ids=UNREPRESENTABLE)
+def test_width_too_large_for_numpy_exits_four(tmp_path, command, variant, model_kw, field):
+    """One config error line naming the field, before the CSV (which is
+    missing) or the checkpoint is read or anything is written."""
+    config = make_config(tmp_path, tmp_path / "missing.csv", variant, **model_kw)
+    extra = ["--checkpoint", str(tmp_path / "missing.ffck")] if command == "evaluate" else []
+    proc = run_cli("-m", "fastforecast.cli", command, "--config", str(config),
+                   "--out", str(tmp_path / "out"), *extra, preexec_fn=limit_memory)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith(f"config error: {config}: {field}"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # before the check, each of these exited 3, 0 (clipping silently off) or 2
 NON_FINITE_CONFIGS = [
     ("train", ("indicators", "bb_k"), float("nan")),
@@ -778,6 +805,17 @@ class TestBench:
         assert proc.stderr.startswith("config error: ")
         assert not (tmp_path / "bench").exists()
 
+    def test_r_too_large_for_numpy_exits_four(self, tmp_path):
+        """r·d_k below numpy's largest extent, but not its byte size: one line
+        naming r, where numpy's ValueError ended the probe with a traceback."""
+        proc = run_cli("-m", "fastforecast.cli", "bench", "--lengths", "8,16", "--dk", "4",
+                       "--r", str(2**60), "--reps", "1", "--out", str(tmp_path / "bench"),
+                       preexec_fn=limit_memory)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("config error: r makes a "), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "bench").exists()
+
     def test_reps_below_one_exits_four_naming_reps(self, tmp_path):
         proc = run_cli("-m", "fastforecast.cli", "bench", "--lengths", "8,16", "--dk", "4",
                        "--r", "8", "--reps", "0", "--out", str(tmp_path / "bench"))
@@ -865,4 +903,38 @@ def test_timestamp_outside_int64_exits_two(tmp_path):
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {csv_path}:2: timestamp")
+    assert not (tmp_path / "out").exists()
+
+
+def _bad_value(column, value):
+    """A row edit that sets ``column`` (1 open .. 5 volume) to ``value``, or to
+    the value of the column that ``value`` names."""
+    def edit(row):
+        row[column] = row[value] if isinstance(value, int) else value
+    return edit
+
+
+# one per value rule of OhlcvSeries; each exited 2 without a line number
+BAD_CANDLES = {"nan-close": (_bad_value(4, "nan"), "non-finite value in candle data"),
+               "inf-volume": (_bad_value(5, "inf"), "non-finite value in candle data"),
+               "minus-inf-open": (_bad_value(1, "-inf"), "non-finite value in candle data"),
+               "high-below-open-close": (_bad_value(2, 3), "candle violates high/low envelope"),
+               "low-above-open-close": (_bad_value(3, 2), "candle violates high/low envelope"),
+               "negative-volume": (_bad_value(5, -1.0), "negative volume")}
+
+
+@pytest.mark.parametrize("edit,message", BAD_CANDLES.values(), ids=BAD_CANDLES)
+def test_candle_rejected_for_its_values_names_its_line(tmp_path, edit, message, capsys):
+    """Row 100 of a 140-row file, after a gap at row 10 and a blank line:
+    line 103, counted in the file, not in the kept segment."""
+    rows = [list(row) for row in candle_rows(140, seed=21)]
+    for row in rows[10:]:
+        row[0] += 3600  # a gap: the longest segment starts at row 10
+    edit(rows[100])
+    csv_path = tmp_path / "bad.csv"
+    write_csv(csv_path, rows[:50] + [[""]] + rows[50:])
+    config = make_config(tmp_path, csv_path)
+    assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) \
+        == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {csv_path}:103: {message}\n"
     assert not (tmp_path / "out").exists()

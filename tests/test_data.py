@@ -284,7 +284,7 @@ def reference_load_csv(path, interval) -> OhlcvSeries:
         return OhlcvSeries(interval, ts, cols[:, 0], cols[:, 1], cols[:, 2],
                            cols[:, 3], cols[:, 4])
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{path}:{best[exc.row][0]}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -323,7 +323,7 @@ def number_text(draw, value):
 
 
 BAD_ROWS = ["short", "long", "unparsable", "duplicate", "decreasing", "above_int64",
-            "below_int64"]
+            "below_int64", "non_finite", "envelope", "negative_volume"]
 
 
 @st.composite
@@ -358,6 +358,12 @@ def csv_files(draw):
             rows[i][0] = str(2**63 + draw(st.integers(0, 10)))
         elif kind == "below_int64":
             rows[i][0] = str(-2**63 - 1 - draw(st.integers(0, 10)))
+        elif kind == "non_finite":
+            rows[i][draw(st.integers(1, 5))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        elif kind == "envelope":
+            rows[i][2], rows[i][3] = rows[i][3], rows[i][2]  # high and low swapped
+        elif kind == "negative_volume":
+            rows[i][5] = "-1.5"
     lines = [",".join(CSV_HEADER)]
     for fields in rows:
         lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)))
@@ -373,7 +379,8 @@ def csv_files(draw):
 def test_load_csv_matches_the_per_row_reference(case):
     """Same series bit for bit, same gap warnings and the same error message
     as the per-row parser, on files with gaps, blank and whitespace-only
-    lines, CRLF, a BOM, quoted and padded fields and one bad row."""
+    lines, CRLF, a BOM, quoted and padded fields and one bad row, malformed or
+    breaking a value rule."""
     blob, _ = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.csv"

@@ -20,6 +20,7 @@ from fastforecast.favor import (
     loglog_slope,
     _gram_schmidt,
     _phi,
+    _phi_grad,
 )
 from fastforecast.tensor import EXP_CLAMP, GradTape, Tensor
 
@@ -118,6 +119,15 @@ def assert_matches_composed(kernel, composed, q, k, v, omega):
     np.testing.assert_array_equal(outs[0], outs[1])
     for fused, reference in zip(*grads):
         assert rel_err(fused, reference) <= 1e-12
+
+
+def clamping_omega(r, d_k, seed=21):
+    """An Ω whose first row is rescaled to norm 200, and that row's unit
+    vector ω̂₀: x = 5·ω̂₀ has the exponent 200·5 − 5²/2 = 987.5 there, past
+    EXP_CLAMP."""
+    omega = draw_features(r, d_k, [seed])[0]
+    omega[0] *= 200.0 / np.linalg.norm(omega[0])
+    return omega, omega[0] / 200.0
 
 
 def rand_inputs(rng, length, d_k, d_v=None, normalize=True):
@@ -250,6 +260,24 @@ class TestPhiPositive:
         np.testing.assert_allclose(out[0, 1:], np.exp(-1.0) / np.sqrt(4), rtol=1e-15)
         np.testing.assert_array_equal(mask, [[False, True, True, True]])
 
+    def test_gradient_through_a_clamped_exponent(self, rng):
+        """Row 1 of x is 5·ω̂₀ with ‖ω₀‖ = 200: its first exponent is clamped
+        to 700 and passes no gradient.  ``_phi_grad`` against the tape
+        gradient of the masked reference, within 1e-12; without the mask, the
+        clamped feature's e^700 would reach x's gradient."""
+        omega, unit = clamping_omega(6, 4)
+        x = rng.standard_normal((3, 4))
+        x[1] = 5.0 * unit
+        g = rng.standard_normal((3, 6))
+        before = DIAGNOSTICS.exp_clamped
+        phi, mask = _phi(x, omega)
+        assert DIAGNOSTICS.exp_clamped == before + 1 and not mask[1, 0]
+        leaf = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            loss = tsum(mul(composed_phi(leaf, omega), Tensor(g)))
+        tape.backward(loss)
+        assert rel_err(_phi_grad(x, omega, phi, mask, g), leaf.grad) <= 1e-12
+
     def test_width_mismatch(self):
         """φ takes rows of width d_k; both window functions reject wider q and k."""
         omega = draw_features(8, 4, [0])[0]
@@ -361,6 +389,26 @@ def test_vanishing_query_features_hit_the_denominator_floor(kernel, composed, rn
     np.testing.assert_array_equal(out[2], np.zeros(4))
     assert np.all(np.isfinite(out))
     assert np.all(np.delete(out, 2, axis=0) != 0)
+    assert_matches_composed(kernel, composed, q, k, v, omega)
+
+
+@pytest.mark.parametrize("kernel,composed", [(favor_node, composed_favor),
+                                             (causal_favor_node, composed_causal_favor)],
+                         ids=["bidirectional", "causal"])
+def test_clamped_key_exponent_matches_the_masked_reference(kernel, composed, rng):
+    """Key row 3, scaled, is 5·ω̂₀ with ‖ω₀‖ = 200: its first exponent is
+    clamped to 700.  Each scaled query's component along ω̂₀ is −3.5, so its
+    first feature is about e^-706 and each product with the clamped one stays
+    finite and weighs like the others.  The kernel's gradients agree with the
+    mask-form reference within 1e-12; without the mask they would not."""
+    q, k, v = rand_inputs(rng, 5, 4)
+    omega, unit = clamping_omega(8, 4)
+    scale = 4 ** 0.25  # the kernel scales q and k by d_k^(-1/4)
+    q = q - np.outer(q @ unit + 3.5 * scale, unit)
+    k[3] = 5.0 * scale * unit
+    before = DIAGNOSTICS.exp_clamped
+    kernel(Tensor(q), Tensor(k), Tensor(v), omega)
+    assert DIAGNOSTICS.exp_clamped == before + 1
     assert_matches_composed(kernel, composed, q, k, v, omega)
 
 

@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from fastforecast.errors import FiniteError, ShapeError
-from fastforecast.lstm import (
-    _gate_affine,
-    _halved,
-    bilstm_forward_steps,
-    init_lstm_weights,
-    lstm_cell,
-    lstm_sequence,
-)
+from fastforecast.lstm import _gate_affine, _halved, init_lstm_weights, lstm_cell, lstm_sequence
+from fastforecast.model import _weight_grad, bilstm_forward_steps
 from fastforecast.tensor import GradTape, Tensor
 
 from conftest import check_gradients, rel_err
@@ -24,9 +18,9 @@ from reference import (
     concat,
     mul,
     sigmoid as tanh_form_sigmoid,
+    stage_node,
     take_rows,
     tsum,
-    window_node,
 )
 
 
@@ -36,8 +30,8 @@ def one_sequence(x, w, b):
     out, backward = lstm_sequence(x[:, None], w, b)
 
     def back(g):
-        dx, dw, db = backward(g[:, None])
-        return dx[:, 0], dw, db
+        dx, pairs = backward(g[:, None])
+        return dx[:, 0], pairs
 
     return out[:, 0], back
 
@@ -45,8 +39,8 @@ def one_sequence(x, w, b):
 # one LSTM direction on tensors, each call one tape node, over a time-major
 # (L, batch, input) sequence or a single (L, input) one; lstm_sequence checks
 # the shapes
-sequence_node = window_node(lstm_sequence, check=None)
-single_sequence_node = window_node(one_sequence, check=None)
+sequence_node = stage_node(lstm_sequence)
+single_sequence_node = stage_node(one_sequence)
 
 
 def sigmoid(x):
@@ -75,12 +69,12 @@ def gates(w, b):
 
 
 def random_weights(input_size, hidden, seed, forget_bias=None):
-    """A direction's (W, b) pair, as the model draws it."""
+    """A direction's (W, b) pair, as the model draws it and makes it leaves."""
     rng = np.random.default_rng(seed)
     w, b = init_lstm_weights(input_size, hidden, rng)
     if forget_bias is not None:
-        b.data[:, :hidden] = forget_bias
-    return w, b
+        b[:, :hidden] = forget_bias
+    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
 
 
 def zero_weights(input_size, hidden):
@@ -212,7 +206,8 @@ class TestLstmCell:
             np.testing.assert_array_equal(gate, np.broadcast_to(sign > 0, gate.shape) * 1.0)
         assert np.all(np.isfinite(c)) and np.all(np.isfinite(h))
         out, backward = lstm_sequence(rng.standard_normal((length, batch, inp)), w.data, b.data)
-        dx, dw, db = backward(rng.standard_normal(out.shape))
+        dx, pairs = backward(rng.standard_normal(out.shape))
+        dw, db = (_weight_grad([pair]) for pair in pairs)
         assert all(np.all(np.isfinite(a)) for a in (out, dx, dw, db))
         saturated = np.r_[0:2 * hidden, 3 * hidden:4 * hidden]
         np.testing.assert_array_equal(dw[saturated], 0.0)
@@ -368,8 +363,8 @@ class TestLstmSequence:
         self.check_layer_against_folds(rng, dropout=False)
 
     def test_layer_with_dropout_equals_masked_cell_folds(self, rng):
-        """As above, with the joined folds times the layer's dropout mask, whose
-        rows are time-major."""
+        """As above, with the joined folds times the layer's time-major
+        (L, batch, 2·hidden) dropout mask."""
         self.check_layer_against_folds(rng, dropout=True)
 
     @staticmethod
@@ -377,15 +372,14 @@ class TestLstmSequence:
         batch, length = 3, 7
         wf, wb = random_weights(2, 4, seed=22), random_weights(2, 4, seed=23)
         xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
-        mask = (rng.random((length * batch, 8)) >= 0.25) / 0.75 if dropout else None
+        mask = (rng.random((length, batch, 8)) >= 0.25) / 0.75 if dropout else None
 
         def folds(xs, length, fwd, bwd, mask):
             out = concat([lstm_fold(xs, batch, *fwd),
                           lstm_fold(xs, batch, *bwd, reverse=True)], axis=1)
             if mask is None:
                 return out
-            return mul(out, Tensor(mask.reshape(length, batch, -1).transpose(1, 0, 2)
-                                   .reshape(batch * length, -1)))
+            return mul(out, Tensor(mask.transpose(1, 0, 2).reshape(batch * length, -1)))
 
         grads, outs = [], []
         for run in (bilstm_forward_steps, folds):

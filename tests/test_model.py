@@ -399,6 +399,17 @@ class TestTrain:
         assert len(wide) == 2 * 2 * batch  # both per chunk, per block
         assert max(shape[0] for shape in wide) <= ff_model.CHUNK_ROWS == length
 
+    @pytest.mark.parametrize("variant", ["bilstm_only", "performer"])
+    def test_allocation_log_ends_with_the_head(self, variant):
+        """With no tape, the log ends with the head's entries, in order: each
+        window's gathered last row, its hidden layer and the predictions."""
+        spec, batch = tiny_spec(variant=variant, fc_widths=(5, 1)), 3
+        windows = np.random.default_rng(0).standard_normal((batch, 8, 8))
+        with T.track_allocations() as log:
+            build(spec).forward_batch(windows)
+        width = 2 * spec.bilstm_hidden if spec.uses_bilstm else spec.d_model
+        assert log.shapes[-3:] == [(batch, width), (batch, 5), (batch, 1)]
+
     def test_training_is_deterministic(self):
         ds = tiny_dataset()
         hp = TrainHyperparams(epochs=3, batch=8, lr=1e-3)
