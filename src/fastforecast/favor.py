@@ -111,13 +111,16 @@ def _phi(x: np.ndarray, omega: np.ndarray):
     (None when nothing was clamped)."""
     phi = x @ np.ascontiguousarray(omega.swapaxes(-1, -2))  # one (L, r) buffer, exponent to φ
     phi -= 0.5 * (x * x).sum(axis=-1, keepdims=True)
-    T.check_finite(phi)
     mask = None
-    clamped = int(np.count_nonzero(phi >= EXP_CLAMP))
-    if clamped:
-        DIAGNOSTICS.exp_clamped += clamped
-        mask = phi < EXP_CLAMP
-        np.minimum(phi, EXP_CLAMP, out=phi)
+    # two reductions clear the common case: NaN fails the max's comparison,
+    # and the min catches -inf, which the max alone would let exp map to 0
+    if not (phi.max() < EXP_CLAMP and phi.min() > -np.inf):
+        T.check_finite(phi)
+        clamped = int(np.count_nonzero(phi >= EXP_CLAMP))
+        if clamped:
+            DIAGNOSTICS.exp_clamped += clamped
+            mask = phi < EXP_CLAMP
+            np.minimum(phi, EXP_CLAMP, out=phi)
     np.exp(phi, out=phi)
     phi *= 1.0 / math.sqrt(omega.shape[-2])
     return phi, mask

@@ -15,7 +15,11 @@ row pairs of its numpy stages (``attention``, ``favor``, ``lstm`` and the
 block's here) with ``_weight_grad``.  Each does the floating-point
 operations of the composition of one node per operation that it replaced,
 in the same order, so its outputs and gradients are that composition's bit
-for bit (``tests/reference.py`` keeps it as the oracle).
+for bit (``tests/reference.py`` keeps it as the oracle).  The head reads
+each window's last row only, so the last BiLSTM layer's backward direction,
+which starts at that row, runs only the last two steps: its half of the
+layer's output is zero in the rows before them, which the head does not read
+and whose gradients are zero.
 
 Five variants share this code path and differ only in which stages are
 active and which attention kernel the blocks use:
@@ -273,13 +277,20 @@ def feed_forward(x: np.ndarray, *weights):
 
 
 def bilstm_forward_steps(xs: Tensor, length: int, fwd: tuple[Tensor, Tensor],
-                         bwd: tuple[Tensor, Tensor], mask: np.ndarray | None = None) -> Tensor:
+                         bwd: tuple[Tensor, Tensor], mask: np.ndarray | None = None,
+                         last: bool = False) -> Tensor:
     """One BiLSTM layer: both directions, each a (W, b) pair, over sequences of
     ``length`` steps given as batch-major (batch·L, input) rows, whose rows
     s·L .. s·L + L - 1 are sequence s.  Returns the (batch·L, 2·hidden) states
     in the same rows, the forward half first, time-aligned, times the
     (L, batch, 2·hidden) dropout ``mask`` unless it is None: entry [t, s]
-    scales sequence s at step t.  No rows give no states.  One tape node."""
+    scales sequence s at step t.  No rows give no states.  One tape node.
+
+    ``last`` marks the layer the head reads, which reads each sequence's last
+    step only.  There the backward direction, which starts at that step, runs
+    only the last min(2, L) steps, and the backward half is zero in the rows
+    before them.  Two steps, not one: a one-window batch would form dx from a
+    one-row product (gemv), which rounds otherwise than the gemm over more rows."""
     if xs.data.ndim != 2:
         raise ShapeError(f"bilstm_forward_steps expects rank-2 rows, got shape {xs.shape}")
     rows = xs.shape[0]
@@ -288,14 +299,16 @@ def bilstm_forward_steps(xs: Tensor, length: int, fwd: tuple[Tensor, Tensor],
     if fwd[0].shape[0] != bwd[0].shape[0]:
         raise ShapeError("forward/backward hidden sizes differ")
     batch = rows // length
+    start = length - min(2, length) if last else 0  # the earliest step the backward direction runs
     x = xs.data.reshape(batch, length, xs.shape[1]).transpose(1, 0, 2)  # time-major view
     h_f, back_f = lstm_sequence(x, fwd[0].data, fwd[1].data)
-    h_b, back_b = lstm_sequence(x[::-1], bwd[0].data, bwd[1].data)  # last step first
+    h_b, back_b = lstm_sequence(x[start:][::-1], bwd[0].data, bwd[1].data)  # last step first
     hid = h_f.shape[2]
     out = np.empty((batch, length, 2 * hid))
     steps = out.transpose(1, 0, 2)  # time-major view of the output rows
     steps[:, :, :hid] = h_f
-    steps[:, :, hid:] = h_b[::-1]
+    steps[:start, :, hid:] = 0.0
+    steps[start:, :, hid:] = h_b[::-1]
     if mask is not None:
         steps *= mask
 
@@ -309,9 +322,11 @@ def bilstm_forward_steps(xs: Tensor, length: int, fwd: tuple[Tensor, Tensor],
             return dx_half, [_weight_grad([pair]) for pair in pairs]
 
         dx_f, grads_f = run(back_f, g[:, :, :hid])
-        dx_b, grads_b = run(back_b, g[::-1, :, hid:])
+        dx_b, grads_b = run(back_b, g[start:, :, hid:][::-1])
         dx = np.empty((batch, length, dx_f.shape[2]))
-        np.add(dx_f, dx_b[::-1], out=dx.transpose(1, 0, 2))
+        dx_steps = dx.transpose(1, 0, 2)
+        dx_steps[:start] = dx_f[:start]  # rows the backward direction did not run
+        np.add(dx_f[start:], dx_b[::-1], out=dx_steps[start:])
         return dx.reshape(xs.shape), *grads_f, *grads_b
 
     return T._make((xs, *fwd, *bwd), out.reshape(rows, 2 * hid), backward, check=False)
@@ -512,7 +527,7 @@ class Model:
                 fwd, bwd = ((p[f"bilstm{layer}.{d}.w"], p[f"bilstm{layer}.{d}.b"])
                             for d in ("fwd", "bwd"))
                 mask = self._dropout_mask((length, batch, 2 * spec.bilstm_hidden), rng)
-                x = bilstm_forward_steps(x, length, fwd, bwd, mask)
+                x = bilstm_forward_steps(x, length, fwd, bwd, mask, last=layer == 2)
         return self._head(x)
 
 

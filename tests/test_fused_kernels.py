@@ -388,7 +388,7 @@ def forward_and_loss(forward, loss_fn, model, windows, targets):
 
 
 @pytest.mark.parametrize("fc_widths", [(1,), (4, 1), (4, 3, 1)], ids=shape_id)
-@pytest.mark.parametrize("shape", [(8, 4), (1, 1)], ids=shape_id)
+@pytest.mark.parametrize("shape", [(8, 4), (8, 1), (1, 1)], ids=shape_id)
 @pytest.mark.parametrize("dropout", [0.0, 0.25], ids=["no_dropout", "dropout"])
 @pytest.mark.parametrize("variant, causal", CONFIGS, ids=CONFIG_IDS)
 def test_forward_and_loss_match_composition_bitwise(variant, causal, dropout, shape,

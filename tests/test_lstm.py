@@ -393,6 +393,34 @@ class TestLstmSequence:
         for fused, folded in zip(*grads):
             assert rel_err(fused, folded) <= 1e-12
 
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_last_layer_equals_full_layer_where_the_head_reads(self, length, rng):
+        """With ``last``, the backward half is the full layer's in each
+        sequence's last min(2, L) steps and zero before them, the forward half
+        is the full layer's, and a loss on the last steps has the full layer's
+        gradients, with dropout."""
+        batch = 3
+        wf, wb = random_weights(2, 4, seed=22), random_weights(2, 4, seed=23)
+        xs = Tensor(rng.standard_normal((length * batch, 2)), requires_grad=True)
+        mask = (rng.random((length, batch, 8)) >= 0.25) / 0.75
+        last_rows = np.arange(length - 1, length * batch, length)
+        outs, grads = [], []
+        for last in (False, True):
+            with GradTape() as tape:
+                out = bilstm_forward_steps(xs, length, wf, wb, mask, last=last)
+                read = take_rows(out, last_rows)
+                loss = tsum(mul(read, read))
+            tape.backward(loss)
+            outs.append(out.data.reshape(batch, length, 8))
+            grads.append([xs.grad] + [t.grad for t in (*wf, *wb)])
+        full, tail = outs
+        skipped = length - min(2, length)
+        np.testing.assert_array_equal(tail[:, :, :4], full[:, :, :4])
+        np.testing.assert_array_equal(tail[:, skipped:, 4:], full[:, skipped:, 4:])
+        assert not tail[:, :skipped, 4:].any()
+        for got, want in zip(grads[1], grads[0]):
+            np.testing.assert_array_equal(got, want)
+
     def test_layer_is_one_tape_node(self, rng):
         wf, wb = random_weights(2, 3, seed=24), random_weights(2, 3, seed=25)
         with GradTape() as tape:
